@@ -74,15 +74,12 @@ void BM_WepicShapedScaling(benchmark::State& state) {
     state.counters["hub_pictures"] = static_cast<double>(
         hub->engine().catalog().Get("pictures")->size());
     uint64_t delta_tuples = 0;
-    uint64_t full_tuples = 0;
     for (const std::string& name : system.PeerNames()) {
       const PropagationCounters& pc =
           system.GetPeer(name)->engine().propagation_counters();
       delta_tuples += pc.delta_inserts_shipped + pc.delta_deletes_shipped;
-      full_tuples += pc.full_tuples_shipped;
     }
     state.counters["delta_tuples"] = static_cast<double>(delta_tuples);
-    state.counters["full_tuples"] = static_cast<double>(full_tuples);
     state.ResumeTiming();
   }
 }

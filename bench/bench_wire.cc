@@ -78,27 +78,6 @@ void BM_RoundTripDelegation(benchmark::State& state) {
 }
 BENCHMARK(BM_RoundTripDelegation);
 
-void BM_RoundTripDerivedSet(benchmark::State& state) {
-  DerivedSet s;
-  s.target_peer = "jules";
-  s.relation = "attendeePictures";
-  int n = static_cast<int>(state.range(0));
-  for (int i = 0; i < n; ++i) {
-    s.tuples.push_back({Value::Int(i), Value::String("name"),
-                        Value::Double(0.5)});
-  }
-  Envelope e;
-  e.from = "emilien";
-  e.to = "jules";
-  e.message = Message::MakeDerivedSet(s);
-  for (auto _ : state) {
-    std::string bytes = EncodeEnvelope(e);
-    Result<Envelope> back = DecodeEnvelope(bytes);
-    benchmark::DoNotOptimize(back);
-  }
-}
-BENCHMARK(BM_RoundTripDerivedSet)->Arg(10)->Arg(1000);
-
 // Blob-heavy payloads (picture data dominates Wepic traffic).
 void BM_RoundTripBlobPayload(benchmark::State& state) {
   Envelope e = MakeFactBatch(1, static_cast<int>(state.range(0)));

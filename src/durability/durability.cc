@@ -10,6 +10,7 @@
 #include <cstring>
 
 #include "base/logging.h"
+#include "base/string_util.h"
 #include "net/wire.h"
 
 namespace wdl {
@@ -273,35 +274,34 @@ Result<std::unique_ptr<PeerDurability>> PeerDurability::Open(
     break;
   }
 
-  // Read this generation's WAL (generation 0 when no snapshot exists),
-  // truncating any torn tail so the writer appends after the last
-  // valid record.
+  // Read this generation's WAL (generation 0 when no snapshot exists).
+  // Every record that passed its CRC must decode before anything on
+  // disk changes: a CRC-valid record that does not decode means a
+  // format change or a writer bug, not a torn write, and skipping it
+  // (and everything after it) would silently drop durable state. Fail
+  // recovery instead and leave the file exactly as found.
   WDL_ASSIGN_OR_RETURN(WalReadResult wal, ReadWalFile(pd->WalPath()));
+  for (size_t i = 0; i < wal.payloads.size(); ++i) {
+    Result<WalRecord> record = DecodeWalRecord(wal.payloads[i]);
+    if (!record.ok()) {
+      return Status::FailedPrecondition(StrFormat(
+          "durability: WAL record %zu of %s (byte offset %llu) passed its "
+          "CRC but does not decode: %s",
+          i, pd->WalPath().c_str(),
+          static_cast<unsigned long long>(wal.offsets[i]),
+          record.status().ToString().c_str()));
+    }
+    pd->recovered_records_.push_back(std::move(*record));
+  }
+  // A torn tail — a final frame cut short or failing its CRC — is what
+  // a crash mid-append leaves; truncate it so appends resume after the
+  // last valid record.
   if (wal.torn_tail) {
     WDL_LOG(Warning) << "durability: truncating torn WAL tail ("
                   << wal.dropped_bytes << " bytes) in " << pd->WalPath();
     WDL_RETURN_IF_ERROR(TruncateFile(pd->WalPath(), wal.valid_bytes));
     pd->counters_.torn_tail_truncated = true;
     pd->counters_.torn_bytes_dropped = wal.dropped_bytes;
-  }
-  for (const std::string& payload : wal.payloads) {
-    Result<WalRecord> record = DecodeWalRecord(payload);
-    if (!record.ok()) {
-      // A frame whose CRC matched but whose payload does not decode
-      // means a writer bug or a format change, not a torn write. Stop
-      // replay here — applying later records against a state missing
-      // this one would diverge — and truncate so the log stays
-      // consistent with what was replayed.
-      WDL_LOG(Warning) << "durability: undecodable WAL record after "
-                    << pd->recovered_records_.size() << " good records: "
-                    << record.status().ToString();
-      uint64_t offset = wal.offsets[pd->recovered_records_.size()];
-      WDL_RETURN_IF_ERROR(TruncateFile(pd->WalPath(), offset));
-      pd->counters_.torn_tail_truncated = true;
-      pd->counters_.torn_bytes_dropped += wal.valid_bytes - offset;
-      break;
-    }
-    pd->recovered_records_.push_back(std::move(*record));
   }
   pd->records_in_log_ = pd->recovered_records_.size();
   pd->counters_.wal_records_recovered = pd->recovered_records_.size();

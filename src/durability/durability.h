@@ -14,10 +14,8 @@
 namespace wdl {
 
 /// Per-peer durability configuration (DESIGN.md §11). The empty `dir`
-/// default keeps durability off — the fully in-memory runtime stays
-/// the oracle, exactly like the compiled-plan / differential /
-/// incremental options — so every existing path is byte-identical
-/// unless a host opts in.
+/// default keeps durability off — the fully in-memory runtime — so
+/// every existing path is byte-identical unless a host opts in.
 struct DurabilityOptions {
   /// Directory holding this peer's snapshot + WAL generations; created
   /// on open. Empty disables durability.
@@ -43,9 +41,8 @@ enum class WalRecordType : uint8_t {
   kLocalDecl = 4,         // RelationDecl
   kLocalRuleAdd = 5,      // engine rule id + Rule
   kLocalRuleRemove = 6,   // engine rule id
-  /// What one stage shipped: derived deltas (resync snapshots and
-  /// full-slice sets are logged as snapshot-deltas), delegation
-  /// installs, and delegation retracts. Replay advances the engine's
+  /// What one stage shipped: derived deltas (resync snapshots
+  /// included), delegation installs, and delegation retracts. Replay advances the engine's
   /// SentContribution / sent-delegation state to match, so a recovered
   /// peer diffs its next emission against what receivers actually
   /// hold.
@@ -113,8 +110,11 @@ class PeerDurability {
  public:
   /// Opens (creating the directory if needed) and performs the disk
   /// side of recovery: selects the newest valid snapshot, reads the
-  /// matching WAL, truncates a torn tail. The decoded snapshot and
-  /// records stay available until FinishRecovery().
+  /// matching WAL, truncates a torn tail. A WAL record that passes its
+  /// CRC but does not decode (a format change, e.g. a retired message
+  /// type) fails Open with an error naming the record index, leaving
+  /// every file untouched. The decoded snapshot and records stay
+  /// available until FinishRecovery().
   static Result<std::unique_ptr<PeerDurability>> Open(
       DurabilityOptions options);
 

@@ -31,10 +31,6 @@ namespace wdl {
 struct TupleSupport {
   bool derived = false;
   bool external = false;
-
-  int count() const {
-    return static_cast<int>(derived) + static_cast<int>(external);
-  }
 };
 
 /// Support records for every resident derived tuple, per relation —
@@ -61,14 +57,6 @@ class DerivationTracker {
     auto rel_it = by_relation_.find(relation);
     if (rel_it == by_relation_.end()) return;
     rel_it->second.erase(tuple);
-  }
-
-  /// Live-source count; 0 when untracked (tests, listings).
-  int Count(const std::string& relation, const Tuple& tuple) const {
-    auto rel_it = by_relation_.find(relation);
-    if (rel_it == by_relation_.end()) return 0;
-    auto it = rel_it->second.find(tuple);
-    return it == rel_it->second.end() ? 0 : it->second.count();
   }
 
   void Clear() { by_relation_.clear(); }

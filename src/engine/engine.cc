@@ -24,9 +24,7 @@ Engine::Engine(std::string self_peer, EngineOptions options)
       self_sym_(Symbol::Intern(self_peer_)),
       options_(options),
       catalog_(self_peer_),
-      evaluator_(&catalog_, self_peer_,
-                 EvalOptions{options_.use_indexes,
-                             options_.use_compiled_plans}) {}
+      evaluator_(&catalog_, self_peer_, EvalOptions{options_.use_indexes}) {}
 
 Engine::~Engine() = default;
 
@@ -46,13 +44,6 @@ Engine::~Engine() = default;
 /// visibility is found here at most one round later (textbook
 /// semi-naive), converging to the same set.
 struct Engine::ParallelEval {
-  /// The per-round view of an active rule: its resolved plan and
-  /// whether its head deletes (replay must set the engine's
-  /// current-rule flag before invoking the sinks).
-  struct ParallelRule {
-    const RulePlan* plan;
-    bool deletes;
-  };
   struct FactEmit {
     uint32_t rule;
     bool remote;
@@ -68,7 +59,6 @@ struct Engine::ParallelEval {
       : pool(opts.eval_threads) {
     EvalOptions wopts;
     wopts.use_indexes = opts.use_indexes;
-    wopts.use_compiled_plans = true;
     wopts.concurrent_reads = true;
     workers.reserve(static_cast<size_t>(opts.eval_threads));
     for (int i = 0; i < opts.eval_threads; ++i) {
@@ -84,7 +74,7 @@ struct Engine::ParallelEval {
   /// identical across runs; replay order (worker 0..P-1, emission order
   /// within each) is therefore deterministic at a fixed thread count.
   void RunRound(
-      const std::vector<ParallelRule>& rules, const DeltaMap& delta,
+      const std::vector<const RulePlan*>& rules, const DeltaMap& delta,
       const std::function<void(uint32_t, bool, const Fact&)>& replay_fact,
       const std::function<void(const Delegation&)>& replay_delegation,
       EvalCounters* counters) {
@@ -118,7 +108,7 @@ struct Engine::ParallelEval {
       };
       for (size_t r = 0; r < rules.size(); ++r) {
         current = static_cast<uint32_t>(r);
-        const RulePlan& plan = *rules[r].plan;
+        const RulePlan& plan = *rules[r];
         const Rule& rule = plan.rule;
         for (size_t pos = 0; pos < rule.body.size(); ++pos) {
           if (rule.body[pos].negated) continue;
@@ -148,15 +138,14 @@ struct Engine::ParallelEval {
 
 namespace {
 
-/// True when `plan` may run inside a parallel Δ-round: compiled, a
-/// valid Δ-first variant at every positive body position (so per-
+/// True when `plan` may run inside a parallel Δ-round: a valid Δ-first
+/// variant at every positive body position (so per-
 /// partition work is |Δ-partition|-proportional, not a P-times
 /// duplicated prefix scan), and no delegation can arise (workers have
 /// no serial order for residual emission; the gate also implies every
 /// body atom lives at the evaluating peer, so no remote atom stops
 /// evaluation mid-body).
 bool PlanRoundEligible(const RulePlan* plan, Symbol self) {
-  if (plan == nullptr) return false;
   if (plan->info.CanDelegate(self)) return false;
   const std::vector<Atom>& body = plan->rule.body;
   // A single-atom body compiles without variants (nothing to rotate),
@@ -381,13 +370,6 @@ void Engine::ApplyShippedDelegationRetract(uint64_t delegation_key) {
   sent_delegations_.erase(delegation_key);
 }
 
-uint64_t Engine::SentStreamVersion(const std::string& target_peer,
-                                   const std::string& relation) const {
-  auto it =
-      sent_contributions_.find(ContributionKey{target_peer, relation});
-  return it == sent_contributions_.end() ? 0 : it->second.version;
-}
-
 Result<bool> Engine::InsertFact(const Fact& fact) {
   if (fact.peer != self_peer_) {
     return Status::InvalidArgument("InsertFact of remote fact " +
@@ -435,26 +417,9 @@ void Engine::EnqueueFactDeletes(std::vector<Fact> facts) {
   for (Fact& f : facts) inbound_deletes_.push_back(std::move(f));
 }
 
-void Engine::EnqueueDerivedSet(const std::string& sender, DerivedSet set) {
-  // Full-slice sets are version-less snapshots: both protocols flow
-  // through one queue so application order matches arrival order.
-  InboundDerived in;
-  in.sender = sender;
-  in.versioned = false;
-  in.delta.target_peer = std::move(set.target_peer);
-  in.delta.relation = std::move(set.relation);
-  in.delta.snapshot = true;
-  in.delta.inserts = std::move(set.tuples);
-  inbound_derived_.push_back(std::move(in));
-}
-
 void Engine::EnqueueDerivedDelta(const std::string& sender,
                                  DerivedDelta delta) {
-  InboundDerived in;
-  in.sender = sender;
-  in.versioned = true;
-  in.delta = std::move(delta);
-  inbound_derived_.push_back(std::move(in));
+  inbound_derived_.push_back(InboundDerived{sender, std::move(delta)});
 }
 
 void Engine::EnqueueResyncRequest(const std::string& peer,
@@ -586,7 +551,7 @@ void Engine::ApplyInboundDerived(InboundDerived& in, bool* changed,
   // sender is telling us where its stream stands. If we have applied
   // less, a frame was lost and no later traffic repaired it — ask for a
   // resync; otherwise ignore. Never commits a version or applies data.
-  if (in.versioned && !d.snapshot && d.version == d.base_version) {
+  if (!d.snapshot && d.version == d.base_version) {
     if (slice_store_.StreamVersion(d.relation, in.sender) < d.version) {
       uint64_t& missing = resync_needed_[{in.sender, d.relation}];
       missing = std::max(missing, d.version);
@@ -595,30 +560,39 @@ void Engine::ApplyInboundDerived(InboundDerived& in, bool* changed,
     return;
   }
 
+  // Every update passes its stream's version gate (DESIGN.md §5). A
+  // gap means a predecessor was lost: applying would corrupt the slice,
+  // so ask the sender for a snapshot instead (step 3 ships the request).
+  SliceStore::Gate gate =
+      d.snapshot
+          ? slice_store_.CheckSnapshot(d.relation, in.sender, d.version)
+          : slice_store_.CheckDelta(d.relation, in.sender, d.base_version,
+                                    d.version);
+  if (gate == SliceStore::Gate::kGap) {
+    uint64_t& missing = resync_needed_[{in.sender, d.relation}];
+    missing = std::max(missing, d.version);
+  }
+  if (gate == SliceStore::Gate::kApply && d.snapshot) {
+    ++prop_counters_.snapshots_applied;
+  }
+  // Streams that keep no slice only move their version.
+  auto commit_version = [&] {
+    if (gate == SliceStore::Gate::kApply) {
+      slice_store_.CommitVersion(d.relation, in.sender, d.version);
+    }
+  };
+
   Relation* rel = catalog_.Get(d.relation);
   if (rel == nullptr) {
     // A peer is telling us about a relation we do not know yet: the
     // paper's "peers may discover new relations". Create it as
     // extensional with inferred arity. A tuple-less update to an
-    // unknown relation has nothing to create or apply — but a
-    // *versioned* one still moves the stream: without the commit, an
-    // empty resync snapshot would leave the applied version behind and
-    // every later heartbeat would re-request the same resync forever.
+    // unknown relation has nothing to create or apply — but it still
+    // moves the stream: without the commit, an empty resync snapshot
+    // would leave the applied version behind and every later heartbeat
+    // would re-request the same resync forever.
     if (d.inserts.empty()) {
-      if (in.versioned) {
-        SliceStore::Gate gate =
-            d.snapshot
-                ? slice_store_.CheckSnapshot(d.relation, in.sender, d.version)
-                : slice_store_.CheckDelta(d.relation, in.sender,
-                                          d.base_version, d.version);
-        if (gate == SliceStore::Gate::kApply) {
-          if (d.snapshot) ++prop_counters_.snapshots_applied;
-          slice_store_.CommitVersion(d.relation, in.sender, d.version);
-        } else if (gate == SliceStore::Gate::kGap) {
-          uint64_t& missing = resync_needed_[{in.sender, d.relation}];
-          missing = std::max(missing, d.version);
-        }
-      }
+      commit_version();
       return;
     }
     RelationDecl decl;
@@ -641,7 +615,7 @@ void Engine::ApplyInboundDerived(InboundDerived& in, bool* changed,
     // Updates are persistent: union-insert, never delete. Inserts apply
     // regardless of stream position (monotone, so replays and gapped
     // deltas can only add facts the sender really derived); the version
-    // gate below only decides bookkeeping and gap repair.
+    // gate only decides bookkeeping and gap repair.
     for (Tuple& t : d.inserts) {
       // Copy instead of move when recording: the change log needs the
       // tuple after a successful insert.
@@ -655,20 +629,7 @@ void Engine::ApplyInboundDerived(InboundDerived& in, bool* changed,
         if (log != nullptr) log->RecordInsert(d.relation, t);
       }
     }
-    if (in.versioned) {
-      SliceStore::Gate gate =
-          d.snapshot
-              ? slice_store_.CheckSnapshot(d.relation, in.sender, d.version)
-              : slice_store_.CheckDelta(d.relation, in.sender,
-                                        d.base_version, d.version);
-      if (gate == SliceStore::Gate::kApply) {
-        if (d.snapshot) ++prop_counters_.snapshots_applied;
-        slice_store_.CommitVersion(d.relation, in.sender, d.version);
-      } else if (gate == SliceStore::Gate::kGap) {
-        uint64_t& missing = resync_needed_[{in.sender, d.relation}];
-        missing = std::max(missing, d.version);
-      }
-    }
+    commit_version();
     return;
   }
 
@@ -700,53 +661,24 @@ void Engine::ApplyInboundDerived(InboundDerived& in, bool* changed,
     }
   };
 
-  if (!in.versioned) {
-    // Full-slice protocol: replace wholesale. Change detection compares
-    // the stored and arriving sets directly — a hash collision must
-    // never suppress a real view change.
-    *changed |= slice_store_.ReplaceSlice(d.relation, in.sender,
-                                          filtered(d.inserts), gained, lost);
-    record_transitions();
-    return;
+  // A stale update (duplicate or reordered-old) is already reflected.
+  if (gate != SliceStore::Gate::kApply) return;
+  if (d.snapshot) {
+    *changed |= slice_store_.ApplySnapshot(d.relation, in.sender,
+                                           filtered(d.inserts), d.version,
+                                           gained, lost);
+  } else {
+    // Validate in place; ApplyDelta dedups per tuple itself.
+    d.inserts.erase(std::remove_if(d.inserts.begin(), d.inserts.end(),
+                                   [&](const Tuple& t) {
+                                     return !rel->CheckTuple(t).ok();
+                                   }),
+                    d.inserts.end());
+    *changed |= slice_store_.ApplyDelta(d.relation, in.sender,
+                                        std::move(d.inserts), d.deletes,
+                                        d.version, gained, lost);
   }
-
-  SliceStore::Gate gate =
-      d.snapshot
-          ? slice_store_.CheckSnapshot(d.relation, in.sender, d.version)
-          : slice_store_.CheckDelta(d.relation, in.sender, d.base_version,
-                                    d.version);
-  switch (gate) {
-    case SliceStore::Gate::kApply:
-      if (d.snapshot) {
-        ++prop_counters_.snapshots_applied;
-        *changed |= slice_store_.ApplySnapshot(d.relation, in.sender,
-                                               filtered(d.inserts),
-                                               d.version, gained, lost);
-      } else {
-        // Validate in place; ApplyDelta dedups per tuple itself.
-        d.inserts.erase(
-            std::remove_if(d.inserts.begin(), d.inserts.end(),
-                           [&](const Tuple& t) {
-                             return !rel->CheckTuple(t).ok();
-                           }),
-            d.inserts.end());
-        *changed |= slice_store_.ApplyDelta(d.relation, in.sender,
-                                            std::move(d.inserts),
-                                            d.deletes, d.version, gained,
-                                            lost);
-      }
-      record_transitions();
-      break;
-    case SliceStore::Gate::kStale:
-      break;  // duplicate or reordered-old update: already reflected
-    case SliceStore::Gate::kGap: {
-      // A predecessor was lost; applying would corrupt the slice. Ask
-      // the sender for a snapshot instead (step 3 ships the request).
-      uint64_t& missing = resync_needed_[{in.sender, d.relation}];
-      missing = std::max(missing, d.version);
-      break;
-    }
-  }
+  record_transitions();
 }
 
 void Engine::ClearIntensionalRelations() {
@@ -802,19 +734,11 @@ void Engine::RunFixpoint(
   for (int stratum = 0; stratum < strat.num_strata; ++stratum) {
     // Resolve each active rule's compiled plan once per stage; the
     // iteration loops below re-drive the plan directly instead of
-    // re-hashing the rule through the cache every call. `plan` stays
-    // null on the interpreter path.
-    struct ActiveRule {
-      const Rule* rule;
-      const RulePlan* plan;
-    };
-    std::vector<ActiveRule> active;
+    // re-hashing the rule through the cache every call.
+    std::vector<const RulePlan*> active;
     for (size_t i = 0; i < rules_.size(); ++i) {
       if (strat.rule_stratum[i] != stratum) continue;
-      const Rule& rule = rules_[i].rule;
-      active.push_back(ActiveRule{
-          &rule, options_.use_compiled_plans ? &evaluator_.PlanFor(rule)
-                                             : nullptr});
+      active.push_back(&evaluator_.PlanFor(rules_[i].rule));
     }
     if (active.empty()) continue;
 
@@ -871,18 +795,21 @@ void Engine::RunFixpoint(
       delegations->emplace(d.Key(), d);
     };
 
-    auto evaluate = [&](const ActiveRule& ar, const DeltaMap* d, int pos) {
-      current_rule_deletes = ar.rule->head_deletes;
-      if (ar.plan != nullptr) {
-        evaluator_.EvaluatePlan(*ar.plan, d, pos, sinks);
-      } else {
-        evaluator_.Evaluate(*ar.rule, d, pos, sinks);
+    auto evaluate = [&](const RulePlan* plan, const DeltaMap* d, int pos) {
+      current_rule_deletes = plan->rule.head_deletes;
+      evaluator_.EvaluatePlan(*plan, d, pos, sinks);
+    };
+    auto evaluate_delta_positions = [&](const RulePlan* plan) {
+      for (size_t pos = 0; pos < plan->rule.body.size(); ++pos) {
+        if (!plan->rule.body[pos].negated) {
+          evaluate(plan, &delta, static_cast<int>(pos));
+        }
       }
     };
 
     // Iteration 1: full evaluation.
     int iterations = 1;
-    for (const ActiveRule& ar : active) evaluate(ar, nullptr, -1);
+    for (const RulePlan* plan : active) evaluate(plan, nullptr, -1);
 
     if (options_.mode == EvalMode::kNaive) {
       // Naive: re-run everything until no new local facts appear.
@@ -890,7 +817,7 @@ void Engine::RunFixpoint(
              iterations < options_.max_fixpoint_iterations) {
         next_delta.clear();
         ++iterations;
-        for (const ActiveRule& ar : active) evaluate(ar, nullptr, -1);
+        for (const RulePlan* plan : active) evaluate(plan, nullptr, -1);
       }
     } else {
       // Semi-naive: only join against the Δ of the previous iteration.
@@ -903,36 +830,29 @@ void Engine::RunFixpoint(
       // forces the whole round off the parallel path. The serial loop
       // stays the oracle and the no-eligible-rules fallback.
       ParallelEval* par = nullptr;
-      std::vector<ParallelEval::ParallelRule> prules;
-      std::vector<const ActiveRule*> serial_rules;
-      if (options_.eval_threads > 1 && options_.use_compiled_plans) {
-        std::vector<const ActiveRule*> eligible;
-        for (const ActiveRule& ar : active) {
-          (PlanRoundEligible(ar.plan, self_sym_) ? eligible : serial_rules)
-              .push_back(&ar);
+      std::vector<const RulePlan*> prules;
+      std::vector<const RulePlan*> serial_rules;
+      if (options_.eval_threads > 1) {
+        for (const RulePlan* plan : active) {
+          (PlanRoundEligible(plan, self_sym_) ? prules : serial_rules)
+              .push_back(plan);
         }
-        if (!eligible.empty()) par = EnsureParallelEval();
+        if (!prules.empty()) par = EnsureParallelEval();
         if (par != nullptr) {
-          prules.reserve(eligible.size());
-          for (const ActiveRule* ar : eligible) {
-            prules.push_back(
-                ParallelEval::ParallelRule{ar->plan, ar->rule->head_deletes});
-            PrebuildPlanIndexes(&catalog_, *ar->plan);
+          for (const RulePlan* plan : prules) {
+            PrebuildPlanIndexes(&catalog_, *plan);
           }
         } else {
           serial_rules.clear();  // plain serial loop covers everything
         }
       }
       auto replay_fact = [&](uint32_t r, bool remote, const Fact& f) {
-        current_rule_deletes = prules[r].deletes;
+        current_rule_deletes = prules[r]->rule.head_deletes;
         if (remote) {
           sinks.on_remote_fact(f);
         } else {
           sinks.on_local_fact(f);
         }
-      };
-      auto replay_delegation = [&](const Delegation& d) {
-        sinks.on_delegation(d);
       };
       while (!next_delta.empty() &&
              iterations < options_.max_fixpoint_iterations) {
@@ -944,27 +864,19 @@ void Engine::RunFixpoint(
           if (!serial_rules.empty()) {
             ++evaluator_.mutable_counters()->parallel_mixed_rounds;
           }
-          par->RunRound(prules, delta, replay_fact, replay_delegation,
+          par->RunRound(prules, delta, replay_fact, sinks.on_delegation,
                         evaluator_.mutable_counters());
           // Ineligible rules see the same frozen Δ, on the driving
           // thread, after the parallel replay (emissions land in
           // order-independent sets/maps, and semi-naive finds any
           // derivation enabled by this round's parallel inserts at most
           // one round later — same fixpoint as all-serial).
-          for (const ActiveRule* ar : serial_rules) {
-            for (size_t pos = 0; pos < ar->rule->body.size(); ++pos) {
-              if (ar->rule->body[pos].negated) continue;
-              evaluate(*ar, &delta, static_cast<int>(pos));
-            }
+          for (const RulePlan* plan : serial_rules) {
+            evaluate_delta_positions(plan);
           }
           continue;
         }
-        for (const ActiveRule& ar : active) {
-          for (size_t pos = 0; pos < ar.rule->body.size(); ++pos) {
-            if (ar.rule->body[pos].negated) continue;
-            evaluate(ar, &delta, static_cast<int>(pos));
-          }
-        }
+        for (const RulePlan* plan : active) evaluate_delta_positions(plan);
       }
     }
     if (iterations >= options_.max_fixpoint_iterations) {
@@ -1000,92 +912,59 @@ void Engine::ClearDeleteSuppression(const std::string& relation,
   dirty_ = true;
 }
 
-/// Contribution sets ship only when they changed — decided by direct
-/// set comparison against what was last sent (hash-collision-proof).
-/// Under full-slice the whole contribution is re-sent; under the
-/// differential protocol only the inserts/deletes against the last-sent
-/// state go out, with stream versions so the receiver can order them.
-/// An emptied contribution ships once (as an empty set, or as a delta
-/// deleting the remainder) so the receiver clears its slice.
+/// Ships `dd` (payload only) as the next delta of `key`'s stream: fills
+/// in the stream versions, sorts the payload for a deterministic wire,
+/// and lifts delete suppression for every re-shipped insert. The caller
+/// has already moved `sent->tuples` to the post-delta state.
+void Engine::ShipDelta(const ContributionKey& key, SentContribution* sent,
+                       DerivedDelta dd, StageResult* result) {
+  dd.target_peer = key.target_peer;
+  dd.relation = key.relation;
+  dd.base_version = sent->version;
+  dd.version = ++sent->version;
+  std::sort(dd.inserts.begin(), dd.inserts.end());
+  std::sort(dd.deletes.begin(), dd.deletes.end());
+  for (const Tuple& t : dd.inserts) {
+    ClearDeleteSuppression(key.relation, key.target_peer, t);
+  }
+  result->stats.derived_tuples_out += dd.inserts.size() + dd.deletes.size();
+  prop_counters_.delta_inserts_shipped += dd.inserts.size();
+  prop_counters_.delta_deletes_shipped += dd.deletes.size();
+  ++prop_counters_.deltas_shipped;
+  result->outbound[key.target_peer].derived_deltas.push_back(std::move(dd));
+}
+
+/// Contributions ship only when they changed — decided by direct set
+/// comparison against what was last sent (hash-collision-proof) — as a
+/// delta of the inserts/deletes against the last-sent state. An
+/// emptied contribution ships once, as a delta deleting the remainder,
+/// so the receiver clears its slice.
 void Engine::EmitContributions(
     std::map<ContributionKey, TupleSet>* contributions,
     StageResult* result) {
-  const bool differential = options_.use_differential_propagation;
-
   // Vanished contributions first: keys we shipped before that this
   // stage derived nothing for.
   for (auto& [key, sent] : sent_contributions_) {
     if (contributions->count(key) || sent.tuples.empty()) continue;
-    if (differential) {
-      DerivedDelta dd;
-      dd.target_peer = key.target_peer;
-      dd.relation = key.relation;
-      dd.base_version = sent.version;
-      dd.version = sent.version + 1;
-      dd.deletes = SortedVector(sent.tuples);
-      result->stats.derived_tuples_out += dd.deletes.size();
-      prop_counters_.delta_deletes_shipped += dd.deletes.size();
-      ++prop_counters_.deltas_shipped;
-      result->outbound[key.target_peer].derived_deltas.push_back(
-          std::move(dd));
-    } else {
-      DerivedSet empty_set;
-      empty_set.target_peer = key.target_peer;
-      empty_set.relation = key.relation;
-      ++prop_counters_.full_sets_shipped;
-      result->outbound[key.target_peer].derived_sets.push_back(
-          std::move(empty_set));
-    }
+    DerivedDelta dd;
+    dd.deletes.assign(sent.tuples.begin(), sent.tuples.end());
     sent.tuples.clear();
-    ++sent.version;
+    ShipDelta(key, &sent, std::move(dd), result);
   }
 
   // Changed contributions.
   for (auto& [key, set] : *contributions) {
     SentContribution& sent = sent_contributions_[key];
     if (sent.tuples == set) continue;  // unchanged, stay silent
-    if (differential) {
-      DerivedDelta dd;
-      dd.target_peer = key.target_peer;
-      dd.relation = key.relation;
-      dd.base_version = sent.version;
-      dd.version = sent.version + 1;
-      for (const Tuple& t : set) {
-        if (!sent.tuples.count(t)) dd.inserts.push_back(t);
-      }
-      for (const Tuple& t : sent.tuples) {
-        if (!set.count(t)) dd.deletes.push_back(t);
-      }
-      std::sort(dd.inserts.begin(), dd.inserts.end());
-      std::sort(dd.deletes.begin(), dd.deletes.end());
-      for (const Tuple& t : dd.inserts) {
-        ClearDeleteSuppression(key.relation, key.target_peer, t);
-      }
-      result->stats.derived_tuples_out +=
-          dd.inserts.size() + dd.deletes.size();
-      prop_counters_.delta_inserts_shipped += dd.inserts.size();
-      prop_counters_.delta_deletes_shipped += dd.deletes.size();
-      ++prop_counters_.deltas_shipped;
-      result->outbound[key.target_peer].derived_deltas.push_back(
-          std::move(dd));
-    } else {
-      DerivedSet ds;
-      ds.target_peer = key.target_peer;
-      ds.relation = key.relation;
-      ds.tuples = SortedVector(set);
-      // The full set re-sends every tuple as an insert; each one lands
-      // at the receiver again, so each one lifts its suppression.
-      for (const Tuple& t : ds.tuples) {
-        ClearDeleteSuppression(key.relation, key.target_peer, t);
-      }
-      result->stats.derived_tuples_out += ds.tuples.size();
-      prop_counters_.full_tuples_shipped += ds.tuples.size();
-      ++prop_counters_.full_sets_shipped;
-      result->outbound[key.target_peer].derived_sets.push_back(
-          std::move(ds));
+    DerivedDelta dd;
+    for (const Tuple& t : set) {
+      if (!sent.tuples.count(t)) dd.inserts.push_back(t);
+    }
+    for (const Tuple& t : sent.tuples) {
+      if (!set.count(t)) dd.deletes.push_back(t);
     }
     sent.tuples = std::move(set);
-    ++sent.version;
+    ShipDelta(key, &sent, std::move(dd), result);
   }
 
   ServeResyncs(result);
@@ -1099,7 +978,6 @@ void Engine::EmitContributionsIncremental(
     std::map<ContributionKey, TupleSet>* contrib_added,
     std::map<ContributionKey, TupleSet>* contrib_removed,
     StageResult* result) {
-  const bool differential = options_.use_differential_propagation;
   std::set<ContributionKey> dirty;
   for (const auto& [key, tuples] : *contrib_added) {
     if (!tuples.empty()) dirty.insert(key);
@@ -1110,49 +988,14 @@ void Engine::EmitContributionsIncremental(
 
   for (const ContributionKey& key : dirty) {
     SentContribution& sent = sent_contributions_[key];
+    DerivedDelta dd;
     TupleSet& adds = (*contrib_added)[key];
     TupleSet& rems = (*contrib_removed)[key];
-    if (differential) {
-      DerivedDelta dd;
-      dd.target_peer = key.target_peer;
-      dd.relation = key.relation;
-      dd.base_version = sent.version;
-      dd.version = sent.version + 1;
-      dd.inserts = SortedVector(adds);
-      dd.deletes = SortedVector(rems);
-      for (const Tuple& t : dd.inserts) {
-        sent.tuples.insert(t);
-        ClearDeleteSuppression(key.relation, key.target_peer, t);
-      }
-      for (const Tuple& t : dd.deletes) sent.tuples.erase(t);
-      result->stats.derived_tuples_out +=
-          dd.inserts.size() + dd.deletes.size();
-      prop_counters_.delta_inserts_shipped += dd.inserts.size();
-      prop_counters_.delta_deletes_shipped += dd.deletes.size();
-      ++prop_counters_.deltas_shipped;
-      result->outbound[key.target_peer].derived_deltas.push_back(
-          std::move(dd));
-    } else {
-      DerivedSet ds;
-      ds.target_peer = key.target_peer;
-      ds.relation = key.relation;
-      auto it = current_contributions_.find(key);
-      if (it != current_contributions_.end()) {
-        ds.tuples = SortedVector(it->second);
-        sent.tuples = it->second;
-      } else {
-        sent.tuples.clear();
-      }
-      for (const Tuple& t : ds.tuples) {
-        ClearDeleteSuppression(key.relation, key.target_peer, t);
-      }
-      result->stats.derived_tuples_out += ds.tuples.size();
-      prop_counters_.full_tuples_shipped += ds.tuples.size();
-      ++prop_counters_.full_sets_shipped;
-      result->outbound[key.target_peer].derived_sets.push_back(
-          std::move(ds));
-    }
-    ++sent.version;
+    dd.inserts.assign(adds.begin(), adds.end());
+    dd.deletes.assign(rems.begin(), rems.end());
+    for (const Tuple& t : dd.inserts) sent.tuples.insert(t);
+    for (const Tuple& t : dd.deletes) sent.tuples.erase(t);
+    ShipDelta(key, &sent, std::move(dd), result);
     // Emptied contributions leave the current map (mirrors the
     // recompute path, where an underived key simply stops appearing).
     auto cur = current_contributions_.find(key);
@@ -1180,9 +1023,9 @@ void Engine::ServeResyncs(StageResult* result) {
       dd.version = it->second.version;
       dd.inserts = SortedVector(it->second.tuples);
     }
-    // A snapshot re-ships every tuple as an insert, exactly like a full
-    // set: each one lands at the receiver again and lifts any pending
-    // delete suppression for that fact.
+    // A snapshot re-ships every tuple as an insert: each one lands at
+    // the receiver again and lifts any pending delete suppression for
+    // that fact.
     for (const Tuple& t : dd.inserts) {
       ClearDeleteSuppression(relation, peer, t);
     }
@@ -1459,9 +1302,7 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
   std::vector<ActiveRule> active;
   active.reserve(rules_.size());
   for (const InstalledRule& ir : rules_) {
-    active.push_back(ActiveRule{
-        &ir, options_.use_compiled_plans ? &evaluator_.PlanFor(ir.rule)
-                                         : nullptr});
+    active.push_back(ActiveRule{&ir, &evaluator_.PlanFor(ir.rule)});
   }
   auto body_reads_delta = [](const ActiveRule& ar, const DeltaMap& delta) {
     for (const auto& [sym, ds] : delta) {
@@ -1519,11 +1360,7 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
   auto evaluate = [&](const ActiveRule& ar, const RuleEvaluator::Sinks& s,
                       const DeltaMap* delta, int pos) {
     current_rule_deletes = ar.ir->rule.head_deletes;
-    if (ar.plan != nullptr) {
-      evaluator_.EvaluatePlan(*ar.plan, delta, pos, s);
-    } else {
-      evaluator_.Evaluate(ar.ir->rule, delta, pos, s);
-    }
+    evaluator_.EvaluatePlan(*ar.plan, delta, pos, s);
   };
   auto evaluate_delta_positions = [&](const ActiveRule& ar,
                                       const RuleEvaluator::Sinks& s,
@@ -1818,8 +1655,8 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
 
   int iterations = 0;
   // Parallel forward rounds under the same per-rule gate as
-  // RunFixpoint: round-eligible rules (compiled, Δ-first variants
-  // everywhere, no delegation possible) run Δ-partitioned; ineligible
+  // RunFixpoint: round-eligible rules (Δ-first variants everywhere, no
+  // delegation possible) run Δ-partitioned; ineligible
   // rules fall back to the serial loop within the same round, after the
   // replay barrier. Replay routes buffered emissions through the
   // ordinary sinks above, so tracker/contribution/delta bookkeeping is
@@ -1829,9 +1666,9 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
   // filter buys nothing in parallel mode; serial-fallback rules keep
   // it.)
   ParallelEval* par = nullptr;
-  std::vector<ParallelEval::ParallelRule> prules;
+  std::vector<const RulePlan*> prules;
   std::vector<const ActiveRule*> serial_rules;
-  if (options_.eval_threads > 1 && options_.use_compiled_plans) {
+  if (options_.eval_threads > 1) {
     std::vector<const ActiveRule*> eligible;
     for (const ActiveRule& ar : active) {
       (PlanRoundEligible(ar.plan, self_sym_) ? eligible : serial_rules)
@@ -1841,8 +1678,7 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
     if (par != nullptr) {
       prules.reserve(eligible.size());
       for (const ActiveRule* ar : eligible) {
-        prules.push_back(
-            ParallelEval::ParallelRule{ar->plan, ar->ir->rule.head_deletes});
+        prules.push_back(ar->plan);
         PrebuildPlanIndexes(&catalog_, *ar->plan);
       }
     } else {
@@ -1850,14 +1686,13 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
     }
   }
   auto replay_fact = [&](uint32_t r, bool remote, const Fact& f) {
-    current_rule_deletes = prules[r].deletes;
+    current_rule_deletes = prules[r]->rule.head_deletes;
     if (remote) {
       sinks.on_remote_fact(f);
     } else {
       sinks.on_local_fact(f);
     }
   };
-  auto replay_delegation = [&](const Delegation& d) { sinks.on_delegation(d); };
   while (!delta.empty() && iterations < options_.max_fixpoint_iterations) {
     ++iterations;
     next_delta = DeltaMap();
@@ -1866,7 +1701,7 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
       if (!serial_rules.empty()) {
         ++evaluator_.mutable_counters()->parallel_mixed_rounds;
       }
-      par->RunRound(prules, delta, replay_fact, replay_delegation,
+      par->RunRound(prules, delta, replay_fact, sinks.on_delegation,
                     evaluator_.mutable_counters());
       for (const ActiveRule* ar : serial_rules) {
         if (!body_reads_delta(*ar, delta)) continue;
@@ -1918,7 +1753,6 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
 
 std::vector<DerivedDelta> Engine::CollectHeartbeats() {
   std::vector<DerivedDelta> out;
-  if (!options_.use_differential_propagation) return out;
   for (const auto& [key, sent] : sent_contributions_) {
     if (sent.version == 0) continue;  // nothing ever shipped
     DerivedDelta dd;

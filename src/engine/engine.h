@@ -39,24 +39,14 @@ int DefaultEvalThreads();
 struct EngineOptions {
   EvalMode mode = EvalMode::kSemiNaive;
   bool use_indexes = true;
-  /// Compile rules to RulePlans (production) vs interpret the rule AST
-  /// (the seed semantics, kept as a differential-testing oracle).
-  bool use_compiled_plans = true;
-  /// Ship per-(peer, relation) contribution *changes* (DerivedDelta
-  /// messages with stream versions; production) vs re-sending the full
-  /// contribution on every change (the seed semantics, kept as a
-  /// differential-testing oracle — see DESIGN.md §5). Both converge to
-  /// identical state; the delta path's per-round cost is proportional
-  /// to the change size, not the view size.
-  bool use_differential_propagation = true;
   /// Maintain intensional relations *incrementally* across stages
   /// (production): views persist, per-stage Δ-sets (local EDB changes
   /// plus slice-store support transitions) drive semi-naive evaluation
   /// forward from the changed tuples only, and deletions retract by
   /// support-counted DRed-style over-delete/re-derive (DESIGN.md §6).
   /// When false, every stage clears views and recomputes the fixpoint
-  /// from scratch — the seed semantics, kept as the differential-
-  /// testing oracle like the plan/propagation oracles above. Stages an
+  /// from scratch — the seed semantics, kept as a differential-testing
+  /// oracle until Δ-propagation covers every stage. Stages an
   /// incremental engine cannot serve soundly (rule-set changes, changes
   /// touching negated relations, naive mode) fall back to a full
   /// recompute transparently; both modes converge byte-identically.
@@ -69,10 +59,9 @@ struct EngineOptions {
   /// merge the buffers in stable partition order at the round barrier.
   /// 1 (the default unless WDL_EVAL_THREADS overrides it) preserves
   /// today's exact serial code path as the oracle; any thread count
-  /// yields bit-identical relation state. Rounds whose active rule set
-  /// is not eligible (interpreter mode, missing Δ-first variants,
-  /// delegation-capable rules) fall back to the serial path
-  /// transparently.
+  /// yields bit-identical relation state. Rules that are not eligible
+  /// (missing Δ-first variants, delegation-capable) run on the serial
+  /// path within the same round, transparently.
   int eval_threads = DefaultEvalThreads();
   /// Durable-peer mode (DESIGN.md §11): on a link reset, keep the
   /// inbound stream versions and skip the blanket outbound contribution
@@ -86,22 +75,15 @@ struct EngineOptions {
   bool preserve_streams_on_reset = false;
 };
 
-/// The full current contribution of one sender to a remote relation.
-/// Receivers apply it by relation kind: extensional targets union-insert
-/// the tuples (updates are persistent); intensional targets replace the
-/// sender's previous slice (continuous view maintenance).
-struct DerivedSet {
-  std::string target_peer;
-  std::string relation;
-  std::vector<Tuple> tuples;
-};
-
 /// One differential update of a sender's contribution to a remote
 /// relation (DESIGN.md §5). Versions order one (sender, target,
 /// relation) stream: the delta moves it `base_version -> version`, so a
 /// receiver can drop duplicates and detect lost predecessors (and then
 /// ask for a resync). A `snapshot` carries the whole contribution in
-/// `inserts` (deletes empty) and repairs any gap.
+/// `inserts` (deletes empty) and repairs any gap. Receivers apply it by
+/// relation kind: extensional targets union-insert the inserts (updates
+/// are persistent); intensional targets update the sender's slice
+/// (continuous view maintenance).
 struct DerivedDelta {
   std::string target_peer;
   std::string relation;
@@ -114,8 +96,7 @@ struct DerivedDelta {
 
 /// Everything a stage wants delivered to one remote peer.
 struct Outbound {
-  std::vector<DerivedSet> derived_sets;      // full-slice protocol
-  std::vector<DerivedDelta> derived_deltas;  // differential protocol
+  std::vector<DerivedDelta> derived_deltas;
   /// Relations whose contribution *from the target peer* must be re-sent
   /// in full (this peer detected a gap in the inbound delta stream).
   std::vector<std::string> resync_requests;
@@ -127,16 +108,14 @@ struct Outbound {
   std::vector<std::string> stream_forgets;
 
   bool empty() const {
-    return derived_sets.empty() && derived_deltas.empty() &&
-           resync_requests.empty() && fact_deletes.empty() &&
-           delegation_installs.empty() && delegation_retracts.empty() &&
-           stream_forgets.empty();
+    return derived_deltas.empty() && resync_requests.empty() &&
+           fact_deletes.empty() && delegation_installs.empty() &&
+           delegation_retracts.empty() && stream_forgets.empty();
   }
   size_t MessageCount() const {
-    return derived_sets.size() + derived_deltas.size() +
-           resync_requests.size() + (fact_deletes.empty() ? 0 : 1) +
-           delegation_installs.size() + delegation_retracts.size() +
-           stream_forgets.size();
+    return derived_deltas.size() + resync_requests.size() +
+           (fact_deletes.empty() ? 0 : 1) + delegation_installs.size() +
+           delegation_retracts.size() + stream_forgets.size();
   }
 };
 
@@ -148,9 +127,8 @@ struct StageStats {
   size_t active_rules = 0;
   size_t delegations_active = 0;
   size_t messages_out = 0;
-  /// Tuples shipped in derived sets and deltas this stage — the wire
-  /// payload of step 3. Under differential propagation this tracks the
-  /// change size; under full-slice it tracks the view size.
+  /// Tuples shipped in deltas and snapshots this stage — the wire
+  /// payload of step 3, tracking the change size.
   uint64_t derived_tuples_out = 0;
 };
 
@@ -158,8 +136,6 @@ struct StageStats {
 /// stage it has run. Benches surface these next to EvalCounters so perf
 /// work can attribute wire-cost wins (ISSUE: bytes/delta telemetry).
 struct PropagationCounters {
-  uint64_t full_sets_shipped = 0;     // full-slice DerivedSet messages
-  uint64_t full_tuples_shipped = 0;   // tuples inside them
   uint64_t deltas_shipped = 0;        // DerivedDelta messages
   uint64_t delta_inserts_shipped = 0;
   uint64_t delta_deletes_shipped = 0;
@@ -249,7 +225,6 @@ class Engine {
   // --- Step-1 inputs, queued by the runtime between stages -----------
   void EnqueueFactInserts(std::vector<Fact> facts);
   void EnqueueFactDeletes(std::vector<Fact> facts);
-  void EnqueueDerivedSet(const std::string& sender, DerivedSet set);
   void EnqueueDerivedDelta(const std::string& sender, DerivedDelta delta);
   /// `peer` lost part of our contribution stream to `relation`@peer and
   /// asks for a full snapshot; served in the next stage's step 3.
@@ -273,7 +248,7 @@ class Engine {
   StageResult RunStage();
 
   /// Version-only DerivedDelta heartbeats for every contribution stream
-  /// this engine has shipped (differential protocol only): the receiver
+  /// this engine has shipped: the receiver
   /// compares the carried version against its applied stream version
   /// and requests a resync on mismatch, bounding the staleness window
   /// of a stream that went silent right after a dropped frame. Pure
@@ -293,8 +268,8 @@ class Engine {
   /// surface these in their JSON so perf work can attribute wins.
   const EvalCounters& eval_counters() const { return evaluator_.counters(); }
 
-  /// Propagation-plane telemetry (tuples shipped full vs differential,
-  /// resync traffic), accumulated like eval_counters().
+  /// Propagation-plane telemetry (deltas and snapshots shipped, resync
+  /// traffic), accumulated like eval_counters().
   const PropagationCounters& propagation_counters() const {
     return prop_counters_;
   }
@@ -353,10 +328,6 @@ class Engine {
   /// receiver holds those tuples, not us).
   void ApplyShippedDelta(const DerivedDelta& delta);
   void ApplyShippedDelegationRetract(uint64_t delegation_key);
-  /// Current stream version of our contribution to `relation` at
-  /// `target_peer` (0 when no stream exists).
-  uint64_t SentStreamVersion(const std::string& target_peer,
-                             const std::string& relation) const;
   /// Visits every outbound contribution stream as (target_peer,
   /// relation, tuple set, version) — snapshot writers iterate this.
   template <typename Fn>
@@ -394,20 +365,16 @@ class Engine {
   using TupleSet = std::unordered_set<Tuple, TupleHasher>;
 
   /// What we last shipped for one (target peer, relation): the full
-  /// tuple set (the diffing base of differential propagation, and the
-  /// direct-comparison change detector of both modes — hashes are never
-  /// trusted for suppression) plus the stream version.
+  /// tuple set (the diffing base of the next delta, compared directly —
+  /// hashes are never trusted for suppression) plus the stream version.
   struct SentContribution {
     TupleSet tuples;
     uint64_t version = 0;
   };
 
-  /// One queued inbound contribution update. Full-slice DerivedSets
-  /// arrive as version-less snapshots, so both protocols flow through
-  /// one queue in arrival order.
+  /// One queued inbound contribution update, applied in arrival order.
   struct InboundDerived {
     std::string sender;
-    bool versioned = false;
     DerivedDelta delta;
   };
 
@@ -437,6 +404,8 @@ class Engine {
   /// (and re-ship) any deletion-rule verdict on it.
   void ClearDeleteSuppression(const std::string& relation,
                               const std::string& peer, const Tuple& tuple);
+  void ShipDelta(const ContributionKey& key, SentContribution* sent,
+                 DerivedDelta dd, StageResult* result);
   void EmitContributions(
       std::map<ContributionKey, TupleSet>* contributions,
       StageResult* result);

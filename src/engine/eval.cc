@@ -5,55 +5,8 @@
 
 namespace wdl {
 
-const std::string* ResolveSym(const SymTerm& sym, const Binding& binding,
-                              std::string* storage) {
-  if (sym.is_name()) return &sym.name();
-  const Value* v = binding.Get(sym.var());
-  if (v == nullptr || !v->is_string()) return nullptr;
-  *storage = v->AsString();
-  return storage;
-}
-
-bool SubstituteAtom(const Atom& atom, const Binding& binding, Atom* out) {
-  auto sub_sym = [&](const SymTerm& sym, SymTerm* dst) {
-    if (sym.is_name()) {
-      *dst = sym;
-      return true;
-    }
-    const Value* v = binding.Get(sym.var());
-    if (v == nullptr) {
-      *dst = sym;
-      return true;
-    }
-    if (!v->is_string()) return false;
-    *dst = SymTerm::Name(v->AsString());
-    return true;
-  };
-
-  Atom result;
-  result.negated = atom.negated;
-  if (!sub_sym(atom.relation, &result.relation)) return false;
-  if (!sub_sym(atom.peer, &result.peer)) return false;
-  result.args.reserve(atom.args.size());
-  for (const Term& t : atom.args) {
-    if (t.is_constant()) {
-      result.args.push_back(t);
-      continue;
-    }
-    const Value* v = binding.Get(t.var());
-    result.args.push_back(v != nullptr ? Term::Constant(*v) : t);
-  }
-  *out = std::move(result);
-  return true;
-}
-
 void RuleEvaluator::Evaluate(const Rule& rule, const DeltaMap* delta,
                              int delta_pos, const Sinks& sinks) {
-  if (!options_.use_compiled_plans) {
-    Binding binding;
-    MatchFrom(rule, 0, &binding, delta, delta_pos, sinks);
-    return;
-  }
   EvaluatePlan(PlanFor(rule), delta, delta_pos, sinks);
 }
 
@@ -98,18 +51,7 @@ bool RuleEvaluator::ExistsDerivation(const Rule& rule, const Fact& target) {
   // Note: callers decide what a match *means* — for derivation rules it
   // sustains the tuple (re-derivation), for deletion rules it re-arms a
   // deletion verdict. Both need the raw body-match answer.
-  if (options_.use_compiled_plans) {
-    return ExistsViaPlan(HeadBoundPlanFor(rule), target);
-  }
-  Binding binding;
-  if (!UnifyHeadWithFact(rule, target, &binding)) return false;
-  ++counters_.rederive_checks;
-  exists_mode_ = true;
-  exists_found_ = false;
-  static const Sinks kNoSinks;
-  MatchFrom(rule, 0, &binding, nullptr, -1, kNoSinks);
-  exists_mode_ = false;
-  return exists_found_;
+  return ExistsViaPlan(HeadBoundPlanFor(rule), target);
 }
 
 const RulePlan& RuleEvaluator::HeadBoundPlanFor(const Rule& rule) {
@@ -132,9 +74,8 @@ bool RuleEvaluator::ExistsViaPlan(const RulePlan& plan, const Fact& target) {
   seed_values_.clear();
   seed_values_.reserve(target.args.size() + 2);
 
-  // The compiled analogue of UnifyHeadWithFact: constants compare,
-  // first occurrences seed their slot, repeats compare against the
-  // seed.
+  // Unify the head with the target: constants compare, first
+  // occurrences seed their slot, repeats compare against the seed.
   auto seed_slot = [&](uint16_t slot, const Value& v) {
     if (slots_[slot] != nullptr) return *slots_[slot] == v;
     seed_values_.push_back(v);
@@ -235,7 +176,7 @@ void RuleEvaluator::ExecFrom(const RulePlan& plan,
   // Resolve the atom's location. Constant names were interned at
   // compile time; a variable name is read out of its slot. A slot that
   // is unbound (unsafe rule) or holds a non-string value makes the
-  // branch dead, mirroring the interpreter's ResolveSym.
+  // branch dead.
   Symbol rel_sym;  // invalid when a variable name is not interned
   if (atom.relation.is_const) {
     rel_sym = atom.relation.sym;
@@ -269,7 +210,8 @@ void RuleEvaluator::ExecFrom(const RulePlan& plan,
 
   if (atom.negated) {
     if (atom.negated_unbound) {
-      // Statically never ground; same diagnostic as the interpreter.
+      // Statically never ground: log the substituted atom, then drop
+      // the branch.
       Atom substituted;
       if (SubstituteCompiled(atom.relation, atom.peer, atom.terms,
                              plan.rule.body[source_index], slots_.data(),
@@ -342,7 +284,7 @@ void RuleEvaluator::ExecFrom(const RulePlan& plan,
   // Existence checks usually arrive with the atom fully ground (the
   // seeded head bound every variable, so the atom has no bind ops):
   // answer with one O(1) membership probe instead of walking an index
-  // bucket — the compiled twin of the interpreter's ground fast path.
+  // bucket.
   if (exists_mode_ && atom.bound_slots.empty()) {
     probe_scratch_.clear();
     bool ground = true;
@@ -453,195 +395,6 @@ void RuleEvaluator::EmitDelegationPlan(const RulePlan& plan,
                             &substituted)) {
       return;
     }
-    d.rule.body.push_back(std::move(substituted));
-  }
-  ++counters_.delegations_emitted;
-  if (sinks.on_delegation) sinks.on_delegation(d);
-}
-
-// --- AST interpreter (the seed semantics, kept as the oracle) ---------
-
-void RuleEvaluator::MatchFrom(const Rule& rule, size_t atom_index,
-                              Binding* binding, const DeltaMap* delta,
-                              int delta_pos, const Sinks& sinks) {
-  if (exists_mode_ && exists_found_) return;  // short-circuit: answered
-  if (atom_index == rule.body.size()) {
-    if (exists_mode_) {
-      exists_found_ = true;
-      return;
-    }
-    EmitHead(rule, *binding, sinks);
-    return;
-  }
-  const Atom& atom = rule.body[atom_index];
-
-  // Resolve the atom's location. Safety analysis guarantees relation and
-  // peer variables are bound here; a binding of the wrong type (e.g. a
-  // peer variable bound to an int) makes the branch dead.
-  std::string rel_storage, peer_storage;
-  const std::string* rel = ResolveSym(atom.relation, *binding, &rel_storage);
-  const std::string* peer = ResolveSym(atom.peer, *binding, &peer_storage);
-  if (rel == nullptr || peer == nullptr) return;
-
-  if (*peer != self_peer_) {
-    // Remote atom: delegate the residual rule to that peer. An
-    // existence check asks for a complete *local* derivation, so a
-    // remote atom is a dead branch there.
-    if (!exists_mode_) EmitDelegation(rule, atom_index, *peer, *binding, sinks);
-    return;
-  }
-
-  Relation* relation = catalog_->Get(*rel);
-
-  if (atom.negated) {
-    // Safety guarantees the atom is ground under `binding`.
-    Atom ground;
-    if (!SubstituteAtom(atom, *binding, &ground)) return;
-    if (!ground.IsGround()) {
-      WDL_LOG(Error) << "negated atom not ground at evaluation time: "
-                     << ground.ToString();
-      return;
-    }
-    Tuple probe;
-    probe.reserve(ground.args.size());
-    for (const Term& t : ground.args) probe.push_back(t.value());
-    bool present = relation != nullptr &&
-                   probe.size() == relation->arity() &&
-                   relation->Contains(probe);
-    if (!present) {
-      MatchFrom(rule, atom_index + 1, binding, delta, delta_pos, sinks);
-    }
-    return;
-  }
-
-  if (relation == nullptr) return;  // empty: no matches
-  if (atom.args.size() != relation->arity()) return;  // arity mismatch
-
-  // Unify one stored tuple with the atom's argument terms.
-  auto try_tuple = [&](const Tuple& tuple) {
-    if (exists_mode_ && exists_found_) return;  // drain remaining probes
-    ++counters_.tuples_examined;
-    size_t mark = binding->Mark();
-    bool ok = true;
-    for (size_t i = 0; i < atom.args.size() && ok; ++i) {
-      const Term& t = atom.args[i];
-      if (t.is_constant()) {
-        ok = t.value() == tuple[i];
-        continue;
-      }
-      const Value* bound = binding->Get(t.var());
-      if (bound != nullptr) {
-        ok = *bound == tuple[i];
-      } else {
-        binding->Bind(t.var(), tuple[i]);
-      }
-    }
-    if (ok) {
-      MatchFrom(rule, atom_index + 1, binding, delta, delta_pos, sinks);
-    }
-    binding->Rewind(mark);
-  };
-
-  // Semi-naive: this atom is restricted to the Δ of its relation.
-  if (delta != nullptr && delta_pos == static_cast<int>(atom_index)) {
-    Symbol rel_sym = Symbol::Find(*rel);
-    if (!rel_sym.valid()) return;  // never derived: empty Δ
-    auto it = delta->find(rel_sym);
-    if (it == delta->end()) return;
-    for (const Tuple& tuple : it->second.tuples()) {
-      if (tuple.size() == atom.args.size()) try_tuple(tuple);
-    }
-    return;
-  }
-
-  // Existence checks usually arrive with the atom fully ground (the
-  // head target bound every variable): answer with one O(1) membership
-  // probe instead of walking an index bucket.
-  if (exists_mode_) {
-    bool ground = true;
-    probe_scratch_.clear();
-    for (const Term& t : atom.args) {
-      const Value* v = t.is_constant() ? &t.value() : binding->Get(t.var());
-      if (v == nullptr) {
-        ground = false;
-        break;
-      }
-      probe_scratch_.push_back(*v);
-    }
-    if (ground) {
-      ++counters_.tuples_examined;
-      if (relation->Contains(probe_scratch_)) {
-        MatchFrom(rule, atom_index + 1, binding, delta, delta_pos, sinks);
-      }
-      return;
-    }
-  }
-
-  // Access-path selection: the first argument position carrying a
-  // constant (literal or bound variable) drives an index lookup;
-  // otherwise scan.
-  if (options_.use_indexes) {
-    for (size_t i = 0; i < atom.args.size(); ++i) {
-      const Term& t = atom.args[i];
-      const Value* key = nullptr;
-      if (t.is_constant()) {
-        key = &t.value();
-      } else {
-        key = binding->Get(t.var());
-      }
-      if (key != nullptr) {
-        relation->LookupEqual(i, *key, try_tuple);
-        return;
-      }
-    }
-  }
-  relation->ForEach(try_tuple);
-}
-
-void RuleEvaluator::EmitHead(const Rule& rule, const Binding& binding,
-                             const Sinks& sinks) {
-  std::string rel_storage, peer_storage;
-  const std::string* rel =
-      ResolveSym(rule.head.relation, binding, &rel_storage);
-  const std::string* peer = ResolveSym(rule.head.peer, binding, &peer_storage);
-  if (rel == nullptr || peer == nullptr) return;  // non-string name: dead
-
-  Fact fact;
-  fact.relation = *rel;
-  fact.peer = *peer;
-  fact.args.reserve(rule.head.args.size());
-  for (const Term& t : rule.head.args) {
-    if (t.is_constant()) {
-      fact.args.push_back(t.value());
-    } else {
-      const Value* v = binding.Get(t.var());
-      if (v == nullptr) return;  // unreachable for safe rules
-      fact.args.push_back(*v);
-    }
-  }
-  ++counters_.bindings_completed;
-  if (fact.peer == self_peer_) {
-    if (sinks.on_local_fact) sinks.on_local_fact(fact);
-  } else {
-    if (sinks.on_remote_fact) sinks.on_remote_fact(fact);
-  }
-}
-
-void RuleEvaluator::EmitDelegation(const Rule& rule, size_t split_index,
-                                   const std::string& target,
-                                   const Binding& binding,
-                                   const Sinks& sinks) {
-  Delegation d;
-  d.origin_peer = self_peer_;
-  d.target_peer = target;
-  d.origin_rule_hash = rule.Hash();
-  // Keep the deletion flag on the residual (see EmitDelegationPlan).
-  d.rule.head_deletes = rule.head_deletes;
-  if (!SubstituteAtom(rule.head, binding, &d.rule.head)) return;
-  d.rule.body.reserve(rule.body.size() - split_index);
-  for (size_t i = split_index; i < rule.body.size(); ++i) {
-    Atom substituted;
-    if (!SubstituteAtom(rule.body[i], binding, &substituted)) return;
     d.rule.body.push_back(std::move(substituted));
   }
   ++counters_.delegations_emitted;

@@ -12,7 +12,6 @@
 #include "ast/fact.h"
 #include "ast/rule.h"
 #include "base/symbol.h"
-#include "engine/binding.h"
 #include "engine/delegation.h"
 #include "engine/plan.h"
 #include "storage/catalog.h"
@@ -71,12 +70,6 @@ struct EvalOptions {
   /// When false, every atom match scans the full relation; used by the
   /// join ablation (bench_join) to quantify what the indexes buy.
   bool use_indexes = true;
-  /// When true (production), each rule is compiled once into a RulePlan
-  /// (slot bindings, interned symbols, static access paths) and the
-  /// plan is executed. When false, the rule AST is interpreted directly
-  /// — the seed semantics, kept as a differential-testing oracle (see
-  /// the plan/interpreter equivalence suite).
-  bool use_compiled_plans = true;
   /// Set on the per-worker evaluators of a parallel Δ-round (DESIGN.md
   /// §8): relation reads go through the concurrent-safe Shared paths
   /// (no scratch-buffer leases, no lazy index builds) because many
@@ -157,11 +150,11 @@ struct EvalCounters {
 ///    evaluation and emits the residual rule as a Delegation
 ///    (`on_delegation`) — the paper's signature feature.
 ///
-/// Two execution engines share these semantics: the compiled-plan path
-/// (production; zero heap allocation per tuple in the steady-state join
-/// loop) and the AST interpreter (oracle). Facts passed to sinks are
-/// reused scratch storage on the compiled path — copy them to keep
-/// them, as the engine does.
+/// Each rule is compiled once into a RulePlan (slot bindings, interned
+/// symbols, static access paths) and the plan is executed, with zero
+/// heap allocation per tuple in the steady-state join loop. Facts
+/// passed to sinks are reused scratch storage — copy them to keep them,
+/// as the engine does.
 ///
 /// Not reentrant: sinks must not call back into Evaluate on the same
 /// evaluator (slot bindings and scratch buffers are instance state).
@@ -179,11 +172,12 @@ class RuleEvaluator {
         self_sym_(Symbol::Intern(self_peer_)),
         options_(options) {}
 
-  /// Evaluates `rule`. When `delta` is non-null and `delta_pos >= 0`,
-  /// the positive body atom at index `delta_pos` matches only tuples in
-  /// the Δ-set of its resolved relation (semi-naive restriction); all
-  /// other atoms match full relations. Pass delta == nullptr for a full
-  /// (naive / first-iteration) evaluation.
+  /// Evaluates `rule` through its cached plan. When `delta` is non-null
+  /// and `delta_pos >= 0`, the positive body atom at index `delta_pos`
+  /// matches only tuples in the Δ-set of its resolved relation
+  /// (semi-naive restriction); all other atoms match full relations.
+  /// Pass delta == nullptr for a full (naive / first-iteration)
+  /// evaluation.
   void Evaluate(const Rule& rule, const DeltaMap* delta, int delta_pos,
                 const Sinks& sinks);
 
@@ -210,11 +204,10 @@ class RuleEvaluator {
   /// one selective body evaluation (head constants drive the access
   /// paths), independent of view size. Evaluation short-circuits on the
   /// first match, emits nothing, and never delegates (a body that
-  /// reaches a remote atom does not derive locally). On the compiled
-  /// path this runs the head-bound adorned plan (every head variable's
-  /// slot seeded from `target`, body occurrences compiled to checks and
-  /// index probes); with use_compiled_plans off it interprets, as the
-  /// oracle.
+  /// reaches a remote atom does not derive locally). It runs the
+  /// head-bound adorned plan: every head variable's slot is seeded from
+  /// `target`, and body occurrences are compiled to checks and index
+  /// probes.
   bool ExistsDerivation(const Rule& rule, const Fact& target);
 
   const EvalCounters& counters() const { return counters_; }
@@ -239,21 +232,12 @@ class RuleEvaluator {
   void EmitHeadPlan(const RulePlan& plan, const Sinks& sinks);
   void EmitDelegationPlan(const RulePlan& plan, size_t split_index,
                           const std::string& target, const Sinks& sinks);
-  /// Seeds `plan`'s head slots from `target` (the compiled analogue of
-  /// UnifyHeadWithFact) and runs the body in exists mode. `plan` must
-  /// be the head-bound flavor of the rule being checked.
+  /// Seeds `plan`'s head slots from `target` and runs the body in
+  /// exists mode. `plan` must be the head-bound flavor of the rule
+  /// being checked.
   bool ExistsViaPlan(const RulePlan& plan, const Fact& target);
   /// The head-bound adorned plan for `rule`, cached like PlanFor.
   const RulePlan& HeadBoundPlanFor(const Rule& rule);
-
-  // --- AST interpreter (differential-testing oracle) -----------------
-  void MatchFrom(const Rule& rule, size_t atom_index, Binding* binding,
-                 const DeltaMap* delta, int delta_pos, const Sinks& sinks);
-  void EmitHead(const Rule& rule, const Binding& binding,
-                const Sinks& sinks);
-  void EmitDelegation(const Rule& rule, size_t split_index,
-                      const std::string& target, const Binding& binding,
-                      const Sinks& sinks);
 
   Catalog* catalog_;
   std::string self_peer_;
@@ -261,12 +245,12 @@ class RuleEvaluator {
   EvalOptions options_;
   EvalCounters counters_;
 
-  // ExistsDerivation state: when exists_mode_ is set, MatchFrom and
-  // ExecFrom short-circuit on the first complete match (exists_found_)
-  // and treat remote atoms as dead branches instead of delegating. The
-  // compiled path runs the head-bound plan flavor (plan.h), whose
-  // bind/check op split was fixed at compile time for a *seeded* head —
-  // ExistsViaPlan fills the seed slots from the target fact.
+  // ExistsDerivation state: when exists_mode_ is set, ExecFrom
+  // short-circuits on the first complete match (exists_found_) and
+  // treats remote atoms as dead branches instead of delegating. It runs
+  // the head-bound plan flavor (plan.h), whose bind/check op split was
+  // fixed at compile time for a *seeded* head — ExistsViaPlan fills the
+  // seed slots from the target fact.
   bool exists_mode_ = false;
   bool exists_found_ = false;
   // Owned storage for seeded slot values (slots point into resident
@@ -298,20 +282,6 @@ class RuleEvaluator {
   Tuple probe_scratch_;              // ground negation probe
   Fact fact_scratch_;                // head emission
 };
-
-/// Resolves a relation/peer term under `binding`. Returns nullptr when
-/// the term is a variable bound to a non-string value (such a binding
-/// cannot name a relation or peer, so the branch is dead) and points to
-/// the resolved name otherwise. `storage` provides space when the name
-/// must be materialized from the binding.
-const std::string* ResolveSym(const SymTerm& sym, const Binding& binding,
-                              std::string* storage);
-
-/// Applies `binding` to every term of `atom`; bound variables become
-/// constants (string bindings in relation/peer position become names),
-/// unbound variables stay. Returns false when a relation/peer variable
-/// is bound to a non-string value.
-bool SubstituteAtom(const Atom& atom, const Binding& binding, Atom* out);
 
 }  // namespace wdl
 

@@ -56,7 +56,7 @@ PlanAtom CompileAtom(Compiler& c, const Atom& atom,
   // Snapshot of boundness before this atom: in-atom binds (repeated
   // variables) satisfy later positions of the same atom but cannot
   // seed its access path — the key must exist before the tuple loop
-  // starts, exactly like the interpreter's per-call probe choice.
+  // starts.
   std::vector<bool> bound_before = *bound;
 
   pa.terms.reserve(atom.args.size());
@@ -303,36 +303,6 @@ RulePlan CompileRuleDemand(const Rule& rule, uint64_t adornment) {
     }
   }
   return plan;
-}
-
-bool UnifyHeadWithFact(const Rule& rule, const Fact& fact,
-                       Binding* binding) {
-  auto unify_sym = [&](const SymTerm& sym, const std::string& name) {
-    if (sym.is_name()) return sym.name() == name;
-    const Value* bound = binding->Get(sym.var());
-    if (bound != nullptr) {
-      return bound->is_string() && bound->AsString() == name;
-    }
-    binding->Bind(sym.var(), Value::String(name));
-    return true;
-  };
-  if (!unify_sym(rule.head.relation, fact.relation)) return false;
-  if (!unify_sym(rule.head.peer, fact.peer)) return false;
-  if (rule.head.args.size() != fact.args.size()) return false;
-  for (size_t i = 0; i < fact.args.size(); ++i) {
-    const Term& t = rule.head.args[i];
-    if (t.is_constant()) {
-      if (!(t.value() == fact.args[i])) return false;
-      continue;
-    }
-    const Value* bound = binding->Get(t.var());
-    if (bound != nullptr) {
-      if (!(*bound == fact.args[i])) return false;
-    } else {
-      binding->Bind(t.var(), fact.args[i]);
-    }
-  }
-  return true;
 }
 
 bool SubstituteCompiled(const PlanSym& rel, const PlanSym& peer,

@@ -8,7 +8,6 @@
 #include "ast/fact.h"
 #include "ast/rule.h"
 #include "base/symbol.h"
-#include "engine/binding.h"
 
 namespace wdl {
 
@@ -97,8 +96,7 @@ struct PlanAtom {
   bool negated = false;
   /// Statically detected dead branch: a negated atom containing a
   /// variable no positive atom can ever bind is never ground at
-  /// evaluation time (the interpreter discovers this per binding and
-  /// logs; the plan knows it up front).
+  /// evaluation time; the plan knows it up front.
   bool negated_unbound = false;
 
   std::vector<PlanTerm> terms;
@@ -183,8 +181,8 @@ struct PlanStaticInfo {
 };
 
 /// Derives the static info from the rule AST. Used by CompileRule and
-/// directly by the engine for the interpreter (oracle) path, so both
-/// execution engines share one definition of "what can this rule touch".
+/// directly by the engine at rule install, so both share one definition
+/// of "what can this rule touch".
 PlanStaticInfo ComputeStaticInfo(const Rule& rule);
 
 /// An alternative body execution order for one Δ-restricted position:
@@ -261,9 +259,9 @@ void ForEachIndexUse(const RulePlan& plan, Fn&& fn) {
 }
 
 /// Compiles `rule` into an executable plan. Never fails: rules that
-/// safety analysis would reject compile to plans whose dead branches
-/// mirror the interpreter's runtime checks (unbound head -> no
-/// emission, never-ground negation -> logged dead branch).
+/// safety analysis would reject compile to plans with dead branches
+/// (unbound head -> no emission, never-ground negation -> logged dead
+/// branch).
 RulePlan CompileRule(const Rule& rule);
 
 /// Compiles `rule` with every head variable (arguments, relation, and
@@ -300,21 +298,10 @@ RulePlan CompileRuleDemand(const Rule& rule, uint64_t adornment);
 /// constants (string bindings in sym position become names), unbound
 /// variables stay. Returns false when a sym-position slot holds a
 /// non-string value — such a residual cannot name a relation or peer.
-/// Used for delegation residuals; equivalent to SubstituteAtom on the
-/// interpreter path.
+/// Used for delegation residuals.
 bool SubstituteCompiled(const PlanSym& rel, const PlanSym& peer,
                         const std::vector<PlanTerm>& terms, const Atom& src,
                         const Value* const* slots, Atom* out);
-
-/// Unifies `rule`'s head with a concrete fact, accumulating variable
-/// bindings into `binding` (relation/peer variables bind to string
-/// values). Returns false when they cannot unify (different constant
-/// relation/peer/argument, arity mismatch, or one variable forced to
-/// two different values). On success the binding seeds a body
-/// evaluation restricted to derivations of exactly `fact` — the
-/// delete/re-derive existence check of incremental maintenance.
-bool UnifyHeadWithFact(const Rule& rule, const Fact& fact,
-                       Binding* binding);
 
 }  // namespace wdl
 

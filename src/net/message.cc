@@ -8,7 +8,6 @@ const char* MessageTypeToString(MessageType type) {
   switch (type) {
     case MessageType::kFactInserts: return "FactInserts";
     case MessageType::kFactDeletes: return "FactDeletes";
-    case MessageType::kDerivedSet: return "DerivedSet";
     case MessageType::kDelegationInstall: return "DelegationInstall";
     case MessageType::kDelegationRetract: return "DelegationRetract";
     case MessageType::kHello: return "Hello";
@@ -30,13 +29,6 @@ Message Message::FactDeletes(std::vector<Fact> facts) {
   Message m;
   m.type = MessageType::kFactDeletes;
   m.facts = std::move(facts);
-  return m;
-}
-
-Message Message::MakeDerivedSet(DerivedSet set) {
-  Message m;
-  m.type = MessageType::kDerivedSet;
-  m.derived = std::move(set);
   return m;
 }
 
@@ -88,10 +80,6 @@ std::string Message::ToString() const {
     case MessageType::kFactInserts:
     case MessageType::kFactDeletes:
       out += StrFormat("(%zu facts)", facts.size());
-      break;
-    case MessageType::kDerivedSet:
-      out += StrFormat("(%s@%s, %zu tuples)", derived.relation.c_str(),
-                       derived.target_peer.c_str(), derived.tuples.size());
       break;
     case MessageType::kDelegationInstall:
       out += "(" + delegation.rule.ToString() + ")";

@@ -10,14 +10,15 @@
 
 namespace wdl {
 
-/// Wire message taxonomy. The first three carry data (facts/updates),
-/// the next two carry programs (delegations) — the paper's step 3:
-/// "the peer sends facts (updates) and rules (delegations) to other
-/// peers". kHello is peer discovery.
+/// Wire message taxonomy: facts and contribution updates carry data,
+/// delegation installs and retracts carry programs — the paper's step
+/// 3: "the peer sends facts (updates) and rules (delegations) to other
+/// peers". kHello is peer discovery. The values are the wire and WAL
+/// encoding and never change; 2 belonged to the retired full-slice
+/// protocol and is rejected by the decoder (kRetiredMessageType).
 enum class MessageType : uint8_t {
   kFactInserts = 0,       // base-fact updates, persistent at receiver
   kFactDeletes = 1,       // base-fact deletions
-  kDerivedSet = 2,        // sender's full derived contribution (see Engine)
   kDelegationInstall = 3, // install a residual rule at the receiver
   kDelegationRetract = 4, // retract a previously installed delegation
   kHello = 5,             // peer announcement (discovery)
@@ -26,13 +27,17 @@ enum class MessageType : uint8_t {
   kStreamForget = 8,      // "I dropped <relation>; forget your stream to me"
 };
 
+/// The type byte of the retired full-slice message, which carried a
+/// sender's whole contribution. Never reused: a frame or WAL record
+/// carrying it fails to decode.
+inline constexpr uint8_t kRetiredMessageType = 2;
+
 const char* MessageTypeToString(MessageType type);
 
 /// One message. Exactly the payload fields for `type` are meaningful.
 struct Message {
   MessageType type = MessageType::kHello;
   std::vector<Fact> facts;     // kFactInserts / kFactDeletes
-  DerivedSet derived;          // kDerivedSet
   DerivedDelta delta;          // kDerivedDelta
   Delegation delegation;       // kDelegationInstall
   uint64_t delegation_key = 0; // kDelegationRetract
@@ -41,7 +46,6 @@ struct Message {
 
   static Message FactInserts(std::vector<Fact> facts);
   static Message FactDeletes(std::vector<Fact> facts);
-  static Message MakeDerivedSet(DerivedSet set);
   static Message MakeDerivedDelta(DerivedDelta delta);
   static Message ResyncRequest(std::string relation);
   static Message StreamForget(std::string relation);

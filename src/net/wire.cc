@@ -115,13 +115,6 @@ void WireEncoder::PutDelegation(const Delegation& d) {
   PutRule(d.rule);
 }
 
-void WireEncoder::PutDerivedSet(const DerivedSet& s) {
-  PutString(s.target_peer);
-  PutString(s.relation);
-  PutU32(static_cast<uint32_t>(s.tuples.size()));
-  for (const Tuple& t : s.tuples) PutTuple(t);
-}
-
 void WireEncoder::PutDerivedDelta(const DerivedDelta& d) {
   PutString(d.target_peer);
   PutString(d.relation);
@@ -141,9 +134,6 @@ void WireEncoder::PutMessage(const Message& m) {
     case MessageType::kFactDeletes:
       PutU32(static_cast<uint32_t>(m.facts.size()));
       for (const Fact& f : m.facts) PutFact(f);
-      break;
-    case MessageType::kDerivedSet:
-      PutDerivedSet(m.derived);
       break;
     case MessageType::kDelegationInstall:
       PutDelegation(m.delegation);
@@ -340,19 +330,6 @@ Result<Delegation> WireDecoder::GetDelegation() {
   return d;
 }
 
-Result<DerivedSet> WireDecoder::GetDerivedSet() {
-  DerivedSet s;
-  WDL_ASSIGN_OR_RETURN(s.target_peer, GetString());
-  WDL_ASSIGN_OR_RETURN(s.relation, GetString());
-  WDL_ASSIGN_OR_RETURN(uint32_t n, GetCount(kMinTupleBytes, "derived set"));
-  s.tuples.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    WDL_ASSIGN_OR_RETURN(Tuple t, GetTuple());
-    s.tuples.push_back(std::move(t));
-  }
-  return s;
-}
-
 Result<DerivedDelta> WireDecoder::GetDerivedDelta() {
   DerivedDelta d;
   WDL_ASSIGN_OR_RETURN(d.target_peer, GetString());
@@ -395,6 +372,11 @@ Result<DerivedDelta> WireDecoder::GetDerivedDelta() {
 Result<Message> WireDecoder::GetMessage() {
   Message m;
   WDL_ASSIGN_OR_RETURN(uint8_t type, GetU8());
+  if (type == kRetiredMessageType) {
+    return Status::ParseError(StrFormat(
+        "message type %u (retired full-slice protocol) is not supported",
+        type));
+  }
   if (type > static_cast<uint8_t>(MessageType::kStreamForget)) {
     return Status::ParseError(StrFormat("bad message type %u", type));
   }
@@ -408,10 +390,6 @@ Result<Message> WireDecoder::GetMessage() {
         WDL_ASSIGN_OR_RETURN(Fact f, GetFact());
         m.facts.push_back(std::move(f));
       }
-      break;
-    }
-    case MessageType::kDerivedSet: {
-      WDL_ASSIGN_OR_RETURN(m.derived, GetDerivedSet());
       break;
     }
     case MessageType::kDelegationInstall: {

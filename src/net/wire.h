@@ -43,7 +43,6 @@ class WireEncoder {
   void PutAtom(const Atom& a);
   void PutRule(const Rule& r);
   void PutDelegation(const Delegation& d);
-  void PutDerivedSet(const DerivedSet& s);
   void PutDerivedDelta(const DerivedDelta& d);
   void PutMessage(const Message& m);
   void PutEnvelope(const Envelope& e);
@@ -74,7 +73,6 @@ class WireDecoder {
   Result<Atom> GetAtom();
   Result<Rule> GetRule();
   Result<Delegation> GetDelegation();
-  Result<DerivedSet> GetDerivedSet();
   Result<DerivedDelta> GetDerivedDelta();
   Result<Message> GetMessage();
   Result<Envelope> GetEnvelope();

@@ -11,7 +11,7 @@ std::string PeerStateFingerprint(const Peer& peer) {
     // A never-materialized peer logically holds the empty state; render
     // it directly instead of touching peer.engine(), which would
     // allocate 100k engines just to fingerprint an idle 100k-peer
-    // system. Byte-identical to the eager rendering of an empty engine.
+    // system. Byte-identical to the rendering of an empty engine.
     fp += "rules of peer " + peer.name() + ":\n  (no rules)\n";
     return fp;
   }

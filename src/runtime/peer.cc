@@ -29,7 +29,6 @@ Peer::Peer(std::string name, PeerOptions options)
       }
     }
   }
-  if (!options_.lazy_engine) EnsureEngine();
 }
 
 Status Peer::RecoverFromDurability() {
@@ -294,9 +293,6 @@ void Peer::HandleEnvelope(const Envelope& envelope) {
     case MessageType::kFactDeletes:
       EnsureEngine().EnqueueFactDeletes(m.facts);
       break;
-    case MessageType::kDerivedSet:
-      EnsureEngine().EnqueueDerivedSet(envelope.from, m.derived);
-      break;
     case MessageType::kDerivedDelta:
       EnsureEngine().EnqueueDerivedDelta(envelope.from, m.delta);
       break;
@@ -340,27 +336,16 @@ std::vector<Envelope> Peer::RunStage() {
   StageResult result = engine_->RunStage();
   if (durability_ != nullptr) {
     // Log what this stage shipped before the envelope builder below
-    // moves the payloads out. Shipped deltas (and full-slice sets /
-    // resync snapshots, logged as snapshot-deltas at their stream
-    // version) advance the emission diff bases on replay, so a
-    // recovered peer diffs against what receivers actually hold
-    // instead of re-shipping its whole view.
+    // moves the payloads out. Shipped deltas and resync snapshots
+    // advance the emission diff bases on replay, so a recovered peer
+    // diffs against what receivers actually hold instead of re-shipping
+    // its whole view.
     WalRecord record;
     record.type = WalRecordType::kStageOutbound;
     for (const auto& [target, outbound] : result.outbound) {
-      for (const DerivedDelta& dd : outbound.derived_deltas) {
-        record.shipped_deltas.push_back(dd);
-      }
-      for (const DerivedSet& ds : outbound.derived_sets) {
-        DerivedDelta as_snapshot;
-        as_snapshot.target_peer = ds.target_peer;
-        as_snapshot.relation = ds.relation;
-        as_snapshot.snapshot = true;
-        as_snapshot.version =
-            engine_->SentStreamVersion(ds.target_peer, ds.relation);
-        as_snapshot.inserts = ds.tuples;
-        record.shipped_deltas.push_back(std::move(as_snapshot));
-      }
+      record.shipped_deltas.insert(record.shipped_deltas.end(),
+                                   outbound.derived_deltas.begin(),
+                                   outbound.derived_deltas.end());
       for (const Delegation& d : outbound.delegation_installs) {
         record.shipped_delegations.push_back(d);
       }
@@ -384,9 +369,6 @@ std::vector<Envelope> Peer::RunStage() {
       e.message = std::move(message);
       out.push_back(std::move(e));
     };
-    for (DerivedSet& ds : outbound.derived_sets) {
-      make_envelope(Message::MakeDerivedSet(std::move(ds)));
-    }
     for (DerivedDelta& dd : outbound.derived_deltas) {
       make_envelope(Message::MakeDerivedDelta(std::move(dd)));
     }

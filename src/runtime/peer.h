@@ -29,21 +29,18 @@ struct PeerOptions {
   /// install without approval (the behavior of peers that opted out of
   /// delegation control; the default mirrors the paper: untrusted).
   bool trust_all_delegations = false;
-  /// When true, the Engine (catalog, evaluator, slice store, trackers)
-  /// is not built until the peer first needs it: first fact, first
-  /// rule, or first inbound frame that carries engine work. An idle
-  /// peer is then a name plus a few empty containers — the property
-  /// that lets one process host 100k+ simulated peers (DESIGN.md §9).
-  /// False (the default for standalone peers; System sets it from
-  /// SystemOptions::lazy_peer_state) allocates eagerly at construction
-  /// — the oracle path, byte-identical to the pre-lazy runtime.
-  bool lazy_engine = false;
 };
 
 /// One WebdamLog peer: an engine plus the delegation gate and the glue
 /// that turns engine stage output into network envelopes and inbound
 /// envelopes into engine inputs. Peers are driven by a System but can
 /// also be used standalone in tests.
+///
+/// The Engine (catalog, evaluator, slice store, trackers) is not built
+/// until the peer first needs it: first fact, first rule, or first
+/// inbound frame that carries engine work. An idle peer is a name plus
+/// a few empty containers — the property that lets one process host
+/// 100k+ simulated peers (DESIGN.md §9).
 ///
 /// Concurrency contract (DESIGN.md §8): a Peer's state is touched by
 /// exactly one thread at a time, but *different* peers' RunStage calls
@@ -71,13 +68,13 @@ class Peer {
   Peer& operator=(const Peer&) = delete;
 
   const std::string& name() const { return name_; }
-  /// The peer's engine, materializing it on first touch in lazy mode
-  /// (const access too — callers that merely *inspect* an idle peer
-  /// without forcing allocation should check has_engine() first).
+  /// The peer's engine, materializing it on first touch (const access
+  /// too — callers that merely *inspect* an idle peer without forcing
+  /// allocation should check has_engine() first).
   Engine& engine() { return EnsureEngine(); }
   const Engine& engine() const { return EnsureEngine(); }
-  /// True when the engine has been materialized (always, in eager
-  /// mode). An engine-less peer holds no facts, no rules, no streams.
+  /// True when the engine has been materialized. An engine-less peer
+  /// holds no facts, no rules, no streams.
   bool has_engine() const { return engine_ != nullptr; }
   DelegationGate& gate() { return gate_; }
   const DelegationGate& gate() const { return gate_; }
@@ -159,7 +156,7 @@ class Peer {
   std::string RenderRelation(const std::string& relation) const;
 
  private:
-  /// Materializes the engine (lazy mode) or returns the existing one.
+  /// Materializes the engine on first use, or returns the existing one.
   /// Const because materialization is a caching concern, not a logical
   /// state change: a fresh engine holds exactly the state an idle peer
   /// logically has (nothing).
@@ -187,8 +184,8 @@ class Peer {
 
   std::string name_;
   PeerOptions options_;
-  // The only heavyweight member, lazily allocated when lazy_engine is
-  // set; everything else an idle peer carries is a few empty containers.
+  // The only heavyweight member, allocated on first use; everything
+  // else an idle peer carries is a few empty containers.
   mutable std::unique_ptr<Engine> engine_;
   DelegationGate gate_;
   std::set<std::string> known_peers_;

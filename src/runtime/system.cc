@@ -40,7 +40,6 @@ const SimulatedNetwork& System::network() const {
 }
 
 Peer* System::CreatePeer(const std::string& name, PeerOptions options) {
-  options.lazy_engine = options_.lazy_peer_state;
   if (options.durability.dir.empty() && !options_.durability_root.empty()) {
     options.durability = options_.durability;
     options.durability.dir = options_.durability_root + "/" + name;
@@ -162,10 +161,6 @@ RoundReport System::RunRound() {
   for (std::vector<Envelope>& envs : stage_out) {
     for (Envelope& e : envs) {
       switch (e.message.type) {
-        case MessageType::kDerivedSet:
-          ++report.full_set_messages;
-          report.derived_tuples_sent += e.message.derived.tuples.size();
-          break;
         case MessageType::kDerivedDelta:
           ++report.delta_messages;
           report.delta_tuples_sent += e.message.delta.inserts.size() +

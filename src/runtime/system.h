@@ -40,14 +40,6 @@ struct SystemOptions {
   /// worker_threads == 1. 1 (the default unless WDL_WORKER_THREADS
   /// overrides it) preserves today's exact code path as the oracle.
   int worker_threads = DefaultWorkerThreads();
-  /// When true (production), peers are created as lightweight slots —
-  /// the per-peer Engine materializes on first fact, first rule, or
-  /// first inbound frame that carries engine work — so an idle peer
-  /// costs ~O(100) bytes and one process hosts 100k–1M simulated peers
-  /// (DESIGN.md §9). False allocates every peer's engine eagerly at
-  /// CreatePeer — the pre-lazy runtime, kept as the fingerprint oracle
-  /// (the use_compiled_plans / use_incremental_maintenance pattern).
-  bool lazy_peer_state = true;
   /// Durability root (DESIGN.md §11). Non-empty makes every peer this
   /// System creates durable, with its data dir at
   /// `durability_root/<peer name>` (unless the peer's own
@@ -70,11 +62,9 @@ struct RoundReport {
   // partitioned envelope is still counted — the stage did the work);
   // bytes_sent is what actually reached the wire, so the two bases
   // differ under lossy links.
-  size_t full_set_messages = 0;    // kDerivedSet envelopes
   size_t delta_messages = 0;       // kDerivedDelta envelopes
   size_t resync_requests = 0;      // kResyncRequest envelopes
   size_t heartbeats_sent = 0;      // version-only stream heartbeats
-  uint64_t derived_tuples_sent = 0;  // tuples in full sets
   uint64_t delta_tuples_sent = 0;    // inserts+deletes in deltas
   uint64_t bytes_sent = 0;           // wire bytes submitted this round
 };
@@ -105,7 +95,10 @@ class System {
   System(const System&) = delete;
   System& operator=(const System&) = delete;
 
-  /// Creates and registers a peer. The registry itself is the discovery
+  /// Creates and registers a peer as a lightweight slot: its engine
+  /// materializes on first fact, first rule, or first inbound frame
+  /// that carries engine work, so an idle peer costs ~O(100) bytes
+  /// (DESIGN.md §9). The registry itself is the discovery
   /// control plane (PeerNames()); peers learn of each other from
   /// traffic (envelope senders, Hello messages) — deliberately *not* by
   /// an all-pairs known-peer exchange here, which would cost O(peers²)
@@ -116,10 +109,9 @@ class System {
   std::vector<std::string> PeerNames() const;
   size_t PeerCount() const { return peers_.size(); }
 
-  /// Peers whose engine has been materialized (== PeerCount() when
-  /// lazy_peer_state is off). The instrument behind "an idle peer costs
-  /// ~nothing": a 100k-peer system with 200 active users holds 200
-  /// engines.
+  /// Peers whose engine has been materialized. The instrument behind
+  /// "an idle peer costs ~nothing": a 100k-peer system with 200 active
+  /// users holds 200 engines.
   size_t MaterializedPeerCount() const;
 
   /// Approximate resident bytes of per-peer fixed bookkeeping for

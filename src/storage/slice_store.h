@@ -68,9 +68,10 @@ class SliceStore {
   void CommitVersion(const std::string& relation, const std::string& sender,
                      uint64_t version);
 
-  /// Replaces `sender`'s slice wholesale (the full-slice protocol; no
-  /// version attached). Returns true when the slice actually changed —
-  /// decided by direct set comparison, never by hash.
+  /// Replaces `sender`'s slice wholesale, without touching its stream
+  /// version (ApplySnapshot commits one). Returns true when the slice
+  /// actually changed — decided by direct set comparison, never by
+  /// hash.
   ///
   /// When non-null, `gained`/`lost` receive the tuples whose aggregate
   /// support crossed zero (0 -> 1 senders, last sender withdrew): the

@@ -61,8 +61,8 @@ std::string SocialProgramText(const std::string& peer);
 PeerOptions SocialPeerOptions();
 
 /// One step of a churn script. Scripts are plain data so the same
-/// sequence can drive a production (lazy) system and the eager oracle,
-/// then compare fingerprints.
+/// sequence can drive a system and rebuild the reference evaluator's
+/// input, then compare states.
 struct SocialOp {
   enum class Kind : uint8_t { kFollow, kUnfollow, kPost };
   Kind kind;

@@ -1,12 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
+#include "runtime/fingerprint.h"
 #include "runtime/system.h"
+#include "support/builders.h"
 #include "support/fixture.h"
 #include "support/rng_check.h"
 #include "wepic/wepic.h"
 
 namespace wdl {
 namespace {
+
+using test::I;
+using test::S;
 
 // Global invariants of the distributed runtime, run against the full
 // Wepic workload: determinism across identical runs, idempotence of
@@ -20,7 +29,7 @@ TEST(DeterminismRngGuard, GeneratorMatchesGoldenSequence) {
 }
 
 std::string GlobalStateFingerprint(WepicApp& app) {
-  return test::GlobalStateFingerprint(app.system());
+  return wdl::GlobalStateFingerprint(app.system());
 }
 
 void RunWorkload(WepicApp& app) {
@@ -82,18 +91,56 @@ TEST(DeterminismTest, Paper2013DialectRunsTheFullDemo) {
 }
 
 TEST(DeterminismTest, CompiledPlansMatchInterpreterOracle) {
-  // The compiled-plan executor against the seed AST interpreter over
-  // the full distributed workload — delegation splits, ACL gating,
-  // wrappers, deferred updates. The converged global state must be
-  // identical (see also the per-program goldens in plan_test).
-  WepicOptions interpreter_options;
-  interpreter_options.engine.use_compiled_plans = false;
-  WepicApp interpreted(interpreter_options);
-  WepicApp compiled;  // default engine options: compiled plans
-  RunWorkload(interpreted);
-  RunWorkload(compiled);
-  EXPECT_EQ(GlobalStateFingerprint(interpreted),
-            GlobalStateFingerprint(compiled));
+  // The production runtime against the interpreter oracle — the
+  // reference evaluator, an independent AST interpreter
+  // (support/reference_eval.h) — over the Wepic programs and workload:
+  // delegation splits, relation and peer variables, multi-hop
+  // residuals, persistent remote updates. Wrappers sync external
+  // systems the reference cannot model, so this run has none and
+  // SigmodFB is a plain peer; every peer accepts delegations.
+  SystemOptions options;
+  options.network_seed = test::FixedTestSeed(3);
+  System system(options);
+  test::ReferenceProgram reference;
+  PeerOptions trusting;
+  trusting.trust_all_delegations = true;
+  for (const auto& [name, program] : std::map<std::string, std::string>{
+           {kSigmodPeer, WepicApp::SigmodProgramText()},
+           {kSigmodFBPeer, ""},
+           {"Emilien", WepicApp::AttendeeProgramText("Emilien")},
+           {"Jules", WepicApp::AttendeeProgramText("Jules")}}) {
+    Peer* peer = system.CreatePeer(name, trusting);
+    ASSERT_TRUE(peer->LoadProgramText(program).ok());
+    ASSERT_TRUE(reference.Load(name, program).ok());
+  }
+  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+
+  const std::vector<Fact> writes = {
+      Fact("attendees", kSigmodPeer, {S("Emilien")}),
+      Fact("attendees", kSigmodPeer, {S("Jules")}),
+      Fact("pictures", "Emilien",
+           {I(1), S("sea.jpg"), S("Emilien"), Value::MakeBlob("b1")}),
+      Fact("pictures", "Jules",
+           {I(2), S("dinner.jpg"), S("Jules"), Value::MakeBlob("b2")}),
+      Fact("authorized", "Emilien", {S("Facebook"), I(1), S("Emilien")}),
+      Fact("selectedAttendee", "Jules", {S("Emilien")}),
+      Fact("rate", "Emilien", {I(1), I(5)}),
+      Fact("communicate", "Emilien", {S("email")}),
+      Fact("selectedPictures", "Jules", {S("dinner.jpg"), I(2), S("Jules")}),
+  };
+  for (size_t i = 0; i < writes.size(); ++i) {
+    ASSERT_TRUE(system.GetPeer(writes[i].peer)->Insert(writes[i]).ok());
+    reference.Insert(writes[i]);
+    if (i % 3 == 2) (void)system.RunRound();  // writes race with stages
+  }
+  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  test::ExpectMatchesReference(system, reference);
+
+  // Not vacuous: the authorized picture reached SigmodFB, and the
+  // transfer rule's two-hop residual mailed Jules' selection to Emilien.
+  test::LogicalState state = test::LogicalStateOf(system);
+  EXPECT_EQ(state.peers[kSigmodFBPeer].relations["pictures"].tuples.size(), 1u);
+  EXPECT_EQ(state.peers["Emilien"].relations["email"].tuples.size(), 1u);
 }
 
 TEST(DeterminismTest, NaiveModeReachesSameGlobalState) {

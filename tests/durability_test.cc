@@ -21,6 +21,7 @@
 #include "durability/durability.h"
 #include "durability/snapshot.h"
 #include "durability/wal.h"
+#include "net/wire.h"
 #include "runtime/fingerprint.h"
 #include "runtime/system.h"
 #include "support/builders.h"
@@ -524,6 +525,57 @@ TEST(DurabilityRecoveryTest, TornFinalRecordIsDroppedAndRepaired) {
                   .torn_tail_truncated);
   SettleWithHeartbeats(recovered);
   EXPECT_EQ(GlobalStateFingerprint(recovered), oracle);
+}
+
+// A WAL written before the full-slice protocol was retired can hold an
+// envelope record of message type 2: its frame passes the CRC, but the
+// payload no longer decodes. Recovery must fail loudly, naming the
+// record, and leave the log byte-identical — skipping it (and every
+// later record) would silently drop durable state — so a durable host
+// such as wdl_peerd refuses to start.
+TEST(DurabilityRecoveryTest, RetiredMessageRecordFailsRecovery) {
+  auto frame = [](const std::string& payload) {  // length | CRC | payload
+    uint32_t header[2] = {static_cast<uint32_t>(payload.size()),
+                          Crc32(payload)};
+    return std::string(reinterpret_cast<const char*>(header),
+                       sizeof(header)) + payload;
+  };
+  WalRecord insert;
+  insert.type = WalRecordType::kLocalFactInsert;
+  insert.fact = Fact("data", "alice", {I(1)});
+  WireEncoder retired;  // envelope fields after the magic and version
+  retired.PutString("bob");
+  retired.PutString("alice");
+  retired.PutU64(0);  // seq
+  retired.PutU8(kRetiredMessageType);
+  retired.PutString("alice");  // its payload: target, relation, tuples
+  retired.PutString("view");
+  retired.PutU32(1);
+  retired.PutTuple({I(7)});
+  std::string record = std::string(1, static_cast<char>(
+                           WalRecordType::kEnvelope)) +
+                       "WDLM\x01" + std::string(1, '\0') + retired.buffer();
+
+  std::string root = MakeTempRoot();
+  std::string wal = root + "/wal-0.log";
+  const std::string bytes = frame(EncodeWalRecord(insert)) + frame(record) +
+                            frame(EncodeWalRecord(insert));
+  ASSERT_TRUE(AtomicWriteFile(wal, bytes).ok());
+  ASSERT_EQ(ReadWalFile(wal)->payloads.size(), 3u);  // every CRC matches
+
+  DurabilityOptions options;
+  options.dir = root;
+  auto opened = PeerDurability::Open(options);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_NE(opened.status().message().find("WAL record 1 "),
+            std::string::npos) << opened.status();
+  EXPECT_EQ(*ReadEntireFile(wal), bytes);
+
+  PeerOptions peer_options;
+  peer_options.durability = options;
+  Peer peer("alice", peer_options);
+  EXPECT_FALSE(peer.durability_status().ok());
+  EXPECT_EQ(*ReadEntireFile(wal), bytes);
 }
 
 // The headline recovery property: a receiver that missed deltas while

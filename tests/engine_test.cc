@@ -177,39 +177,41 @@ TEST(EngineTest, DelegationForWrongTargetRejected) {
   EXPECT_FALSE(e.InstallDelegatedRule(d).ok());
 }
 
-TEST(EngineTest, DerivedSetToExtensionalIsPersistentUnion) {
+// A versioned contribution update to p: a snapshot (the whole
+// contribution) or a delta moving its stream from `base` to `base` + 1.
+DerivedDelta Update(const std::string& relation, uint64_t base, bool snapshot,
+                    std::vector<Tuple> inserts,
+                    std::vector<Tuple> deletes = {}) {
+  return DerivedDelta{"p", relation, snapshot ? 0 : base, base + 1,
+                      snapshot, std::move(inserts), std::move(deletes)};
+}
+
+TEST(EngineTest, SnapshotToExtensionalIsPersistentUnion) {
   Engine e("p");
   ASSERT_TRUE(
       e.LoadProgram(P("collection ext inbox@p(x: int);")).ok());
-  DerivedSet set;
-  set.target_peer = "p";
-  set.relation = "inbox";
-  set.tuples = {Tuple{I(1)}, Tuple{I(2)}};
-  e.EnqueueDerivedSet("q", set);
+  e.EnqueueDerivedDelta("q", Update("inbox", 0, true, {{I(1)}, {I(2)}}));
   e.RunStage();
   EXPECT_EQ(e.catalog().Get("inbox")->size(), 2u);
 
-  // A shrunk set later does NOT delete: updates are persistent.
-  set.tuples = {Tuple{I(1)}};
-  e.EnqueueDerivedSet("q", set);
+  // A shrunk snapshot, or a delta deleting, does NOT delete: updates
+  // are persistent.
+  e.EnqueueDerivedDelta("q", Update("inbox", 1, true, {{I(1)}}));
+  e.EnqueueDerivedDelta("q", Update("inbox", 2, false, {}, {{I(1)}}));
   e.RunStage();
   EXPECT_EQ(e.catalog().Get("inbox")->size(), 2u);
+  EXPECT_EQ(e.slice_store().StreamVersion("inbox", "q"), 3u);
 }
 
-TEST(EngineTest, DerivedSetToIntensionalReplacesSenderSlice) {
+TEST(EngineTest, SnapshotToIntensionalReplacesSenderSlice) {
   Engine e("p");
   ASSERT_TRUE(
       e.LoadProgram(P("collection int view@p(x: int);")).ok());
-  DerivedSet set;
-  set.target_peer = "p";
-  set.relation = "view";
-  set.tuples = {Tuple{I(1)}, Tuple{I(2)}};
-  e.EnqueueDerivedSet("q", set);
+  e.EnqueueDerivedDelta("q", Update("view", 0, true, {{I(1)}, {I(2)}}));
   e.RunStage();
   EXPECT_EQ(e.catalog().Get("view")->size(), 2u);
 
-  set.tuples = {Tuple{I(3)}};
-  e.EnqueueDerivedSet("q", set);
+  e.EnqueueDerivedDelta("q", Update("view", 1, true, {{I(3)}}));
   e.RunStage();
   const Relation* view = e.catalog().Get("view");
   EXPECT_EQ(view->size(), 1u);
@@ -220,18 +222,13 @@ TEST(EngineTest, SlicesFromDistinctSendersAreIndependent) {
   Engine e("p");
   ASSERT_TRUE(
       e.LoadProgram(P("collection int view@p(x: int);")).ok());
-  DerivedSet from_q{.target_peer = "p", .relation = "view",
-                    .tuples = {Tuple{I(1)}}};
-  DerivedSet from_r{.target_peer = "p", .relation = "view",
-                    .tuples = {Tuple{I(2)}}};
-  e.EnqueueDerivedSet("q", from_q);
-  e.EnqueueDerivedSet("r", from_r);
+  e.EnqueueDerivedDelta("q", Update("view", 0, false, {{I(1)}}));
+  e.EnqueueDerivedDelta("r", Update("view", 0, false, {{I(2)}}));
   e.RunStage();
   EXPECT_EQ(e.catalog().Get("view")->size(), 2u);
 
   // q empties its slice; r's contribution survives.
-  from_q.tuples.clear();
-  e.EnqueueDerivedSet("q", from_q);
+  e.EnqueueDerivedDelta("q", Update("view", 1, false, {}, {{I(1)}}));
   e.RunStage();
   const Relation* view = e.catalog().Get("view");
   EXPECT_EQ(view->size(), 1u);
@@ -254,11 +251,7 @@ TEST(EngineTest, UnchangedContributionIsNotResent) {
 }
 
 TEST(EngineTest, EmptiedContributionIsSentOnceAsEmptySet) {
-  // Full-slice oracle mode: an emptied contribution ships as one empty
-  // DerivedSet (the differential twin of this test ships the deletes).
-  EngineOptions opts;
-  opts.use_differential_propagation = false;
-  Engine e("p", opts);
+  Engine e("p");
   ASSERT_TRUE(e.LoadProgram(P(R"(
     collection ext data@p(x: int);
     collection int view@p(x: int);
@@ -266,23 +259,26 @@ TEST(EngineTest, EmptiedContributionIsSentOnceAsEmptySet) {
     rule view@p($x) :- data@p($x);
     rule mirror@q($x) :- view@p($x);
   )")).ok());
-  StageResult first = e.RunStage();
-  ASSERT_EQ(first.outbound.count("q"), 1u);
-  ASSERT_EQ(first.outbound["q"].derived_sets.size(), 1u);
-
+  (void)e.RunStage();
   ASSERT_TRUE(e.RemoveFact(Fact("data", "p", {I(1)})).ok());
-  StageResult second = e.RunStage();
-  ASSERT_EQ(second.outbound.count("q"), 1u);
-  ASSERT_EQ(second.outbound["q"].derived_sets.size(), 1u);
-  EXPECT_TRUE(second.outbound["q"].derived_sets[0].tuples.empty());
+  // Ships the delete (see DifferentialEmptiedContributionShipsDeletes).
+  (void)e.RunStage();
 
-  // And only once: a third stage is silent.
+  // The stream outlives its tuples: a resync is answered with an empty
+  // snapshot at the current version, exactly once.
+  e.EnqueueResyncRequest("q", "mirror");
+  StageResult served = e.RunStage();
+  ASSERT_EQ(served.outbound["q"].derived_deltas.size(), 1u);
+  const DerivedDelta& dd = served.outbound["q"].derived_deltas[0];
+  EXPECT_TRUE(dd.snapshot);
+  EXPECT_EQ(dd.version, 2u);
+  EXPECT_TRUE(dd.inserts.empty());
   StageResult third = e.RunStage();
   EXPECT_EQ(third.outbound.count("q"), 0u);
 }
 
 TEST(EngineTest, DifferentialShipsOnlyTheChange) {
-  Engine e("p");  // differential propagation is the default
+  Engine e("p");
   ASSERT_TRUE(e.LoadProgram(P(R"(
     collection ext data@p(x: int);
     fact data@p(1);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "parser/parser.h"
 
 #include "support/builders.h"
@@ -92,6 +95,9 @@ TEST_F(EvalTest, NonStringRelationBindingIsDeadBranch) {
   Insert("data", {I(1)});
   Collected c = Run(R("h@p($x) :- names@p($r), $r@p($x)"));
   EXPECT_TRUE(c.local.empty());
+  // Nor a peer: no residual can be substituted, so nothing delegates.
+  c = Run(R("h@p($x) :- names@p($a), pictures@$a($x)"));
+  EXPECT_TRUE(c.delegations.empty());
 }
 
 TEST_F(EvalTest, RemoteBodyAtomEmitsDelegationPerPrefixBinding) {
@@ -102,12 +108,18 @@ TEST_F(EvalTest, RemoteBodyAtomEmitsDelegationPerPrefixBinding) {
   ASSERT_EQ(c.delegations.size(), 2u);
   // Residual rules have the prefix substituted and start at the remote
   // atom with a concrete location.
+  std::set<std::string> residuals;
   for (const Delegation& d : c.delegations) {
     EXPECT_EQ(d.origin_peer, "p");
     ASSERT_EQ(d.rule.body.size(), 1u);
     EXPECT_TRUE(d.rule.body[0].HasConcreteLocation());
     EXPECT_EQ(d.rule.body[0].peer.name(), d.target_peer);
+    residuals.insert(d.rule.ToString());
   }
+  // The bound peer variable became a name; unbound $x stays a variable.
+  EXPECT_EQ(residuals, (std::set<std::string>{
+                           "h@p($x) :- pictures@alice($x)",
+                           "h@p($x) :- pictures@bob($x)"}));
 }
 
 TEST_F(EvalTest, SelfPeerAtomIsNotADelegation) {
@@ -209,40 +221,6 @@ TEST_F(EvalTest, CountersTrackWork) {
   Run(R("h@p($x) :- b@p($x)"));
   EXPECT_GE(evaluator_.counters().tuples_examined, 2u);
   EXPECT_EQ(evaluator_.counters().bindings_completed, 2u);
-}
-
-TEST(SubstituteAtomTest, BoundVariablesBecomeConstants) {
-  Result<Atom> atom = ParseAtom("pictures@$a($x, $y)");
-  ASSERT_TRUE(atom.ok());
-  Binding binding;
-  binding.Bind("a", S("emilien"));
-  binding.Bind("x", I(5));
-  Atom out;
-  ASSERT_TRUE(SubstituteAtom(*atom, binding, &out));
-  EXPECT_EQ(out.peer.name(), "emilien");
-  EXPECT_EQ(out.args[0], Term::Constant(I(5)));
-  EXPECT_TRUE(out.args[1].is_variable());  // $y unbound, stays
-}
-
-TEST(SubstituteAtomTest, NonStringSymBindingFails) {
-  Result<Atom> atom = ParseAtom("pictures@$a($x)");
-  ASSERT_TRUE(atom.ok());
-  Binding binding;
-  binding.Bind("a", I(3));
-  Atom out;
-  EXPECT_FALSE(SubstituteAtom(*atom, binding, &out));
-}
-
-TEST(BindingTest, MarkRewindRestoresState) {
-  Binding b;
-  b.Bind("x", I(1));
-  size_t mark = b.Mark();
-  b.Bind("y", I(2));
-  EXPECT_NE(b.Get("y"), nullptr);
-  b.Rewind(mark);
-  EXPECT_EQ(b.Get("y"), nullptr);
-  ASSERT_NE(b.Get("x"), nullptr);
-  EXPECT_EQ(*b.Get("x"), I(1));
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
+#include "runtime/fingerprint.h"
 #include "runtime/system.h"
 #include "support/builders.h"
 #include "support/fixture.h"
@@ -26,7 +27,6 @@ namespace wdl {
 namespace {
 
 using test::F;
-using test::GlobalStateFingerprint;
 using test::I;
 using test::Settle;
 

@@ -313,7 +313,7 @@ std::string RunMultiPeerWorkload(int worker_threads, int eval_threads,
                            b->engine().eval_counters().parallel_rounds +
                            c->engine().eval_counters().parallel_rounds;
   }
-  return test::GlobalStateFingerprint(system);
+  return GlobalStateFingerprint(system);
 }
 
 TEST(ParallelSystemTest, RandomizedWorkloadFingerprintSweep) {
@@ -367,7 +367,7 @@ TEST(ParallelSystemTest, LossyLinkResyncMatchesSerialOracle) {
     for (int round = 0; round < 12; ++round) (void)system.RunRound();
     EXPECT_TRUE(system.RunUntilQuiescent().ok());
     EXPECT_EQ(hub->engine().catalog().Get("board")->size(), 2u);
-    return test::GlobalStateFingerprint(system);
+    return GlobalStateFingerprint(system);
   };
   const std::string want = run(1);
   for (int threads : {2, 4}) {

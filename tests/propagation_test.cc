@@ -1,15 +1,15 @@
-// Differential-vs-full-slice oracle suite (ISSUE PR3).
-//
-// The differential propagation protocol (DerivedDelta streams with
-// versions + resync, DESIGN.md §5) must converge every multi-peer run
-// to *exactly* the state the full-slice protocol reaches — including
-// deletions, delegation retracts, and messy links (loss with healing,
-// duplication). Each scenario runs once per mode and compares the
-// GlobalStateFingerprint (every relation of every peer, canonically
-// rendered) byte for byte.
+// Propagation-plane oracle suite. Multi-peer runs over the delta
+// protocol (versioned streams with resync, DESIGN.md §5) must converge
+// to exactly the state the reference evaluator computes from the
+// scenario's inputs — through deletions, delegation retracts, loss
+// with healing, and duplication. Scenarios whose outcome depends on
+// history (remote deletions re-armed by re-shipped inserts) assert
+// the expected state directly.
 
 #include <functional>
+#include <memory>
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -22,105 +22,104 @@
 namespace wdl {
 namespace {
 
-using test::GlobalStateFingerprint;
 using test::I;
 using test::NetworkCounters;
+using test::ReferenceProgram;
 using test::S;
 
-PeerOptions Mode(bool differential) {
-  PeerOptions o;
-  o.engine.use_differential_propagation = differential;
-  return o;
+// Each scenario step goes to the system and, where it is an input, to
+// the reference program too — so the reference sees the scenario's
+// inputs, never the system's state.
+void Load(Peer* peer, ReferenceProgram* ref, std::string_view text) {
+  ASSERT_TRUE(peer->LoadProgramText(text).ok());
+  ASSERT_TRUE(ref->Load(peer->name(), text).ok());
+}
+void Insert(Peer* peer, ReferenceProgram* ref, const Fact& fact) {
+  ASSERT_TRUE(peer->Insert(fact).ok());
+  ref->Insert(fact);
+}
+void Remove(Peer* peer, ReferenceProgram* ref, const Fact& fact) {
+  ASSERT_TRUE(peer->Remove(fact).ok());
+  ref->Remove(fact);
 }
 
-/// Runs `scenario` against a fresh System whose peers all use the given
-/// propagation mode, then returns the converged global state.
-std::string RunScenario(
-    bool differential, const SystemOptions& sys_opts,
-    const std::function<void(System&, PeerOptions)>& scenario) {
-  System system(sys_opts);
-  scenario(system, Mode(differential));
-  return GlobalStateFingerprint(system);
-}
+using Scenario = std::function<void(System&, ReferenceProgram*)>;
 
-void ExpectModesAgree(
-    const std::function<void(System&, PeerOptions)>& scenario,
-    SystemOptions sys_opts = {}) {
-  std::string full = RunScenario(false, sys_opts, scenario);
-  std::string differential = RunScenario(true, sys_opts, scenario);
-  EXPECT_EQ(full, differential);
+// Runs `scenario` on a fresh system, expects the reference's state,
+// and hands the system back for scenario-specific checks.
+std::unique_ptr<System> RunAgainstReference(const Scenario& scenario,
+                                            SystemOptions sys_opts = {}) {
+  auto system = std::make_unique<System>(sys_opts);
+  ReferenceProgram reference;
+  scenario(*system, &reference);
+  test::ExpectMatchesReference(*system, reference);
+  return system;
 }
 
 // Two senders feed one intensional board with overlapping tuples; facts
 // are later deleted, including one whose twin survives at the other
 // sender (support counts must keep it alive).
-void OverlappingViewScenario(System& system, PeerOptions mode) {
-  Peer* hub = system.CreatePeer("hub", mode);
-  Peer* a = system.CreatePeer("a", mode);
-  Peer* b = system.CreatePeer("b", mode);
-  ASSERT_TRUE(hub->LoadProgramText(
-      "collection int board@hub(x: int);").ok());
-  ASSERT_TRUE(a->LoadProgramText(R"(
+void OverlappingViewScenario(System& system, ReferenceProgram* ref) {
+  Peer* hub = system.CreatePeer("hub");
+  Peer* a = system.CreatePeer("a");
+  Peer* b = system.CreatePeer("b");
+  Load(hub, ref, "collection int board@hub(x: int);");
+  Load(a, ref, R"(
     collection ext data@a(x: int);
     rule board@hub($x) :- data@a($x);
-  )").ok());
-  ASSERT_TRUE(b->LoadProgramText(R"(
+  )");
+  Load(b, ref, R"(
     collection ext data@b(x: int);
     rule board@hub($x) :- data@b($x);
-  )").ok());
-  for (int64_t i = 0; i < 6; ++i) {
-    ASSERT_TRUE(a->Insert(Fact("data", "a", {I(i)})).ok());
-  }
+  )");
+  for (int64_t i = 0; i < 6; ++i) Insert(a, ref, Fact("data", "a", {I(i)}));
   for (int64_t i = 4; i < 10; ++i) {  // 4 and 5 overlap with a
-    ASSERT_TRUE(b->Insert(Fact("data", "b", {I(i)})).ok());
+    Insert(b, ref, Fact("data", "b", {I(i)}));
   }
   ASSERT_TRUE(system.RunUntilQuiescent().ok());
 
   // Deletions: 4 stays supported by b; 0 vanishes outright; 9 vanishes
   // from b's side.
-  ASSERT_TRUE(a->Remove(Fact("data", "a", {I(4)})).ok());
-  ASSERT_TRUE(a->Remove(Fact("data", "a", {I(0)})).ok());
-  ASSERT_TRUE(b->Remove(Fact("data", "b", {I(9)})).ok());
+  Remove(a, ref, Fact("data", "a", {I(4)}));
+  Remove(a, ref, Fact("data", "a", {I(0)}));
+  Remove(b, ref, Fact("data", "b", {I(9)}));
   ASSERT_TRUE(system.RunUntilQuiescent().ok());
 }
 
 TEST(PropagationOracleTest, OverlappingViewsWithDeletions) {
-  ExpectModesAgree(OverlappingViewScenario);
-
-  // Sanity on the converged content itself (differential run).
-  System system;
-  OverlappingViewScenario(system, Mode(true));
-  const Relation* board =
-      system.GetPeer("hub")->engine().catalog().Get("board");
+  auto system = RunAgainstReference(OverlappingViewScenario);
+  // Sanity on the converged content and its support counts.
+  const Engine& hub = system->GetPeer("hub")->engine();
+  const Relation* board = hub.catalog().Get("board");
   ASSERT_NE(board, nullptr);
   EXPECT_EQ(board->size(), 8u);                  // 1..8
   EXPECT_TRUE(board->Contains({I(4)}));          // still supported by b
   EXPECT_FALSE(board->Contains({I(0)}));
   EXPECT_FALSE(board->Contains({I(9)}));
-  EXPECT_EQ(system.GetPeer("hub")->engine().slice_store().SupportCount(
-                "board", {I(4)}),
-            1u);
+  EXPECT_EQ(hub.slice_store().SupportCount("board", {I(4)}), 1u);
 }
 
 // A rule whose body crosses to a remote peer delegates a residual; when
 // the rule is removed, the delegation retracts and the remote peer's
 // contribution must drain from the view.
-void DelegationRetractScenario(System& system, PeerOptions mode) {
-  Peer* a = system.CreatePeer("a", mode);
-  Peer* b = system.CreatePeer("b", mode);
+void DelegationRetractScenario(System& system, ReferenceProgram* ref) {
+  Peer* a = system.CreatePeer("a");
+  Peer* b = system.CreatePeer("b");
   a->gate().TrustPeer("b");
   b->gate().TrustPeer("a");
-  ASSERT_TRUE(a->LoadProgramText(R"(
+  Load(a, ref, R"(
     collection ext friends@a(who: string);
     collection int spotted@a(who: string);
     fact friends@a("carol");
     fact friends@a("dave");
-  )").ok());
-  ASSERT_TRUE(b->LoadProgramText(R"(
+  )");
+  Load(b, ref, R"(
     collection ext seen@b(who: string);
     fact seen@b("carol");
     fact seen@b("erin");
-  )").ok());
+  )");
+  // The rule comes and goes: its net effect on the inputs is nothing,
+  // so the reference never sees it.
   Result<uint64_t> rule = a->AddRuleText(
       "spotted@a($w) :- friends@a($w), seen@b($w)");
   ASSERT_TRUE(rule.ok());
@@ -128,60 +127,49 @@ void DelegationRetractScenario(System& system, PeerOptions mode) {
   ASSERT_TRUE(
       a->engine().catalog().Get("spotted")->Contains({S("carol")}));
 
-  ASSERT_TRUE(a->engine().RemoveRule(*rule).ok());
+  ASSERT_TRUE(a->RemoveRule(*rule).ok());
   ASSERT_TRUE(system.RunUntilQuiescent().ok());
 }
 
 TEST(PropagationOracleTest, DelegationRetractDrainsContribution) {
-  ExpectModesAgree(DelegationRetractScenario);
-
-  System system;
-  DelegationRetractScenario(system, Mode(true));
-  EXPECT_EQ(system.GetPeer("a")->engine().catalog().Get("spotted")->size(),
+  auto system = RunAgainstReference(DelegationRetractScenario);
+  EXPECT_EQ(system->GetPeer("a")->engine().catalog().Get("spotted")->size(),
             0u);
   // The residual at b is gone too.
-  for (const InstalledRule* r : system.GetPeer("b")->engine().rules()) {
+  for (const InstalledRule* r : system->GetPeer("b")->engine().rules()) {
     EXPECT_EQ(r->delegation_key, 0u);
   }
 }
 
-// Total loss on the propagation path, then heal + touch: both modes
-// must repair the receiver to the true view (full-slice by re-sending
-// everything on the next change; differential by detecting the version
-// gap and resyncing).
-void LossyThenHealScenario(System& system, PeerOptions mode) {
-  Peer* a = system.CreatePeer("a", mode);
-  Peer* hub = system.CreatePeer("hub", mode);
-  ASSERT_TRUE(hub->LoadProgramText(
-      "collection int board@hub(x: int);").ok());
-  ASSERT_TRUE(a->LoadProgramText(R"(
+// Total loss on the propagation path, then heal + touch: the receiver
+// detects the version gap and resyncs to the true view.
+void LossyThenHealScenario(System& system, ReferenceProgram* ref) {
+  Peer* a = system.CreatePeer("a");
+  Peer* hub = system.CreatePeer("hub");
+  Load(hub, ref, "collection int board@hub(x: int);");
+  Load(a, ref, R"(
     collection ext data@a(x: int);
     rule board@hub($x) :- data@a($x);
     rule mirror@hub($x) :- data@a($x);
-  )").ok());
+  )");
   ASSERT_TRUE(system.RunUntilQuiescent().ok());
 
   LinkConfig dead;
   dead.drop_probability = 1.0;
   system.network().SetLink("a", "hub", dead);
-  for (int64_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(a->Insert(Fact("data", "a", {I(i)})).ok());
-  }
+  for (int64_t i = 0; i < 8; ++i) Insert(a, ref, Fact("data", "a", {I(i)}));
   ASSERT_TRUE(system.RunUntilQuiescent().ok());
   const Relation* board = hub->engine().catalog().Get("board");
   ASSERT_TRUE(board == nullptr || board->empty());  // everything lost
 
   system.network().SetLink("a", "hub", LinkConfig{});
-  ASSERT_TRUE(a->Insert(Fact("data", "a", {I(8)})).ok());
+  Insert(a, ref, Fact("data", "a", {I(8)}));
   ASSERT_TRUE(system.RunUntilQuiescent().ok());
 }
 
 TEST(PropagationOracleTest, LossHealsOnNextChange) {
-  ExpectModesAgree(LossyThenHealScenario);
-
-  System system;
-  LossyThenHealScenario(system, Mode(true));
-  Peer* hub = system.GetPeer("hub");
+  auto system = RunAgainstReference(LossyThenHealScenario);
+  Peer* hub = system->GetPeer("hub");
   EXPECT_EQ(hub->engine().catalog().Get("board")->size(), 9u);
   // The extensional mirror heals through the same resync snapshot.
   EXPECT_EQ(hub->engine().catalog().Get("mirror")->size(), 9u);
@@ -194,62 +182,46 @@ TEST(PropagationOracleTest, LossHealsOnNextChange) {
 TEST(PropagationOracleTest, DuplicatingLinksConvergeIdentically) {
   SystemOptions duplicating;
   duplicating.default_link.duplicate_probability = 1.0;
-
-  std::string clean_full = RunScenario(false, {}, OverlappingViewScenario);
-  std::string dup_full =
-      RunScenario(false, duplicating, OverlappingViewScenario);
-  std::string dup_diff =
-      RunScenario(true, duplicating, OverlappingViewScenario);
-  EXPECT_EQ(clean_full, dup_full);
-  EXPECT_EQ(clean_full, dup_diff);
-
-  std::string clean_deleg =
-      RunScenario(false, {}, DelegationRetractScenario);
-  EXPECT_EQ(clean_deleg,
-            RunScenario(true, duplicating, DelegationRetractScenario));
+  RunAgainstReference(OverlappingViewScenario, duplicating);
+  RunAgainstReference(DelegationRetractScenario, duplicating);
 }
 
 // The point of the whole protocol: after a large view converged, a
-// one-tuple change must cost O(change) wire bytes under differential
-// propagation, not O(view).
+// one-tuple change costs one delta insert and a fixed, small number of
+// wire bytes — not O(view). The delta envelope for one int tuple is 81
+// bytes on the wire (DESIGN.md §5); the ceiling leaves room for a
+// longer relation name, never for a resent view (~6.5 KB here).
+constexpr uint64_t kOneTupleDeltaByteCeiling = 128;
+
 TEST(PropagationOracleTest, IncrementalChangeShipsChangeNotView) {
-  auto build = [](System& system, PeerOptions mode) {
-    Peer* a = system.CreatePeer("a", mode);
-    Peer* hub = system.CreatePeer("hub", mode);
-    ASSERT_TRUE(hub->LoadProgramText(
-        "collection int board@hub(x: int);").ok());
-    ASSERT_TRUE(a->LoadProgramText(R"(
-      collection ext data@a(x: int);
-      rule board@hub($x) :- data@a($x);
-    )").ok());
-    for (int64_t i = 0; i < 500; ++i) {
-      ASSERT_TRUE(a->Insert(Fact("data", "a", {I(i)})).ok());
-    }
-    ASSERT_TRUE(system.RunUntilQuiescent().ok());
-  };
-
-  auto incremental_bytes = [&](bool differential) {
-    System system;
-    build(system, Mode(differential));
-    NetworkCounters before(system.network());
-    EXPECT_TRUE(
-        system.GetPeer("a")->Insert(Fact("data", "a", {I(1000)})).ok());
-    EXPECT_TRUE(system.RunUntilQuiescent().ok());
-    return (NetworkCounters(system.network()) - before).bytes_sent;
-  };
-
-  uint64_t full = incremental_bytes(false);
-  uint64_t diff = incremental_bytes(true);
-  // Full-slice re-ships all 501 tuples; differential ships 1 insert.
-  EXPECT_LT(diff * 50, full);
-
-  // And the per-engine telemetry attributes it.
   System system;
-  build(system, Mode(true));
-  const PropagationCounters& pc =
-      system.GetPeer("a")->engine().propagation_counters();
-  EXPECT_EQ(pc.full_sets_shipped, 0u);
-  EXPECT_EQ(pc.delta_inserts_shipped, 500u);
+  Peer* a = system.CreatePeer("a");
+  Peer* hub = system.CreatePeer("hub");
+  ASSERT_TRUE(hub->LoadProgramText("collection int board@hub(x: int);").ok());
+  ASSERT_TRUE(a->LoadProgramText(R"(
+    collection ext data@a(x: int);
+    rule board@hub($x) :- data@a($x);
+  )").ok());
+  for (int64_t i = 0; i < 500; ++i) {
+    ASSERT_TRUE(a->Insert(Fact("data", "a", {I(i)})).ok());
+  }
+  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  const PropagationCounters before = a->engine().propagation_counters();
+  EXPECT_EQ(before.delta_inserts_shipped, 500u);
+
+  NetworkCounters bytes_before(system.network());
+  ASSERT_TRUE(a->Insert(Fact("data", "a", {I(1000)})).ok());
+  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  const PropagationCounters& after = a->engine().propagation_counters();
+  EXPECT_EQ(after.deltas_shipped - before.deltas_shipped, 1u);
+  EXPECT_EQ(after.delta_inserts_shipped - before.delta_inserts_shipped, 1u);
+  EXPECT_EQ(after.delta_deletes_shipped, before.delta_deletes_shipped);
+  EXPECT_EQ(after.snapshots_shipped, before.snapshots_shipped);
+  // One envelope carrying one int tuple; the 501-tuple view would be
+  // several kilobytes.
+  EXPECT_LE((NetworkCounters(system.network()) - bytes_before).bytes_sent,
+            kOneTupleDeltaByteCeiling);
+  EXPECT_EQ(hub->engine().catalog().Get("board")->size(), 501u);
 }
 
 // Regression (ISSUE PR4): the ship-once suppression of remote deletes
@@ -258,48 +230,43 @@ TEST(PropagationOracleTest, IncrementalChangeShipsChangeNotView) {
 // deleted again never re-shipped the delete — the receiver kept the
 // zombie fact forever.
 TEST(PropagationOracleTest, RemoteDeleteReshipsAfterInsertReship) {
-  for (bool differential : {false, true}) {
-    for (bool incremental : {false, true}) {
-      SCOPED_TRACE(testing::Message() << "differential=" << differential
-                                      << " incremental=" << incremental);
-      PeerOptions mode;
-      mode.engine.use_differential_propagation = differential;
-      mode.engine.use_incremental_maintenance = incremental;
-      System system;
-      Peer* a = system.CreatePeer("a", mode);
-      Peer* b = system.CreatePeer("b", mode);
-      ASSERT_TRUE(a->LoadProgramText(R"(
-        collection ext src@a(x: int);
-        collection ext kill@a(x: int);
-        rule p@b($x) :- src@a($x);
-        rule -p@b($x) :- src@a($x), kill@a($x);
-      )").ok());
-      ASSERT_TRUE(b->LoadProgramText(
-          "collection ext p@b(x: int);").ok());
-      const Relation* p = b->engine().catalog().Get("p");
+  for (bool incremental : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "incremental=" << incremental);
+    PeerOptions mode;
+    mode.engine.use_incremental_maintenance = incremental;
+    System system;
+    Peer* a = system.CreatePeer("a", mode);
+    Peer* b = system.CreatePeer("b", mode);
+    ASSERT_TRUE(a->LoadProgramText(R"(
+      collection ext src@a(x: int);
+      collection ext kill@a(x: int);
+      rule p@b($x) :- src@a($x);
+      rule -p@b($x) :- src@a($x), kill@a($x);
+    )").ok());
+    ASSERT_TRUE(b->LoadProgramText("collection ext p@b(x: int);").ok());
+    const Relation* p = b->engine().catalog().Get("p");
 
-      // Ship p(1), then delete it through the deletion rule.
-      ASSERT_TRUE(a->Insert(Fact("src", "a", {I(1)})).ok());
-      ASSERT_TRUE(system.RunUntilQuiescent().ok());
-      ASSERT_TRUE(p->Contains({I(1)}));
-      ASSERT_TRUE(a->Insert(Fact("kill", "a", {I(1)})).ok());
-      ASSERT_TRUE(system.RunUntilQuiescent().ok());
-      ASSERT_FALSE(p->Contains({I(1)}));
+    // Ship p(1), then delete it through the deletion rule.
+    ASSERT_TRUE(a->Insert(Fact("src", "a", {I(1)})).ok());
+    ASSERT_TRUE(system.RunUntilQuiescent().ok());
+    ASSERT_TRUE(p->Contains({I(1)}));
+    ASSERT_TRUE(a->Insert(Fact("kill", "a", {I(1)})).ok());
+    ASSERT_TRUE(system.RunUntilQuiescent().ok());
+    ASSERT_FALSE(p->Contains({I(1)}));
 
-      // Drain the contribution, then re-assert: p(1) ships as an
-      // insert again, which must clear the delete suppression.
-      ASSERT_TRUE(a->Remove(Fact("src", "a", {I(1)})).ok());
-      ASSERT_TRUE(a->Remove(Fact("kill", "a", {I(1)})).ok());
-      ASSERT_TRUE(system.RunUntilQuiescent().ok());
-      ASSERT_TRUE(a->Insert(Fact("src", "a", {I(1)})).ok());
-      ASSERT_TRUE(system.RunUntilQuiescent().ok());
-      ASSERT_TRUE(p->Contains({I(1)}));
+    // Drain the contribution, then re-assert: p(1) ships as an insert
+    // again, which must clear the delete suppression.
+    ASSERT_TRUE(a->Remove(Fact("src", "a", {I(1)})).ok());
+    ASSERT_TRUE(a->Remove(Fact("kill", "a", {I(1)})).ok());
+    ASSERT_TRUE(system.RunUntilQuiescent().ok());
+    ASSERT_TRUE(a->Insert(Fact("src", "a", {I(1)})).ok());
+    ASSERT_TRUE(system.RunUntilQuiescent().ok());
+    ASSERT_TRUE(p->Contains({I(1)}));
 
-      // Second deletion of the same fact: must ship (and delete) again.
-      ASSERT_TRUE(a->Insert(Fact("kill", "a", {I(1)})).ok());
-      ASSERT_TRUE(system.RunUntilQuiescent().ok());
-      EXPECT_FALSE(p->Contains({I(1)}));
-    }
+    // Second deletion of the same fact: must ship (and delete) again.
+    ASSERT_TRUE(a->Insert(Fact("kill", "a", {I(1)})).ok());
+    ASSERT_TRUE(system.RunUntilQuiescent().ok());
+    EXPECT_FALSE(p->Contains({I(1)}));
   }
 }
 
@@ -361,7 +328,7 @@ TEST(PropagationOracleTest, HeartbeatBoundsStalenessAfterSilentLoss) {
   SystemOptions opts;
   opts.heartbeat_interval_rounds = 4;
   System system(opts);
-  PeerOptions mode;  // differential propagation (default)
+  PeerOptions mode;
   Peer* a = system.CreatePeer("a", mode);
   Peer* hub = system.CreatePeer("hub", mode);
   ASSERT_TRUE(hub->LoadProgramText(

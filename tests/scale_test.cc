@@ -2,7 +2,7 @@
 // engine-less slots under a committed byte ceiling, engines materialize
 // exactly on first fact / first rule / first inbound work frame, the
 // process-global plan cache compiles each distinct rule once, and the
-// lazy runtime is fingerprint-equivalent to the eager oracle under
+// lazy runtime converges to the reference evaluator's state under
 // social churn (follow/unfollow storms, hub fan-out, partition + heal).
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "runtime/fingerprint.h"
 #include "runtime/system.h"
 #include "support/builders.h"
+#include "support/fixture.h"
 #include "workload/social_graph.h"
 
 namespace wdl {
@@ -31,7 +32,7 @@ constexpr size_t kIdlePeerByteCeiling = 1024;
 // --- Idle footprint ---------------------------------------------------
 
 TEST(ScaleTest, TenThousandIdlePeersStayEngineFree) {
-  System system;  // lazy_peer_state defaults on (production)
+  System system;
   const uint32_t n = 10000;
   for (uint32_t i = 0; i < n; ++i) {
     system.CreatePeer(SocialPeerName(i), SocialPeerOptions());
@@ -57,16 +58,6 @@ TEST(ScaleTest, TenThousandIdlePeersStayEngineFree) {
   EXPECT_TRUE(system.IsQuiescent());
 }
 
-TEST(ScaleTest, EagerOracleMaterializesAtCreatePeer) {
-  SystemOptions options;
-  options.lazy_peer_state = false;
-  System system(options);
-  for (uint32_t i = 0; i < 64; ++i) {
-    system.CreatePeer(SocialPeerName(i), SocialPeerOptions());
-  }
-  EXPECT_EQ(system.MaterializedPeerCount(), 64u);
-}
-
 // --- Materialization triggers ----------------------------------------
 
 TEST(ScaleTest, FirstRuleMaterializes) {
@@ -79,9 +70,7 @@ TEST(ScaleTest, FirstRuleMaterializes) {
 }
 
 TEST(ScaleTest, FirstFactMaterializes) {
-  PeerOptions options = SocialPeerOptions();
-  options.lazy_engine = true;
-  Peer peer("alice", options);
+  Peer peer("alice", SocialPeerOptions());
   EXPECT_FALSE(peer.has_engine());
   // Even a rejected insert forces the engine: the fact path is engine
   // work by definition.
@@ -90,9 +79,7 @@ TEST(ScaleTest, FirstFactMaterializes) {
 }
 
 TEST(ScaleTest, HelloFrameDoesNotMaterialize) {
-  PeerOptions options = SocialPeerOptions();
-  options.lazy_engine = true;
-  Peer peer("alice", options);
+  Peer peer("alice", SocialPeerOptions());
   Envelope hello;
   hello.from = "bob";
   hello.to = "alice";
@@ -165,26 +152,23 @@ TEST(ScaleTest, PlanLifetimeIsBoundedByItsHolders) {
 TEST(ScaleTest, IdenticalRuleSetsAcrossSystemsCompileOnce) {
   SharedPlanCache& cache = SharedPlanCache::Instance();
   cache.ResetStatsForTesting();
-  // Two whole systems (production lazy + eager oracle) run the same
-  // social moment: u1 follows the hub u0, the hub posts. Every rule —
-  // the feed rule at u1 and the delegated residual at u0 — exists in
-  // both systems, but each distinct rule compiles exactly once
-  // process-wide; the second system's evaluators get cache hits.
-  auto run = [](bool lazy) {
-    SystemOptions options;
-    options.lazy_peer_state = lazy;
-    auto system = std::make_unique<System>(options);
+  // Two whole systems run the same social moment: u1 follows the hub
+  // u0, the hub posts. Every rule — the feed rule at u1 and the
+  // delegated residual at u0 — exists in both systems, but each
+  // distinct rule compiles exactly once process-wide; the second
+  // system's evaluators get cache hits.
+  auto run = [] {
+    auto system = std::make_unique<System>();
     SocialDriver driver(system.get());
     EXPECT_TRUE(driver.Follow(1, 0).ok());
     EXPECT_TRUE(driver.Post(0, 7).ok());
     EXPECT_TRUE(system->RunUntilQuiescent().ok());
     return system;
   };
-  std::unique_ptr<System> production = run(/*lazy=*/true);
-  std::unique_ptr<System> oracle = run(/*lazy=*/false);
+  std::unique_ptr<System> first = run();
+  std::unique_ptr<System> second = run();
 
-  EXPECT_EQ(GlobalStateFingerprint(*production),
-            GlobalStateFingerprint(*oracle));
+  EXPECT_EQ(GlobalStateFingerprint(*first), GlobalStateFingerprint(*second));
   SharedPlanCache::Stats stats = cache.stats();
   EXPECT_GT(stats.compiles, 0u);
   // One hit per compile: each distinct rule was compiled by the first
@@ -192,9 +176,40 @@ TEST(ScaleTest, IdenticalRuleSetsAcrossSystemsCompileOnce) {
   EXPECT_EQ(stats.hits, stats.compiles);
 }
 
-// --- Lazy vs eager equivalence under churn ---------------------------
+// --- Lazy runtime against the reference under churn -------------------
 
-TEST(ScaleTest, SocialChurnIsFingerprintEquivalentToEagerOracle) {
+// The reference input of a social op script, rebuilt from the ops
+// alone: every peer an op touches runs the social program (as
+// SocialDriver::EnsurePeer does), and follows and posts are what the
+// ops leave behind.
+test::ReferenceProgram SocialReference(const std::vector<SocialOp>& ops) {
+  test::ReferenceProgram ref;
+  auto ensure = [&](uint32_t id) {
+    std::string name = SocialPeerName(id);
+    if (ref.peers.count(name) == 0) {
+      EXPECT_TRUE(ref.Load(name, SocialProgramText(name)).ok());
+    }
+    return name;
+  };
+  for (const SocialOp& op : ops) {
+    std::string actor = ensure(op.actor);
+    switch (op.kind) {
+      case SocialOp::Kind::kFollow:
+        ref.Insert(Fact("follows", actor, {Value::String(ensure(op.target))}));
+        break;
+      case SocialOp::Kind::kUnfollow:
+        ref.Remove(
+            Fact("follows", actor, {Value::String(SocialPeerName(op.target))}));
+        break;
+      case SocialOp::Kind::kPost:
+        ref.Insert(Fact("post", actor, {I(op.post_id)}));
+        break;
+    }
+  }
+  return ref;
+}
+
+TEST(ScaleTest, SocialChurnMatchesReferenceEvaluator) {
   const uint32_t kPeers = 160;
   const uint32_t kActors = 40;
   std::vector<SocialOp> script =
@@ -202,53 +217,46 @@ TEST(ScaleTest, SocialChurnIsFingerprintEquivalentToEagerOracle) {
                       /*seed=*/7);
   ASSERT_FALSE(script.empty());
 
-  auto run = [&](bool lazy) {
-    SystemOptions options;
-    options.lazy_peer_state = lazy;
-    options.heartbeat_interval_rounds = 4;
-    auto system = std::make_unique<System>(options);
-    // The world has kPeers registered users; only the actors (and the
-    // peers they touch) ever materialize.
-    for (uint32_t i = 0; i < kPeers; ++i) {
-      system->CreatePeer(SocialPeerName(i), SocialPeerOptions());
-    }
-    SocialDriver driver(system.get());
-    size_t applied = 0;
-    for (const SocialOp& op : script) {
-      EXPECT_TRUE(driver.Apply(op).ok());
-      // Let deltas interleave with churn (every 8 ops), like a live
-      // system; the tail settles below.
-      if (++applied % 8 == 0) (void)system->RunRound();
-    }
-    EXPECT_TRUE(system->RunUntilQuiescent(4000).ok());
+  SystemOptions options;
+  options.heartbeat_interval_rounds = 4;
+  System system(options);
+  // The world has kPeers registered users; only the actors (and the
+  // peers they touch) ever materialize.
+  for (uint32_t i = 0; i < kPeers; ++i) {
+    system.CreatePeer(SocialPeerName(i), SocialPeerOptions());
+  }
+  SocialDriver driver(&system);
+  size_t applied = 0;
+  for (const SocialOp& op : script) {
+    ASSERT_TRUE(driver.Apply(op).ok());
+    // Let deltas interleave with churn (every 8 ops), like a live
+    // system; the tail settles below.
+    if (++applied % 8 == 0) (void)system.RunRound();
+  }
+  ASSERT_TRUE(system.RunUntilQuiescent(4000).ok());
 
-    // Regional partition: cut the three hottest hubs' neighborhoods
-    // off, post through a hub into the void, then heal; heartbeats
-    // expose the gaps and resyncs repair the followers.
-    for (uint32_t i = 10; i < 20; ++i) {
-      system->network().SetIsolated(SocialPeerName(i), true);
-    }
-    EXPECT_TRUE(driver.Post(0, 9001).ok());
-    EXPECT_TRUE(driver.Post(1, 9002).ok());
-    EXPECT_TRUE(system->RunUntilQuiescent(4000).ok());
-    for (uint32_t i = 10; i < 20; ++i) {
-      system->network().SetIsolated(SocialPeerName(i), false);
-    }
-    for (int round = 0; round < 20; ++round) (void)system->RunRound();
-    EXPECT_TRUE(system->RunUntilQuiescent(4000).ok());
-    return system;
-  };
+  // Regional partition: cut the three hottest hubs' neighborhoods off,
+  // post through a hub into the void, then heal; heartbeats expose the
+  // gaps and resyncs repair the followers.
+  for (uint32_t i = 10; i < 20; ++i) {
+    system.network().SetIsolated(SocialPeerName(i), true);
+  }
+  std::vector<SocialOp> partitioned_posts = {
+      {SocialOp::Kind::kPost, 0, 0, 9001}, {SocialOp::Kind::kPost, 1, 0, 9002}};
+  for (const SocialOp& op : partitioned_posts) {
+    ASSERT_TRUE(driver.Apply(op).ok());
+    script.push_back(op);
+  }
+  ASSERT_TRUE(system.RunUntilQuiescent(4000).ok());
+  for (uint32_t i = 10; i < 20; ++i) {
+    system.network().SetIsolated(SocialPeerName(i), false);
+  }
+  for (int round = 0; round < 20; ++round) (void)system.RunRound();
+  ASSERT_TRUE(system.RunUntilQuiescent(4000).ok());
 
-  auto production = run(/*lazy=*/true);
-  auto oracle = run(/*lazy=*/false);
-
-  // The production system really was lazy: bystander peers never
-  // materialized. The oracle really was eager: everything did.
-  EXPECT_LT(production->MaterializedPeerCount(), production->PeerCount());
-  EXPECT_EQ(oracle->MaterializedPeerCount(), oracle->PeerCount());
-
-  EXPECT_EQ(GlobalStateFingerprint(*production),
-            GlobalStateFingerprint(*oracle));
+  // Bystander peers never materialized.
+  EXPECT_LT(system.MaterializedPeerCount(), system.PeerCount());
+  test::ExpectMatchesReference(system, SocialReference(script));
 }
 
 }  // namespace

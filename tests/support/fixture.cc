@@ -1,15 +1,54 @@
 #include "support/fixture.h"
 
-#include "runtime/fingerprint.h"
-
 namespace wdl {
 namespace test {
 
-std::string GlobalStateFingerprint(const System& system) {
-  // The canonical renderer lives in the runtime now (wdl_peerd and the
-  // TCP convergence tests share it); this alias keeps the historical
-  // test-support name working.
-  return wdl::GlobalStateFingerprint(system);
+LogicalState LogicalStateOf(const System& system) {
+  LogicalState state;
+  for (const std::string& name : system.PeerNames()) {
+    const Peer* peer = system.GetPeer(name);
+    if (!peer->has_engine()) continue;  // an idle peer holds nothing
+    LogicalState::Peer& out = state.peers[name];
+    const Catalog& catalog = peer->engine().catalog();
+    for (const std::string& rel : catalog.RelationNames()) {
+      const Relation* r = catalog.Get(rel);
+      std::vector<Tuple> tuples = r->SortedTuples();
+      out.relations[rel] = LogicalState::Relation{
+          r->kind(), std::set<Tuple>(tuples.begin(), tuples.end())};
+    }
+    for (const InstalledRule* ir : peer->engine().rules()) {
+      out.rules.emplace(ir->rule.ToString(),
+                        ir->delegation_key != 0 ? ir->origin_peer : "");
+    }
+  }
+  return state;
+}
+
+std::string RenderLogicalState(const LogicalState& state) {
+  std::string out;
+  for (const auto& [name, peer] : state.peers) {
+    std::string body;
+    for (const auto& [rel, r] : peer.relations) {
+      if (r.tuples.empty()) continue;
+      body += "  " + rel + " [" + RelationKindToString(r.kind) + "]\n";
+      for (const Tuple& t : r.tuples) body += "    " + TupleToString(t) + "\n";
+    }
+    for (const auto& [rule, origin] : peer.rules) {
+      body += "  rule " + rule;
+      body += origin.empty() ? "\n" : "   (delegated by " + origin + ")\n";
+    }
+    if (!body.empty()) out += "== " + name + "\n" + body;
+  }
+  return out;
+}
+
+void ExpectMatchesReference(const System& system,
+                            const ReferenceProgram& program) {
+  Result<LogicalState> expected = ReferenceEvaluate(program);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  std::string want = RenderLogicalState(*expected);
+  EXPECT_FALSE(want.empty());  // an empty match would prove nothing
+  EXPECT_EQ(RenderLogicalState(LogicalStateOf(system)), want);
 }
 
 Peer* MultiPeerFixture::AddPeer(const std::string& name,

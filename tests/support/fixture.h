@@ -7,14 +7,22 @@
 #include <gtest/gtest.h>
 
 #include "runtime/system.h"
+#include "support/reference_eval.h"
 
 namespace wdl {
 namespace test {
 
-/// Canonical rendering of every peer's relations and program listing.
-/// Two systems that converged to the same global state produce the
-/// same fingerprint regardless of how the network scheduled delivery.
-std::string GlobalStateFingerprint(const System& system);
+/// The logical state of every peer of `system` (reference_eval.h).
+LogicalState LogicalStateOf(const System& system);
+
+/// Canonical text of a state, sorted. Empty relations and peers without
+/// state are omitted: a declared but empty relation is no difference.
+std::string RenderLogicalState(const LogicalState& state);
+
+/// Expects `system` to hold exactly the (non-empty) logical state the
+/// reference evaluator computes for `program`.
+void ExpectMatchesReference(const System& system,
+                            const ReferenceProgram& program);
 
 /// In-memory multi-peer network fixture: a System plus the peer setup
 /// boilerplate (creation, mutual trust, quiescence with asserted

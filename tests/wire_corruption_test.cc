@@ -22,9 +22,10 @@ using test::I;
 using test::S;
 
 // One representative envelope per MessageType, with nonempty payloads
-// so truncation can land inside every field kind — plus the delta
-// variants the differential protocol actually sends (heartbeat and
-// snapshot), whose flag/version fields have their own layout.
+// so truncation can land inside every field kind — plus every delta
+// variant the protocol sends (update, heartbeat, snapshots with and
+// without a blob column), whose flag/version fields have their own
+// layout.
 std::vector<Envelope> AllMessageKinds() {
   std::vector<Envelope> out;
   auto push = [&out](Message m) {
@@ -40,11 +41,11 @@ std::vector<Envelope> AllMessageKinds() {
                              Fact("pictures", "jules", {I(2), S("")})}));
   push(Message::FactDeletes({Fact("pictures", "jules", {I(1), S("sea.jpg")})}));
 
-  DerivedSet set;
-  set.target_peer = "jules";
-  set.relation = "attendeePictures";
-  set.tuples = {{I(1), S("a")}, {I(2), Value::MakeBlob(std::string(3, '\0'))}};
-  push(Message::MakeDerivedSet(set));
+  // A whole contribution with a blob column: target, relation, base
+  // and version, snapshot flag, inserts, deletes.
+  push(Message::MakeDerivedDelta(DerivedDelta{
+      "jules", "attendeePictures", 0, 1, true,
+      {{I(1), S("a")}, {I(2), Value::MakeBlob(std::string(3, '\0'))}}, {}}));
 
   DerivedDelta delta;
   delta.target_peer = "jules";
@@ -174,19 +175,22 @@ TEST(WireCorruptionTest, CountWithinGlobalCapStillBoundedByFrameSize) {
 
 TEST(WireCorruptionTest, NestedCountsBoundedTupleArityAndRuleBody) {
   // Same bound one level down: a tuple claiming 2^20 values inside an
-  // otherwise-valid derived set, and a rule body claiming 2^20 atoms.
-  DerivedSet set;
-  set.target_peer = "jules";
-  set.relation = "r";
-  set.tuples = {{I(1)}};
+  // otherwise-valid snapshot delta, and a rule body claiming 2^20 atoms.
+  DerivedDelta snapshot;
+  snapshot.target_peer = "jules";
+  snapshot.relation = "r";
+  snapshot.version = 1;
+  snapshot.snapshot = true;
+  snapshot.inserts = {{I(1)}};
   Envelope e;
   e.from = "a";
   e.to = "b";
-  e.message = Message::MakeDerivedSet(set);
+  e.message = Message::MakeDerivedDelta(snapshot);
   std::string bytes = EncodeEnvelope(e);
-  // The single tuple is the tail: u32 arity=1 then one int value. Blow
-  // up the arity.
-  const size_t arity_off = bytes.size() - (4 + 1 + 8);  // arity|tag|i64
+  // The single tuple sits just before the (empty) delete count: u32
+  // arity=1 then one int value, then u32 0. Blow up the arity.
+  const size_t arity_off =
+      bytes.size() - (4 + 1 + 8 + 4);  // arity|tag|i64|delete count
   bytes[arity_off + 0] = 0x00;
   bytes[arity_off + 1] = 0x00;
   bytes[arity_off + 2] = 0x10;  // 0x00100000 = 2^20 values claimed

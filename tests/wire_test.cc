@@ -109,21 +109,6 @@ TEST(WireTest, RuleWithAllTermShapesRoundTrips) {
   EXPECT_EQ(*back, *rule);
 }
 
-TEST(WireTest, DerivedSetRoundTrips) {
-  DerivedSet s;
-  s.target_peer = "jules";
-  s.relation = "attendeePictures";
-  s.tuples = {{I(1), S("a")}, {I(2), S("b")}};
-  Envelope e;
-  e.from = "emilien";
-  e.to = "jules";
-  e.message = Message::MakeDerivedSet(s);
-  Envelope back = RoundTrip(e);
-  EXPECT_EQ(back.message.derived.relation, "attendeePictures");
-  ASSERT_EQ(back.message.derived.tuples.size(), 2u);
-  EXPECT_EQ(back.message.derived.tuples[1][1], S("b"));
-}
-
 TEST(WireTest, RetractAndHelloRoundTrip) {
   Envelope e1;
   e1.from = "a";
@@ -209,27 +194,55 @@ TEST(WireTest, RandomBytesNeverCrashDecoder) {
   }
 }
 
-TEST(WireTest, HostileLengthPrefixRejectedWithoutAllocation) {
-  // A DerivedSet claiming 2^24+ tuples in 10 bytes of payload.
+// The envelope header every hand-forged frame below starts with.
+std::string ForgedHeader(uint8_t message_type) {
+  std::string bytes = "WDLM";
+  bytes += '\x01';
+  bytes += '\x00';
   WireEncoder enc;
-  enc.PutEnvelope(Envelope{});  // template for framing
-  std::string bytes;
-  {
-    WireEncoder e2;
-    bytes += "WDLM";
-    bytes += '\x01';
-    bytes += '\x00';
-    e2.PutString("a");        // from
-    e2.PutString("b");        // to
-    e2.PutU64(0);             // seq
-    e2.PutU8(2);              // kDerivedSet
-    e2.PutString("b");        // target
-    e2.PutString("rel");      // relation
-    e2.PutU32(0xffffffffu);   // hostile count
-    bytes += e2.buffer();
-  }
-  Result<Envelope> r = DecodeEnvelope(bytes);
-  EXPECT_FALSE(r.ok());
+  enc.PutString("a");  // from
+  enc.PutString("b");  // to
+  enc.PutU64(0);       // seq
+  enc.PutU8(message_type);
+  return bytes + enc.buffer();
+}
+
+TEST(WireTest, HostileLengthPrefixRejectedWithoutAllocation) {
+  // A snapshot delta claiming 2^32-1 inserted tuples in 4 bytes of
+  // payload: the count guard must reject it before any reserve().
+  WireEncoder payload;
+  payload.PutString("b");        // target
+  payload.PutString("rel");      // relation
+  payload.PutU64(0);             // base version
+  payload.PutU64(1);             // version
+  payload.PutU8(1);              // snapshot
+  payload.PutU32(0xffffffffu);   // hostile insert count
+  Result<Envelope> r = DecodeEnvelope(
+      ForgedHeader(static_cast<uint8_t>(MessageType::kDerivedDelta)) +
+      payload.buffer());
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("delta inserts count"),
+            std::string::npos)
+      << r.status();
+}
+
+TEST(WireTest, RetiredMessageTypeIsRejected) {
+  // Type byte 2 carried the retired full-slice protocol's whole
+  // contribution (target, relation, tuples). It must not decode into
+  // some payload-less message the receiver would silently ignore —
+  // even when the rest of the frame is well formed.
+  WireEncoder payload;
+  payload.PutString("b");    // target
+  payload.PutString("rel");  // relation
+  payload.PutU32(0);         // no tuples
+  Result<Envelope> r =
+      DecodeEnvelope(ForgedHeader(kRetiredMessageType) + payload.buffer());
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("retired"), std::string::npos)
+      << r.status();
+  // Its neighbours keep their values (wire and WAL compatibility).
+  EXPECT_EQ(static_cast<int>(MessageType::kDelegationInstall), 3);
+  EXPECT_EQ(static_cast<int>(MessageType::kStreamForget), 8);
 }
 
 }  // namespace

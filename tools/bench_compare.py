@@ -16,7 +16,7 @@ boxes are noisy, especially CI runners).
 
 --counters adds a second table of custom benchmark counters whose names
 start with one of the given prefixes (default when the flag is given
-bare: the propagation-plane set "bytes,wire_,delta_,full_,resyncs") —
+bare: the propagation-plane set "bytes,wire_,delta_,resyncs") —
 how the tree's wire traffic moved, next to how its wall time moved.
 """
 
@@ -237,8 +237,9 @@ def main():
     parser.add_argument("--fail-below", type=float, default=None,
                         help="exit 1 when the overall geomean throughput "
                              "ratio is below this value")
-    parser.add_argument("--counters", nargs="?", const="bytes,wire_,delta_,"
-                        "full_,resyncs", default=None, metavar="PREFIXES",
+    parser.add_argument("--counters", nargs="?",
+                        const="bytes,wire_,delta_,resyncs", default=None,
+                        metavar="PREFIXES",
                         help="also print custom counters whose names start "
                              "with one of these comma-separated prefixes")
     parser.add_argument("--latency", action="store_true",
