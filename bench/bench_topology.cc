@@ -59,8 +59,8 @@ void BM_Figure2Topology(benchmark::State& state) {
     // Laptops are LAN-adjacent; everything to/from the cloud peers is
     // slower.
     SimulatedNetwork& net = app.system().network();
-    for (const std::string& laptop : {"Emilien", "Jules"}) {
-      for (const std::string& cloud : {"sigmod", "SigmodFB"}) {
+    for (const char* laptop : {"Emilien", "Jules"}) {
+      for (const char* cloud : {"sigmod", "SigmodFB"}) {
         net.SetLink(laptop, cloud, LinkConfig{.latency = cloud_latency});
         net.SetLink(cloud, laptop, LinkConfig{.latency = cloud_latency});
       }
@@ -105,7 +105,7 @@ void BM_JitteryNetwork(benchmark::State& state) {
   double jitter = 0.5 * static_cast<double>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
-    WepicApp app(WepicOptions{.network_seed = 7});
+    WepicApp app(WepicOptions{.network_seed = 7, .engine = {}});
     (void)app.SetupConference();
     (void)app.AddAttendee("Emilien");
     (void)app.AddAttendee("Jules");

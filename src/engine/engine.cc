@@ -232,8 +232,13 @@ Status Engine::ValidateNewRule(const Rule& rule) const {
   return Status::OK();
 }
 
-void Engine::NoteRuleSetChanged() {
+void Engine::NoteWork() {
   dirty_ = true;
+  if (work_listener_) work_listener_();
+}
+
+void Engine::NoteRuleSetChanged() {
+  NoteWork();
   rules_changed_ = true;
 }
 
@@ -286,7 +291,7 @@ Status Engine::InstallDelegatedRule(const Delegation& delegation) {
 }
 
 void Engine::RetractDelegatedRule(uint64_t delegation_key) {
-  dirty_ = true;
+  NoteWork();
   size_t before = rules_.size();
   rules_.erase(std::remove_if(rules_.begin(), rules_.end(),
                               [&](const InstalledRule& ir) {
@@ -382,7 +387,7 @@ Result<bool> Engine::InsertFact(const Fact& fact) {
         "relation " + fact.PredicateId() +
         " is intensional (a view); base updates are not allowed");
   }
-  dirty_ = true;
+  NoteWork();
   Result<bool> r = catalog_.InsertFact(fact);
   if (options_.use_incremental_maintenance && r.ok() && *r) {
     direct_changes_.RecordInsert(fact.relation, fact.args);
@@ -401,7 +406,7 @@ Result<bool> Engine::RemoveFact(const Fact& fact) {
         "relation " + fact.PredicateId() +
         " is intensional (a view); base updates are not allowed");
   }
-  dirty_ = true;
+  NoteWork();
   Result<bool> r = catalog_.RemoveFact(fact);
   if (options_.use_incremental_maintenance && r.ok() && *r) {
     direct_changes_.RecordRemove(fact.relation, fact.args);
@@ -410,22 +415,27 @@ Result<bool> Engine::RemoveFact(const Fact& fact) {
 }
 
 void Engine::EnqueueFactInserts(std::vector<Fact> facts) {
+  if (facts.empty()) return;
   for (Fact& f : facts) inbound_inserts_.push_back(std::move(f));
+  NoteWork();
 }
 
 void Engine::EnqueueFactDeletes(std::vector<Fact> facts) {
+  if (facts.empty()) return;
   for (Fact& f : facts) inbound_deletes_.push_back(std::move(f));
+  NoteWork();
 }
 
 void Engine::EnqueueDerivedDelta(const std::string& sender,
                                  DerivedDelta delta) {
   inbound_derived_.push_back(InboundDerived{sender, std::move(delta)});
+  NoteWork();
 }
 
 void Engine::EnqueueResyncRequest(const std::string& peer,
                                   const std::string& relation) {
   pending_resync_serves_.emplace(peer, relation);
-  dirty_ = true;  // the snapshot must go out even with no local change
+  NoteWork();  // the snapshot must go out even with no local change
 }
 
 void Engine::NoteLinkReset(const std::string& peer) {
@@ -440,7 +450,7 @@ void Engine::NoteLinkReset(const std::string& peer) {
     for (const auto& [dkey, d] : sent_delegations_) {
       if (d.target_peer == peer) pending_delegation_reships_.insert(dkey);
     }
-    dirty_ = true;
+    NoteWork();
     return;
   }
   // Outbound: re-ship every stream and delegation held for `peer`, as
@@ -463,7 +473,7 @@ void Engine::NoteLinkReset(const std::string& peer) {
     missing = std::max<uint64_t>(missing, 1);
   }
   slice_store_.ResetStreamVersions(peer);
-  dirty_ = true;  // the re-ships and requests must go out in a stage
+  NoteWork();  // the re-ships and requests must go out in a stage
 }
 
 bool Engine::HasPendingWork() const {
@@ -907,9 +917,10 @@ void Engine::ClearDeleteSuppression(const std::string& relation,
   // if a deletion rule still derives it, the deletion must ship again.
   // The next stage settles the verdict — the recompute oracle re-fires
   // every deletion rule there anyway; the incremental path re-checks
-  // exactly the queued facts.
+  // exactly the queued facts. (This runs inside a stage, which raises
+  // no work notices: the non-empty queue is what the runtime's
+  // post-stage re-check sees.)
   pending_delete_rechecks_.insert(std::move(f));
-  dirty_ = true;
 }
 
 /// Ships `dd` (payload only) as the next delta of `key`'s stream: fills
@@ -1788,7 +1799,7 @@ Status Engine::DropScratchRelation(const std::string& relation) {
   for (const std::string& sender : slice_store_.SendersForRelation(relation)) {
     if (sender == self_peer_) continue;
     pending_stream_forgets_.emplace(sender, relation);
-    dirty_ = true;  // the notices must go out in a stage
+    NoteWork();  // the notices must go out in a stage
   }
   slice_store_.DropRelation(relation);
   tracker_.DropRelation(relation);

@@ -2,6 +2,7 @@
 #define WDL_ENGINE_ENGINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -260,6 +261,19 @@ class Engine {
   /// next stage has guaranteed work.
   bool HasPendingWork() const;
 
+  /// Installs the callback every public entry point that creates work
+  /// for the next stage calls (fact and rule edits, delegation install
+  /// and retract, the Enqueue* inputs, NoteLinkReset,
+  /// DropScratchRelation): after any such call HasPendingWork() is
+  /// true. RunStage never calls it, so stages may run on worker
+  /// threads; work a stage leaves behind (deferred self-updates, delete
+  /// rechecks) is for the caller to re-check once the stage returns.
+  /// The owning Peer forwards it to the System's ready set (DESIGN.md
+  /// §2).
+  void set_work_listener(std::function<void()> listener) {
+    work_listener_ = std::move(listener);
+  }
+
   /// Active rules in installation order (stable ids).
   std::vector<const InstalledRule*> rules() const;
 
@@ -391,6 +405,8 @@ class Engine {
   };
 
   Status ValidateNewRule(const Rule& rule) const;
+  /// Marks the next stage as needed and tells the work listener.
+  void NoteWork();
   void NoteRuleSetChanged();
   void RefreshProgramInfo();
   bool ChangesEligible(const StageChangeLog& log) const;
@@ -524,9 +540,10 @@ class Engine {
 
   uint64_t prev_intensional_hash_ = 0;
   bool ran_any_stage_ = false;
-  // Set by every mutating API call (rule/fact changes) so the runtime
-  // knows a stage is needed; cleared by RunStage.
+  // Set by NoteWork at every public entry point that creates work, so
+  // the runtime knows a stage is needed; cleared by RunStage.
   bool dirty_ = true;
+  std::function<void()> work_listener_;
 };
 
 }  // namespace wdl

@@ -104,7 +104,8 @@ Status TcpNetwork::Start() {
       0) {
     port_ = ntohs(bound.sin_port);
   }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  accept_thread_ =
+      std::thread([this, fd = listen_fd_] { AcceptLoop(fd); });
   return Status::OK();
 }
 
@@ -353,11 +354,11 @@ void TcpNetwork::SendLoop(Link* link) {
   }
 }
 
-void TcpNetwork::AcceptLoop() {
+void TcpNetwork::AcceptLoop(int listen_fd) {
   while (!stopping_) {
     sockaddr_in peer_addr{};
     socklen_t len = sizeof(peer_addr);
-    int fd = ::accept(listen_fd_, reinterpret_cast<sockaddr*>(&peer_addr),
+    int fd = ::accept(listen_fd, reinterpret_cast<sockaddr*>(&peer_addr),
                       &len);
     if (fd < 0) {
       if (stopping_) break;

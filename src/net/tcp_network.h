@@ -132,7 +132,9 @@ class TcpNetwork : public Network {
     std::atomic<bool> done{false};
   };
 
-  void AcceptLoop();
+  /// Accepts on `listen_fd`, a copy of listen_fd_ taken at Start():
+  /// Shutdown() resets the member while this loop may still be reading.
+  void AcceptLoop(int listen_fd);
   void ReadLoop(InboundConn* conn);
   void SendLoop(Link* link);
   /// One connect attempt against the link's (possibly file-resolved)

@@ -176,6 +176,12 @@ bool Peer::ShouldLogEnvelope(const Envelope& envelope) {
 Engine& Peer::EnsureEngine() const {
   if (engine_ == nullptr) {
     engine_ = std::make_unique<Engine>(name_, options_.engine);
+    // Forwarded, not copied: a durable peer materializes during
+    // recovery, before its System installs the listener.
+    engine_->set_work_listener([this] {
+      if (work_listener_) work_listener_();
+    });
+    if (work_listener_) work_listener_();
   }
   return *engine_;
 }

@@ -1,6 +1,7 @@
 #ifndef WDL_RUNTIME_PEER_H_
 #define WDL_RUNTIME_PEER_H_
 
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -48,7 +49,9 @@ struct PeerOptions {
 /// by this peer (engine, catalog, gate, sequence numbers, WAL) or is
 /// one of the process-wide thread-safe structures (the Symbol intern
 /// table). Envelope delivery (HandleEnvelope) and the returned
-/// envelopes' submission stay on the System's driving thread.
+/// envelopes' submission stay on the System's driving thread, and so
+/// does every work notice (set_work_listener): RunStage raises none,
+/// so the System re-checks the peers that ran after the pool barrier.
 ///
 /// Durability semantics (DESIGN.md §11), active only with a data dir
 /// configured: every state-changing input — local writes through the
@@ -106,6 +109,17 @@ class Peer {
 
   bool HasPendingWork() const {
     return engine_ != nullptr && engine_->HasPendingWork();
+  }
+
+  /// Installs the callback told whenever this peer may have gained
+  /// work: its engine materialized (a fresh engine always runs a first
+  /// stage) or took an input that needs a stage (see
+  /// Engine::set_work_listener) — whether through this Peer's API or
+  /// through engine() directly. A System uses it to keep the set of
+  /// peers a round visits (DESIGN.md §2). Work left behind by RunStage
+  /// raises no notice; the caller re-checks HasPendingWork() after it.
+  void set_work_listener(std::function<void()> listener) {
+    work_listener_ = std::move(listener);
   }
 
   /// A transport-level link to `remote` was lost/re-established; streams
@@ -187,6 +201,7 @@ class Peer {
   // The only heavyweight member, allocated on first use; everything
   // else an idle peer carries is a few empty containers.
   mutable std::unique_ptr<Engine> engine_;
+  std::function<void()> work_listener_;
   DelegationGate gate_;
   std::set<std::string> known_peers_;
   uint64_t next_seq_ = 0;

@@ -46,11 +46,16 @@ Peer* System::CreatePeer(const std::string& name, PeerOptions options) {
   }
   auto [it, inserted] =
       peers_.emplace(name, std::make_unique<Peer>(name, options));
+  Peer* peer = it->second.get();
   if (!inserted) {
     WDL_LOG(Warning) << "peer " << name << " already exists";
-    return it->second.get();
+    return peer;
   }
-  return it->second.get();
+  peer->set_work_listener([this, peer] { ready_.insert(peer); });
+  // Durable recovery may already have given the peer an engine with
+  // work, before the listener above existed.
+  if (peer->HasPendingWork()) ready_.insert(peer);
+  return peer;
 }
 
 size_t System::MaterializedPeerCount() const {
@@ -131,18 +136,19 @@ RoundReport System::RunRound() {
   // Wrappers move external data in/out before the stages.
   SyncWrappers();
 
-  // Run a stage at every peer with pending work. Pending peers are
-  // collected in map (name) order; with worker_threads > 1 their
-  // stages run concurrently on the pool (peers are share-nothing
-  // except the thread-safe Symbol table), but outbound envelopes are
-  // buffered and submitted serially below in that same name order —
-  // byte-identical traffic, and on the simulated transport an
-  // identical RNG stream, to the serial loop.
+  // Run a stage at every peer with pending work. Every such peer is in
+  // the ready set, which iterates in name order; with
+  // worker_threads > 1 the stages run concurrently on the pool (peers
+  // are share-nothing except the thread-safe Symbol table), but
+  // outbound envelopes are buffered and submitted serially below in
+  // that same name order — byte-identical traffic, and on the
+  // simulated transport an identical RNG stream, to the serial loop.
   uint64_t bytes_before = network_->StatsSnapshot().bytes_sent;
   std::vector<Peer*> pending;
-  for (auto& [name, peer] : peers_) {
-    if (peer->HasPendingWork()) pending.push_back(peer.get());
+  for (Peer* peer : ready_) {
+    if (peer->HasPendingWork()) pending.push_back(peer);
   }
+  ready_.clear();
   report.stages_run = pending.size();
   std::vector<std::vector<Envelope>> stage_out(pending.size());
   if (options_.worker_threads > 1 && pending.size() > 1) {
@@ -157,6 +163,12 @@ RoundReport System::RunRound() {
     for (size_t i = 0; i < pending.size(); ++i) {
       stage_out[i] = pending[i]->RunStage();
     }
+  }
+  // Stages raise no work notices (they may run on the pool). Work one
+  // left behind — deferred self-updates, delete rechecks — is picked
+  // up here, after the barrier, on the driving thread.
+  for (Peer* peer : pending) {
+    if (peer->HasPendingWork()) ready_.insert(ready_.end(), peer);
   }
   for (std::vector<Envelope>& envs : stage_out) {
     for (Envelope& e : envs) {
@@ -198,7 +210,7 @@ RoundReport System::RunRound() {
 
 bool System::IsQuiescent() const {
   if (network_->HasInFlight()) return false;
-  for (const auto& [name, peer] : peers_) {
+  for (const Peer* peer : ready_) {
     if (peer->HasPendingWork()) return false;
   }
   return true;

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -75,9 +76,16 @@ struct RoundReport {
 ///   run a stage at every peer with pending work -> submit their
 ///   outbound envelopes.
 ///
-/// Peers whose engines have nothing to do are skipped, so a converged
-/// system does no work — quiescence is "no peer has pending work and
-/// nothing is in flight".
+/// A round visits only the *ready set*: the peers that may have work.
+/// A peer joins it when its engine raises a work notice (materialized,
+/// or took a fact, rule, delegation or inbound frame — through the Peer
+/// API or engine() directly) and when a stage it just ran left work
+/// behind; it leaves when a round finds it idle. So the per-round and
+/// quiescence cost scales with the peers that have work, not with the
+/// registered peers, and a converged system does no work — quiescence
+/// is "no peer has pending work and nothing is in flight". The set is
+/// ordered by peer name, the order stages run and submit in (DESIGN.md
+/// §2).
 ///
 /// The default transport is the deterministic SimulatedNetwork; an
 /// asynchronous transport (TcpNetwork) can be injected instead, in
@@ -149,6 +157,9 @@ class System {
   Result<int> RunUntilIdle(int idle_rounds, int max_wall_ms,
                            int sleep_ms = 1);
 
+  /// True when nothing is in flight and no peer has pending work.
+  /// Checks only the ready set, which holds every peer whose
+  /// HasPendingWork() is true, so it costs O(peers with work).
   bool IsQuiescent() const;
 
   double now() const { return now_; }
@@ -163,6 +174,14 @@ class System {
   // two or more pending peers and worker_threads > 1.
   std::unique_ptr<ThreadPool> pool_;
   SimulatedNetwork* simulated_ = nullptr;  // network_ when simulated
+  struct ByName {
+    bool operator()(const Peer* a, const Peer* b) const {
+      return a->name() < b->name();
+    }
+  };
+  // Peers that may have pending work (a superset of those that do), in
+  // name order. Declared before peers_ so it outlives their listeners.
+  std::set<Peer*, ByName> ready_;
   std::map<std::string, std::unique_ptr<Peer>> peers_;
   std::vector<std::unique_ptr<Wrapper>> wrappers_;
   double now_ = 0.0;

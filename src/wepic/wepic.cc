@@ -8,8 +8,11 @@
 namespace wdl {
 
 WepicApp::WepicApp(WepicOptions options)
-    : options_(options),
-      system_(SystemOptions{options.network_seed, LinkConfig{}}) {}
+    : options_(options), system_([&] {
+        SystemOptions system;
+        system.network_seed = options.network_seed;
+        return system;
+      }()) {}
 
 std::string WepicApp::AttendeeProgramText(const std::string& name) {
   const char* n = name.c_str();

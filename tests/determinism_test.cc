@@ -49,8 +49,8 @@ void RunWorkload(WepicApp& app) {
 }
 
 TEST(DeterminismTest, IdenticalRunsProduceIdenticalGlobalState) {
-  WepicApp a(WepicOptions{.network_seed = test::FixedTestSeed(0)});
-  WepicApp b(WepicOptions{.network_seed = test::FixedTestSeed(0)});
+  WepicApp a(WepicOptions{.network_seed = test::FixedTestSeed(0), .engine = {}});
+  WepicApp b(WepicOptions{.network_seed = test::FixedTestSeed(0), .engine = {}});
   RunWorkload(a);
   RunWorkload(b);
   EXPECT_EQ(GlobalStateFingerprint(a), GlobalStateFingerprint(b));
@@ -64,8 +64,8 @@ TEST(DeterminismTest, ConvergedStateIsSeedIndependent) {
   // Different seeds may schedule deliveries differently, but the
   // converged relations and programs must agree (confluence of the
   // monotone core under reordering).
-  WepicApp a(WepicOptions{.network_seed = test::FixedTestSeed(1)});
-  WepicApp b(WepicOptions{.network_seed = test::FixedTestSeed(2)});
+  WepicApp a(WepicOptions{.network_seed = test::FixedTestSeed(1), .engine = {}});
+  WepicApp b(WepicOptions{.network_seed = test::FixedTestSeed(2), .engine = {}});
   RunWorkload(a);
   RunWorkload(b);
   EXPECT_EQ(GlobalStateFingerprint(a), GlobalStateFingerprint(b));

@@ -739,6 +739,41 @@ TEST(DurabilityRecoveryTest, RecoveryWithImmediateChurnConverges) {
   EXPECT_EQ(GlobalStateFingerprint(recovered), GlobalStateFingerprint(twin));
 }
 
+// With heartbeats off (the default), nothing arrives to wake a
+// recovered peer: only its own first stage rebuilds its views, so
+// CreatePeer must put a peer that recovery gave an engine on the ready
+// set. (The scenarios above heartbeat every 2 rounds, and a heartbeat
+// delivery wakes a recovered peer by itself.)
+TEST(DurabilityRecoveryTest, RestartWithoutHeartbeatsRebuildsLocalView) {
+  std::string root = MakeTempRoot();
+  SystemOptions options;
+  options.durability_root = root;
+  ASSERT_EQ(options.heartbeat_interval_rounds, 0);
+  std::string before;
+  {
+    System system(options);
+    Peer* alice = system.CreatePeer("alice");
+    ASSERT_TRUE(alice
+                    ->LoadProgramText("collection ext data@alice(x: int);"
+                                      "collection int view@alice(x: int);"
+                                      "rule view@alice($x) :- data@alice($x);")
+                    .ok());
+    for (int64_t x = 1; x <= 3; ++x) {
+      ASSERT_TRUE(alice->Insert(DataFact("alice", x)).ok());
+    }
+    ASSERT_TRUE(system.RunUntilQuiescent().ok());
+    before = GlobalStateFingerprint(system);
+  }
+  System recovered(options);
+  Peer* alice = recovered.CreatePeer("alice");
+  ASSERT_TRUE(alice->recovered());
+  ASSERT_TRUE(recovered.RunUntilQuiescent().ok());
+  const Relation* view = alice->engine().catalog().Get("view");
+  ASSERT_NE(view, nullptr);
+  EXPECT_EQ(view->size(), 3u);
+  EXPECT_EQ(GlobalStateFingerprint(recovered), before);
+}
+
 TEST(DurabilityRecoveryTest, GenerationsRotateAndOldFilesAreRemoved) {
   std::string root = MakeTempRoot();
   DurabilityOptions options;

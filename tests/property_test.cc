@@ -150,7 +150,9 @@ TEST_P(SeededTest, GeneratedRulesAreSafe) {
 
 TEST_P(SeededTest, DistributedRandomSystemConvergesDeterministically) {
   auto run = [&](uint64_t net_seed) {
-    System system(SystemOptions{net_seed, LinkConfig{}});
+    SystemOptions options;
+    options.network_seed = net_seed;
+    System system(options);
     std::vector<std::string> names = {"alice", "bob", "carol"};
     ProgramGenerator gen(GetParam() ^ 0xd157, names);
     for (const std::string& name : names) {

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "base/rng.h"
 #include "parser/parser.h"
+#include "runtime/query.h"
 #include "support/builders.h"
 #include "support/counters.h"
 #include "support/fixture.h"
@@ -260,6 +267,259 @@ TEST_F(SystemTest, PartitionLosesTrafficAndHealsOnNewUpdates) {
   mirror = system_.GetPeer("bob")->engine().catalog().Get("mirror");
   ASSERT_NE(mirror, nullptr);
   EXPECT_EQ(mirror->size(), 2u);
+}
+
+/// What IsQuiescent() computed before the ready set: nothing in flight
+/// and no registered peer with pending work.
+bool QuiescentByFullScan(const System& system) {
+  if (system.transport().HasInFlight()) return false;
+  for (const std::string& name : system.PeerNames()) {
+    if (system.GetPeer(name)->HasPendingWork()) return false;
+  }
+  return true;
+}
+
+/// Inserts queued facts through engine() directly during the round's
+/// wrapper sync, the way the Facebook and email wrappers write.
+class QueueWrapper : public Wrapper {
+ public:
+  explicit QueueWrapper(std::string peer) : peer_(std::move(peer)) {}
+  const std::string& peer_name() const override { return peer_; }
+  Status Setup(Peer*) override { return Status::OK(); }
+  Status Sync(Peer* peer) override {
+    for (const Fact& f : queued) {
+      WDL_RETURN_IF_ERROR(peer->engine().InsertFact(f).status());
+    }
+    queued.clear();
+    return Status::OK();
+  }
+  std::vector<Fact> queued;
+
+ private:
+  std::string peer_;
+};
+
+// The ready set (DESIGN.md §2) must hold every peer with pending work,
+// whichever way the work arrived, or a round skips it and IsQuiescent()
+// reports a system with work as converged. Random mixes of every
+// arrival path — Peer API writes and rule edits, direct engine()
+// mutators, envelopes (delegation installs, retracts and approvals
+// included), link resets, RunQuery (which drops scratch relations) and
+// wrapper syncs — must keep IsQuiescent() equal to a full scan after
+// every op and every round.
+TEST_F(SystemTest, ReadySetQuiescenceMatchesFullScan) {
+  const std::vector<std::string> kData = {"a", "b", "d"};
+  const std::vector<std::pair<std::string, std::string>> kWrites = {
+      {"data", "a"}, {"data", "b"}, {"data", "d"},
+      {"ban", "b"},  {"kill", "c"},
+  };
+  // Rule edits: delegation to the untrusting d, a remote head, a
+  // deferred self-update, a local and a remote deletion rule.
+  const std::vector<std::pair<std::string, std::string>> kRules = {
+      {"a", "rule both@a($x) :- data@a($x), data@d($x);"},
+      {"b", "rule mirror2@c($x) :- data@b($x);"},
+      {"d", "rule log@d($x) :- data@d($x);"},
+      {"b", "rule -data@b($x) :- data@b($x), ban@b($x);"},
+      {"c", "rule -data@a($x) :- kill@c($x);"},
+  };
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    System system;
+    PeerOptions trusting;
+    trusting.trust_all_delegations = true;
+    for (const char* name : {"a", "b", "c"}) {
+      system.CreatePeer(name, trusting);
+    }
+    system.CreatePeer("d");  // delegations wait for approval
+    system.CreatePeer("e");  // idle until an op touches it
+    ASSERT_TRUE(system.GetPeer("a")->LoadProgramText(R"(
+      collection ext data@a(x: int);
+      collection int view@a(x: int);
+      collection ext both@a(x: int);
+      rule view@a($x) :- data@a($x);
+      rule mirror@b($x) :- data@a($x);
+    )").ok());
+    ASSERT_TRUE(system.GetPeer("b")->LoadProgramText(R"(
+      collection ext data@b(x: int);
+      collection ext ban@b(x: int);
+      collection int mirror@b(x: int);
+    )").ok());
+    ASSERT_TRUE(system.GetPeer("c")->LoadProgramText(R"(
+      collection ext sel@c(p: string);
+      collection ext kill@c(x: int);
+      collection int got@c(x: int);
+      rule got@c($x) :- sel@c($p), data@$p($x);
+    )").ok());
+    ASSERT_TRUE(system.GetPeer("d")->LoadProgramText(R"(
+      collection ext data@d(x: int);
+      collection ext log@d(x: int);
+    )").ok());
+    auto wrapper = std::make_unique<QueueWrapper>("e");
+    QueueWrapper* queue = wrapper.get();
+    ASSERT_TRUE(system.AttachWrapper(std::move(wrapper)).ok());
+
+    auto pick = [&](const std::vector<std::string>& names) {
+      return names[rng.NextBelow(names.size())];
+    };
+    auto random_fact = [&](const std::string& peer) {
+      return F("data", peer, {I(rng.NextInRange(0, 5))});
+    };
+    auto check = [&](const std::string& what) {
+      ASSERT_EQ(system.IsQuiescent(), QuiescentByFullScan(system))
+          << "after " << what;
+    };
+    std::vector<std::pair<std::string, uint64_t>> added;  // (peer, id)
+    check("setup");
+    for (int step = 0; step < 300; ++step) {
+      std::string what;
+      switch (rng.NextBelow(12)) {
+        case 0: {  // Peer API writes, the deletion rules' triggers too
+          const auto& [relation, peer] =
+              kWrites[rng.NextBelow(kWrites.size())];
+          Peer* p = system.GetPeer(peer);
+          what = "Peer::Insert/Remove of " + relation + "@" + peer;
+          Fact f(relation, peer, {I(rng.NextInRange(0, 5))});
+          if (rng.NextBool(0.7)) {
+            ASSERT_TRUE(p->Insert(f).ok());
+          } else {
+            ASSERT_TRUE(p->Remove(f).ok());
+          }
+          break;
+        }
+        case 1: {  // Peer API rule edits
+          if (!added.empty() && rng.NextBool(0.5)) {
+            size_t i = rng.NextBelow(added.size());
+            what = "Peer::RemoveRule at " + added[i].first;
+            (void)system.GetPeer(added[i].first)->RemoveRule(added[i].second);
+            added.erase(added.begin() + static_cast<ptrdiff_t>(i));
+          } else {
+            const auto& [peer, text] = kRules[rng.NextBelow(kRules.size())];
+            what = "Peer::AddRuleText at " + peer;
+            Result<uint64_t> id = system.GetPeer(peer)->AddRuleText(text);
+            if (id.ok()) added.emplace_back(peer, *id);
+          }
+          break;
+        }
+        case 2: {  // direct engine() mutators, the idle peer included
+          std::string peer = pick({"a", "b", "d", "e"});
+          what = "engine() write at " + peer;
+          Engine& engine = system.GetPeer(peer)->engine();
+          switch (rng.NextBelow(3)) {
+            case 0:
+              (void)engine.InsertFact(random_fact(peer));
+              break;
+            case 1:
+              (void)engine.RemoveFact(random_fact(peer));
+              break;
+            default:
+              engine.EnqueueFactInserts({random_fact(peer)});
+              break;
+          }
+          break;
+        }
+        case 3: {  // selections at c: delegation installs and retracts
+          what = "selection at c";
+          Fact f("sel", "c", {S(pick(kData))});
+          Peer* c = system.GetPeer("c");
+          if (rng.NextBool(0.6)) {
+            ASSERT_TRUE(c->Insert(f).ok());
+          } else {
+            ASSERT_TRUE(c->Remove(f).ok());
+          }
+          break;
+        }
+        case 4: {  // approvals and rejections at the untrusting d
+          Peer* d = system.GetPeer("d");
+          what = "approval at d";
+          if (d->gate().pending_count() == 0) break;
+          uint64_t key = d->gate().Pending()[0]->Key();
+          if (rng.NextBool(0.7)) {
+            ASSERT_TRUE(d->ApproveDelegation(key).ok());
+          } else {
+            ASSERT_TRUE(d->RejectDelegation(key).ok());
+          }
+          break;
+        }
+        case 5: {  // envelopes handed to a peer outside a round
+          std::string to = pick({"a", "b", "d", "e"});
+          what = "HandleEnvelope at " + to;
+          Envelope e;
+          e.from = "c";
+          e.to = to;
+          switch (rng.NextBelow(5)) {
+            case 0:
+              e.message = Message::FactInserts({random_fact(to)});
+              break;
+            case 1:
+              e.message = Message::FactDeletes({random_fact(to)});
+              break;
+            case 2:
+              e.message = Message::ResyncRequest("got");
+              break;
+            case 3: {
+              Delegation d;
+              d.origin_peer = "c";
+              d.target_peer = to;
+              d.rule = test::R("rule got@c($x) :- data@" + to + "($x);");
+              e.message = rng.NextBool(0.5)
+                              ? Message::DelegationInstall(d)
+                              : Message::DelegationRetract(d.Key());
+              break;
+            }
+            default:
+              e.message = Message::Hello("c");
+              break;
+          }
+          system.GetPeer(to)->HandleEnvelope(e);
+          break;
+        }
+        case 6: {  // link resets
+          std::string peer = pick({"a", "b", "c", "d", "e"});
+          std::string remote = pick({"a", "b", "c", "d"});
+          what = "NoteLinkReset at " + peer + " for " + remote;
+          system.GetPeer(peer)->NoteLinkReset(remote);
+          break;
+        }
+        case 7: {  // queries: cross-peer (scratch drop) or demand path
+          QueryOptions options;
+          options.use_demand_evaluation = rng.NextBool(0.3);
+          std::string at = options.use_demand_evaluation ? "a" : "c";
+          std::string body = options.use_demand_evaluation
+                                 ? "view@a(3)"
+                                 : "data@" + pick(kData) + "($x)";
+          what = "RunQuery " + body + " at " + at;
+          (void)RunQuery(&system, at, body, options);
+          break;
+        }
+        case 8: {  // wrapper sync writes through engine()
+          what = "wrapper queue";
+          queue->queued.push_back(random_fact("e"));
+          break;
+        }
+        case 9:
+        case 10: {
+          what = "RunRound";
+          system.RunRound();
+          break;
+        }
+        default: {  // converge, checking after every round
+          what = "converging round";
+          for (int r = 0; r < 200 && !QuiescentByFullScan(system); ++r) {
+            system.RunRound();
+            check(what);
+            if (HasFatalFailure()) return;
+          }
+          break;
+        }
+      }
+      check(what);
+      if (HasFatalFailure()) return;
+    }
+    ASSERT_TRUE(system.RunUntilQuiescent().ok());
+    check("final convergence");
+    EXPECT_TRUE(QuiescentByFullScan(system));
+  }
 }
 
 }  // namespace

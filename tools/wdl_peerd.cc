@@ -15,9 +15,9 @@
 // are re-read on every connect attempt, so a cluster can start in any
 // order and a restarted peer can come back on a fresh port.
 //
-// Example 3-peer cluster (see README):
-//   wdl_peerd --name alice --program alice.wdl --listen 0 \
-//     --addr-file /tmp/w/alice.addr --peer bob=@/tmp/w/bob.addr \
+// Example 3-peer cluster (see README); alice's command line, wrapped:
+//   wdl_peerd --name alice --program alice.wdl --listen 0
+//     --addr-file /tmp/w/alice.addr --peer bob=@/tmp/w/bob.addr
 //     --peer carol=@/tmp/w/carol.addr --fingerprint /tmp/w/alice.fp
 
 #include <atomic>
