@@ -1,15 +1,14 @@
-// Experiment A1 — fixpoint strategy ablation (DESIGN.md §3).
+// Experiment A1 — the semi-naive fixpoint on recursive programs
+// (DESIGN.md §3).
 //
 // The paper's engine (§2) runs "a fixpoint computation of its program"
-// every stage; our production path is semi-naive, with naive kept as
-// the ablation baseline. This bench regenerates the classic result the
-// choice rests on: on recursive programs (transitive closure over a
-// chain / a random graph, same-generation), semi-naive evaluation
-// scales roughly linearly in the output while naive re-derives
-// everything every iteration.
-//
-// Expected shape: SemiNaive beats Naive, and the gap widens with input
-// size (superlinear in chain length for TC).
+// every stage; ours is semi-naive. This bench times one full fixpoint
+// on recursive programs (transitive closure over a chain / a random
+// graph, same-generation), where semi-naive evaluation scales roughly
+// linearly in the output. The naive-fixpoint ablation that justified
+// the choice is gone with its mode; its last numbers are the
+// `_Naive` rows of BENCH_pr10.json (1.8x to 37x slower at the largest
+// sizes).
 
 #include <benchmark/benchmark.h>
 
@@ -32,12 +31,9 @@ void LoadChain(Engine* e, int n) {
   }
 }
 
-/// Plan-cache and access-path telemetry for the bench JSON: future perf
-/// PRs can attribute wins (index vs scan vs Δ-probe mix, cache reuse).
+/// Access-path telemetry for the bench JSON: future perf PRs can
+/// attribute wins (index vs scan vs Δ-probe mix).
 void ExportEvalCounters(benchmark::State& state, const EvalCounters& c) {
-  state.counters["plans_compiled"] = static_cast<double>(c.plans_compiled);
-  state.counters["plan_cache_hits"] =
-      static_cast<double>(c.plan_cache_hits);
   state.counters["slot_bindings"] = static_cast<double>(c.slot_bindings);
   state.counters["index_lookups"] = static_cast<double>(c.index_lookups);
   state.counters["full_scans"] = static_cast<double>(c.full_scans);
@@ -46,13 +42,11 @@ void ExportEvalCounters(benchmark::State& state, const EvalCounters& c) {
   state.counters["delta_scans"] = static_cast<double>(c.delta_scans);
 }
 
-void BM_TransitiveClosureChain(benchmark::State& state, EvalMode mode) {
+void BM_TcChain_SemiNaive(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
-    EngineOptions opts;
-    opts.mode = mode;
-    Engine e("p", opts);
+    Engine e("p");
     Program program = *ParseProgram(kTcProgram);
     (void)e.LoadProgram(program);
     LoadChain(&e, n);
@@ -69,23 +63,14 @@ void BM_TransitiveClosureChain(benchmark::State& state, EvalMode mode) {
   }
 }
 
-void BM_TcChain_SemiNaive(benchmark::State& state) {
-  BM_TransitiveClosureChain(state, EvalMode::kSemiNaive);
-}
-void BM_TcChain_Naive(benchmark::State& state) {
-  BM_TransitiveClosureChain(state, EvalMode::kNaive);
-}
 BENCHMARK(BM_TcChain_SemiNaive)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
-BENCHMARK(BM_TcChain_Naive)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
 
-void BM_TcRandomGraph(benchmark::State& state, EvalMode mode) {
+void BM_TcGraph_SemiNaive(benchmark::State& state) {
   int nodes = static_cast<int>(state.range(0));
   int edges = nodes * 3;
   for (auto _ : state) {
     state.PauseTiming();
-    EngineOptions opts;
-    opts.mode = mode;
-    Engine e("p", opts);
+    Engine e("p");
     (void)e.LoadProgram(*ParseProgram(kTcProgram));
     uint64_t s = 42;
     for (int i = 0; i < edges; ++i) {
@@ -104,23 +89,14 @@ void BM_TcRandomGraph(benchmark::State& state, EvalMode mode) {
   }
 }
 
-void BM_TcGraph_SemiNaive(benchmark::State& state) {
-  BM_TcRandomGraph(state, EvalMode::kSemiNaive);
-}
-void BM_TcGraph_Naive(benchmark::State& state) {
-  BM_TcRandomGraph(state, EvalMode::kNaive);
-}
 BENCHMARK(BM_TcGraph_SemiNaive)->Arg(32)->Arg(64)->Arg(128);
-BENCHMARK(BM_TcGraph_Naive)->Arg(32)->Arg(64)->Arg(128);
 
 // Same-generation: a second recursion shape (bushier deltas).
-void BM_SameGeneration(benchmark::State& state, EvalMode mode) {
+void BM_SameGen_SemiNaive(benchmark::State& state) {
   int depth = static_cast<int>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
-    EngineOptions opts;
-    opts.mode = mode;
-    Engine e("p", opts);
+    Engine e("p");
     (void)e.LoadProgram(*ParseProgram(
         "collection ext par@p(c: int, d: int);"
         "collection int sg@p(x: int, y: int);"
@@ -150,14 +126,7 @@ void BM_SameGeneration(benchmark::State& state, EvalMode mode) {
   }
 }
 
-void BM_SameGen_SemiNaive(benchmark::State& state) {
-  BM_SameGeneration(state, EvalMode::kSemiNaive);
-}
-void BM_SameGen_Naive(benchmark::State& state) {
-  BM_SameGeneration(state, EvalMode::kNaive);
-}
 BENCHMARK(BM_SameGen_SemiNaive)->Arg(4)->Arg(6)->Arg(8);
-BENCHMARK(BM_SameGen_Naive)->Arg(4)->Arg(6)->Arg(8);
 
 // Multi-core Δ-rounds (DESIGN.md §8): the same fixpoints at
 // eval_threads 1/2/4/8 on fixed workloads. The /1 run takes the exact
@@ -169,7 +138,6 @@ void BM_TcChainThreads(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     EngineOptions opts;
-    opts.mode = EvalMode::kSemiNaive;
     opts.eval_threads = threads;
     Engine e("p", opts);
     (void)e.LoadProgram(*ParseProgram(kTcProgram));
@@ -191,7 +159,6 @@ void BM_SameGenThreads(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     EngineOptions opts;
-    opts.mode = EvalMode::kSemiNaive;
     opts.eval_threads = threads;
     Engine e("p", opts);
     (void)e.LoadProgram(*ParseProgram(

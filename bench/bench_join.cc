@@ -12,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include "engine/eval.h"
+#include "engine/plan_cache.h"
 #include "parser/parser.h"
 
 namespace wdl {
@@ -26,14 +27,15 @@ void JoinBench(benchmark::State& state, bool use_indexes) {
   for (int64_t i = 0; i < n; ++i) {
     (void)catalog.InsertFact(Fact("edge", "p", {I(i), I(i + 1)}));
   }
-  Rule rule = *ParseRule("h@p($x, $z) :- edge@p($x, $y), edge@p($y, $z)");
+  std::shared_ptr<const RulePlan> plan = SharedPlanCache::Instance().Acquire(
+      *ParseRule("h@p($x, $z) :- edge@p($x, $y), edge@p($y, $z)"));
   RuleEvaluator evaluator(&catalog, "p", EvalOptions{use_indexes});
 
   for (auto _ : state) {
     size_t results = 0;
     RuleEvaluator::Sinks sinks;
     sinks.on_local_fact = [&](const Fact&) { ++results; };
-    evaluator.Evaluate(rule, nullptr, -1, sinks);
+    evaluator.Evaluate(*plan, nullptr, -1, sinks);
     benchmark::DoNotOptimize(results);
     state.counters["results"] = static_cast<double>(results);
   }
@@ -41,9 +43,6 @@ void JoinBench(benchmark::State& state, bool use_indexes) {
   state.counters["tuples_examined"] = benchmark::Counter(
       static_cast<double>(c.tuples_examined),
       benchmark::Counter::kAvgIterations);
-  state.counters["plans_compiled"] = static_cast<double>(c.plans_compiled);
-  state.counters["plan_cache_hits"] =
-      static_cast<double>(c.plan_cache_hits);
   state.counters["slot_bindings"] = benchmark::Counter(
       static_cast<double>(c.slot_bindings),
       benchmark::Counter::kAvgIterations);
@@ -69,16 +68,17 @@ void OrderBench(benchmark::State& state, bool selective_first) {
   for (int64_t i = 0; i < n; ++i) {
     (void)catalog.InsertFact(Fact("big", "p", {I(i), I(i * 7)}));
   }
-  Rule rule = selective_first
-                  ? *ParseRule("h@p($y) :- sel@p($x), big@p($x, $y)")
-                  : *ParseRule("h@p($y) :- big@p($x, $y), sel@p($x)");
+  std::shared_ptr<const RulePlan> plan = SharedPlanCache::Instance().Acquire(
+      selective_first
+          ? *ParseRule("h@p($y) :- sel@p($x), big@p($x, $y)")
+          : *ParseRule("h@p($y) :- big@p($x, $y), sel@p($x)"));
   RuleEvaluator evaluator(&catalog, "p", EvalOptions{true});
 
   for (auto _ : state) {
     size_t results = 0;
     RuleEvaluator::Sinks sinks;
     sinks.on_local_fact = [&](const Fact&) { ++results; };
-    evaluator.Evaluate(rule, nullptr, -1, sinks);
+    evaluator.Evaluate(*plan, nullptr, -1, sinks);
     benchmark::DoNotOptimize(results);
   }
   state.counters["tuples_examined"] = benchmark::Counter(

@@ -176,9 +176,9 @@ Result<Stratification> Stratify(const std::vector<Rule>& rules) {
     for (const Atom& atom : rule.body) {
       // Negated atoms with a variable relation/peer (resolved only at
       // evaluation time) depend on the wildcard node; they stratify
-      // unless the wildcard itself participates in a cycle. The
-      // engine's runtime fallback (single stratum + log) covers the
-      // residual unsoundness when a delegated rule later closes a loop.
+      // unless the wildcard itself participates in a cycle. The engine
+      // re-stratifies at every rule install while the program holds a
+      // negated atom, so a rule that would close a loop is rejected.
       edges.push_back({node(DependencyId(atom)), head, atom.negated});
     }
   }

@@ -12,7 +12,8 @@ namespace wdl {
 
 /// Storage discipline of a relation (the WebdamLog model's dichotomy):
 /// extensional relations persist across stages and accept updates;
-/// intensional relations are views, recomputed from scratch each stage.
+/// intensional relations are views: they hold exactly what their rules
+/// and remote contributions derive, maintained from stage to stage.
 enum class RelationKind : uint8_t {
   kExtensional = 0,
   kIntensional = 1,

@@ -63,7 +63,7 @@ Status DemandEvaluator::Prepare(const Rule& query_rule) {
     }
     fragments_[rel];
     for (const InstalledRule* installed : rules) {
-      const PlanStaticInfo& info = installed->info;
+      const PlanStaticInfo& info = installed->plan->info;
       if (!info.HeadCanWrite(rel)) continue;
       const bool writes_here =
           info.head_peer_var || info.head_peer == self_sym_;

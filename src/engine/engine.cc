@@ -6,8 +6,29 @@
 #include "base/logging.h"
 #include "base/string_util.h"
 #include "base/thread_pool.h"
+#include "engine/plan_cache.h"
 
 namespace wdl {
+namespace {
+
+// Safety net for the semi-naive round loop; datalog terminates.
+constexpr int kMaxFixpointRounds = 1 << 20;
+
+/// Evaluates `plan` once per positive body position, each time with
+/// that position restricted to `delta`: one semi-naive round of one
+/// rule.
+void EvaluateDeltaPositions(RuleEvaluator* evaluator, const RulePlan& plan,
+                            const DeltaMap& delta,
+                            const RuleEvaluator::Sinks& sinks) {
+  const std::vector<Atom>& body = plan.rule.body;
+  for (size_t pos = 0; pos < body.size(); ++pos) {
+    if (!body[pos].negated) {
+      evaluator->Evaluate(plan, &delta, static_cast<int>(pos), sinks);
+    }
+  }
+}
+
+}  // namespace
 
 int DefaultEvalThreads() {
   static const int v = [] {
@@ -24,7 +45,7 @@ Engine::Engine(std::string self_peer, EngineOptions options)
       self_sym_(Symbol::Intern(self_peer_)),
       options_(options),
       catalog_(self_peer_),
-      evaluator_(&catalog_, self_peer_, EvalOptions{options_.use_indexes}) {}
+      evaluator_(&catalog_, self_peer_, EvalOptions{}) {}
 
 Engine::~Engine() = default;
 
@@ -58,7 +79,6 @@ struct Engine::ParallelEval {
                const EngineOptions& opts)
       : pool(opts.eval_threads) {
     EvalOptions wopts;
-    wopts.use_indexes = opts.use_indexes;
     wopts.concurrent_reads = true;
     workers.reserve(static_cast<size_t>(opts.eval_threads));
     for (int i = 0; i < opts.eval_threads; ++i) {
@@ -108,12 +128,7 @@ struct Engine::ParallelEval {
       };
       for (size_t r = 0; r < rules.size(); ++r) {
         current = static_cast<uint32_t>(r);
-        const RulePlan& plan = *rules[r];
-        const Rule& rule = plan.rule;
-        for (size_t pos = 0; pos < rule.body.size(); ++pos) {
-          if (rule.body[pos].negated) continue;
-          ev.EvaluatePlan(plan, &part, static_cast<int>(pos), s);
-        }
+        EvaluateDeltaPositions(&ev, *rules[r], part, s);
       }
     });
     for (size_t w = 0; w < p; ++w) {
@@ -171,6 +186,24 @@ void PrebuildPlanIndexes(Catalog* catalog, const RulePlan& plan) {
   });
 }
 
+/// False when no body atom of `plan` can read a relation of `delta`:
+/// every Δ-restricted evaluation of the rule would find nothing new.
+bool BodyReadsDelta(const RulePlan& plan, const DeltaMap& delta) {
+  for (const auto& [sym, ds] : delta) {
+    if (!ds.empty() && plan.info.BodyReads(sym)) return true;
+  }
+  return false;
+}
+
+/// The head-bound plan of `ir`, acquired on first use.
+const RulePlan& HeadBoundPlan(InstalledRule* ir) {
+  if (ir->head_bound_plan == nullptr) {
+    ir->head_bound_plan =
+        SharedPlanCache::Instance().AcquireHeadBound(ir->rule);
+  }
+  return *ir->head_bound_plan;
+}
+
 }  // namespace
 
 Engine::ParallelEval* Engine::EnsureParallelEval() {
@@ -202,7 +235,8 @@ Status Engine::DeclareRelation(const RelationDecl& decl) {
   return catalog_.Declare(decl);
 }
 
-Status Engine::ValidateNewRule(const Rule& rule) const {
+Result<std::shared_ptr<const RulePlan>> Engine::PrepareRule(
+    const Rule& rule) const {
   WDL_RETURN_IF_ERROR(CheckRuleSafety(rule));
   if (rule.head_deletes && rule.head.HasConcreteLocation() &&
       rule.head.peer.name() == self_peer_) {
@@ -213,23 +247,44 @@ Status Engine::ValidateNewRule(const Rule& rule) const {
           rule.head.PredicateId() + "; views cannot be deleted from");
     }
   }
-  bool negated = false;
-  for (const Atom& a : rule.body) negated |= a.negated;
+  std::shared_ptr<const RulePlan> plan =
+      SharedPlanCache::Instance().Acquire(rule);
+  const bool negated = plan->info.HasNegation();
   if (negated && options_.dialect == Dialect::kPaper2013) {
     return Status::Unimplemented(
         "negation is not implemented in the 2013 system (rule: " +
         rule.ToString() + ")");
   }
-  if (negated) {
-    // The new rule must stratify together with the existing program.
+  // The program must stay stratifiable whenever it holds a negated atom
+  // — in the new rule or in an installed one, since a positive rule can
+  // close a cycle through an installed negation.
+  if (negated || std::any_of(rules_.begin(), rules_.end(),
+                             [](const InstalledRule& ir) {
+                               return ir.plan->info.HasNegation();
+                             })) {
     std::vector<Rule> all;
     all.reserve(rules_.size() + 1);
     for (const InstalledRule& ir : rules_) all.push_back(ir.rule);
     all.push_back(rule);
-    WDL_ASSIGN_OR_RETURN(Stratification s, Stratify(all));
-    (void)s;
+    WDL_RETURN_IF_ERROR(Stratify(all).status());
   }
-  return Status::OK();
+  return plan;
+}
+
+uint64_t Engine::InstallRule(uint64_t id, const Rule& rule,
+                             std::shared_ptr<const RulePlan> plan,
+                             const std::string& origin_peer,
+                             uint64_t delegation_key) {
+  InstalledRule ir;
+  ir.id = id;
+  ir.rule = rule;
+  ir.origin_peer = origin_peer;
+  ir.delegation_key = delegation_key;
+  ir.plan = std::move(plan);
+  rules_.push_back(std::move(ir));
+  if (id >= next_rule_id_) next_rule_id_ = id + 1;
+  NoteRuleSetChanged();
+  return id;
 }
 
 void Engine::NoteWork() {
@@ -243,22 +298,14 @@ void Engine::NoteRuleSetChanged() {
 }
 
 Result<uint64_t> Engine::AddRule(const Rule& rule) {
-  WDL_RETURN_IF_ERROR(ValidateNewRule(rule));
-  InstalledRule ir;
-  ir.id = next_rule_id_++;
-  ir.rule = rule;
-  ir.origin_peer = self_peer_;
-  ir.rule_hash = rule.Hash();
-  ir.info = ComputeStaticInfo(rule);
-  rules_.push_back(std::move(ir));
-  NoteRuleSetChanged();
-  return rules_.back().id;
+  WDL_ASSIGN_OR_RETURN(std::shared_ptr<const RulePlan> plan,
+                       PrepareRule(rule));
+  return InstallRule(next_rule_id_, rule, std::move(plan), self_peer_, 0);
 }
 
 Status Engine::RemoveRule(uint64_t id) {
   for (auto it = rules_.begin(); it != rules_.end(); ++it) {
     if (it->id == id) {
-      evaluator_.EvictPlan(it->rule);
       rules_.erase(it);
       NoteRuleSetChanged();
       return Status::OK();
@@ -273,20 +320,14 @@ Status Engine::InstallDelegatedRule(const Delegation& delegation) {
         "delegation targets peer '%s', not '%s'",
         delegation.target_peer.c_str(), self_peer_.c_str()));
   }
-  WDL_RETURN_IF_ERROR(ValidateNewRule(delegation.rule));
   uint64_t key = delegation.Key();
   for (const InstalledRule& ir : rules_) {
     if (ir.delegation_key == key) return Status::OK();  // idempotent
   }
-  InstalledRule ir;
-  ir.id = next_rule_id_++;
-  ir.rule = delegation.rule;
-  ir.origin_peer = delegation.origin_peer;
-  ir.delegation_key = key;
-  ir.rule_hash = delegation.rule.Hash();
-  ir.info = ComputeStaticInfo(delegation.rule);
-  rules_.push_back(std::move(ir));
-  NoteRuleSetChanged();
+  WDL_ASSIGN_OR_RETURN(std::shared_ptr<const RulePlan> plan,
+                       PrepareRule(delegation.rule));
+  InstallRule(next_rule_id_, delegation.rule, std::move(plan),
+              delegation.origin_peer, key);
   return Status::OK();
 }
 
@@ -295,11 +336,7 @@ void Engine::RetractDelegatedRule(uint64_t delegation_key) {
   size_t before = rules_.size();
   rules_.erase(std::remove_if(rules_.begin(), rules_.end(),
                               [&](const InstalledRule& ir) {
-                                if (ir.delegation_key != delegation_key) {
-                                  return false;
-                                }
-                                evaluator_.EvictPlan(ir.rule);
-                                return true;
+                                return ir.delegation_key == delegation_key;
                               }),
                rules_.end());
   if (rules_.size() != before) NoteRuleSetChanged();
@@ -308,17 +345,9 @@ void Engine::RetractDelegatedRule(uint64_t delegation_key) {
 Status Engine::RestoreInstalledRule(uint64_t id, const Rule& rule,
                                     const std::string& origin_peer,
                                     uint64_t delegation_key) {
-  WDL_RETURN_IF_ERROR(ValidateNewRule(rule));
-  InstalledRule ir;
-  ir.id = id;
-  ir.rule = rule;
-  ir.origin_peer = origin_peer;
-  ir.delegation_key = delegation_key;
-  ir.rule_hash = rule.Hash();
-  ir.info = ComputeStaticInfo(rule);
-  rules_.push_back(std::move(ir));
-  if (id >= next_rule_id_) next_rule_id_ = id + 1;
-  NoteRuleSetChanged();
+  WDL_ASSIGN_OR_RETURN(std::shared_ptr<const RulePlan> plan,
+                       PrepareRule(rule));
+  InstallRule(id, rule, std::move(plan), origin_peer, delegation_key);
   return Status::OK();
 }
 
@@ -389,7 +418,7 @@ Result<bool> Engine::InsertFact(const Fact& fact) {
   }
   NoteWork();
   Result<bool> r = catalog_.InsertFact(fact);
-  if (options_.use_incremental_maintenance && r.ok() && *r) {
+  if (r.ok() && *r) {
     direct_changes_.RecordInsert(fact.relation, fact.args);
   }
   return r;
@@ -408,7 +437,7 @@ Result<bool> Engine::RemoveFact(const Fact& fact) {
   }
   NoteWork();
   Result<bool> r = catalog_.RemoveFact(fact);
-  if (options_.use_incremental_maintenance && r.ok() && *r) {
+  if (r.ok() && *r) {
     direct_changes_.RecordRemove(fact.relation, fact.args);
   }
   return r;
@@ -485,9 +514,7 @@ bool Engine::HasPendingWork() const {
          !pending_delete_rechecks_.empty() || !ran_any_stage_;
 }
 
-void Engine::ApplyInputs(StageStats* stats, bool* changed,
-                         StageChangeLog* log) {
-  (void)stats;
+void Engine::ApplyInputs(bool* changed, StageChangeLog* log) {
   // Deferred self-updates from the previous stage land first.
   for (const Fact& f : pending_self_updates_) {
     Result<bool> r = catalog_.InsertFact(f);
@@ -496,7 +523,7 @@ void Engine::ApplyInputs(StageStats* stats, bool* changed,
                      << " failed: " << r.status();
     } else if (*r) {
       *changed = true;
-      if (log != nullptr) log->RecordInsert(f.relation, f.args);
+      log->RecordInsert(f.relation, f.args);
     }
   }
   pending_self_updates_.clear();
@@ -505,7 +532,7 @@ void Engine::ApplyInputs(StageStats* stats, bool* changed,
     Result<bool> r = catalog_.RemoveFact(f);
     if (r.ok() && *r) {
       *changed = true;
-      if (log != nullptr) log->RecordRemove(f.relation, f.args);
+      log->RecordRemove(f.relation, f.args);
     }
   }
   pending_self_deletes_.clear();
@@ -523,26 +550,23 @@ void Engine::ApplyInputs(StageStats* stats, bool* changed,
                      << " failed: " << r.status();
     } else if (*r) {
       *changed = true;
-      if (log != nullptr) log->RecordInsert(f.relation, f.args);
+      log->RecordInsert(f.relation, f.args);
     }
   }
   inbound_inserts_.clear();
 
   for (const Fact& f : inbound_deletes_) {
-    if (log != nullptr) {
-      // Incremental mode: a base delete aimed at a view has no durable
-      // effect (the recompute oracle re-seeds the view in the same
-      // stage, netting it out) — skip it instead of corrupting the
-      // persistent view state.
-      const Relation* rel = catalog_.Get(f.relation);
-      if (rel != nullptr && rel->kind() == RelationKind::kIntensional) {
-        continue;
-      }
+    // A base delete aimed at a view has no durable effect (a view holds
+    // exactly what its supports derive): skip it instead of corrupting
+    // the persistent view state.
+    const Relation* rel = catalog_.Get(f.relation);
+    if (rel != nullptr && rel->kind() == RelationKind::kIntensional) {
+      continue;
     }
     Result<bool> r = catalog_.RemoveFact(f);
     if (r.ok() && *r) {
       *changed = true;
-      if (log != nullptr) log->RecordRemove(f.relation, f.args);
+      log->RecordRemove(f.relation, f.args);
     }
   }
   inbound_deletes_.clear();
@@ -626,17 +650,16 @@ void Engine::ApplyInboundDerived(InboundDerived& in, bool* changed,
     // regardless of stream position (monotone, so replays and gapped
     // deltas can only add facts the sender really derived); the version
     // gate only decides bookkeeping and gap repair.
-    for (Tuple& t : d.inserts) {
-      // Copy instead of move when recording: the change log needs the
-      // tuple after a successful insert.
-      Result<bool> r =
-          log != nullptr ? rel->Insert(t) : rel->Insert(std::move(t));
+    for (const Tuple& t : d.inserts) {
+      // Copy, not move: the change log records the tuple after a
+      // successful insert.
+      Result<bool> r = rel->Insert(t);
       if (!r.ok()) {
         WDL_LOG(Error) << "inbound derived tuple rejected by "
                        << rel->decl().PredicateId() << ": " << r.status();
       } else if (*r) {
         *changed = true;
-        if (log != nullptr) log->RecordInsert(d.relation, t);
+        log->RecordInsert(d.relation, t);
       }
     }
     commit_version();
@@ -655,28 +678,16 @@ void Engine::ApplyInboundDerived(InboundDerived& in, bool* changed,
     return set;
   };
 
-  // Support transitions (view membership gained/lost) feed the
-  // incremental maintenance log; the recompute oracle re-seeds views
-  // from the aggregate support map instead and skips the bookkeeping.
-  std::vector<Tuple> gained_storage, lost_storage;
-  std::vector<Tuple>* gained = log != nullptr ? &gained_storage : nullptr;
-  std::vector<Tuple>* lost = log != nullptr ? &lost_storage : nullptr;
-  auto record_transitions = [&]() {
-    if (log == nullptr) return;
-    for (Tuple& t : gained_storage) {
-      log->RecordSliceGain(d.relation, std::move(t));
-    }
-    for (Tuple& t : lost_storage) {
-      log->RecordSliceLoss(d.relation, std::move(t));
-    }
-  };
+  // Support transitions (view membership gained/lost) feed the stage's
+  // change log.
+  std::vector<Tuple> gained, lost;
 
   // A stale update (duplicate or reordered-old) is already reflected.
   if (gate != SliceStore::Gate::kApply) return;
   if (d.snapshot) {
     *changed |= slice_store_.ApplySnapshot(d.relation, in.sender,
                                            filtered(d.inserts), d.version,
-                                           gained, lost);
+                                           &gained, &lost);
   } else {
     // Validate in place; ApplyDelta dedups per tuple itself.
     d.inserts.erase(std::remove_if(d.inserts.begin(), d.inserts.end(),
@@ -686,9 +697,10 @@ void Engine::ApplyInboundDerived(InboundDerived& in, bool* changed,
                     d.inserts.end());
     *changed |= slice_store_.ApplyDelta(d.relation, in.sender,
                                         std::move(d.inserts), d.deletes,
-                                        d.version, gained, lost);
+                                        d.version, &gained, &lost);
   }
-  record_transitions();
+  for (const Tuple& t : gained) log->RecordSliceGain(d.relation, t);
+  for (const Tuple& t : lost) log->RecordSliceLoss(d.relation, t);
 }
 
 void Engine::ClearIntensionalRelations() {
@@ -697,7 +709,7 @@ void Engine::ClearIntensionalRelations() {
   });
 }
 
-void Engine::SeedIntensionalFromContributions(bool track_support) {
+void Engine::SeedIntensionalFromContributions() {
   slice_store_.ForEachContributedRelation([&](const std::string& name) {
     Relation* rel = catalog_.Get(name);
     if (rel == nullptr || rel->kind() != RelationKind::kIntensional) return;
@@ -707,196 +719,201 @@ void Engine::SeedIntensionalFromContributions(bool track_support) {
         WDL_LOG(Warning) << "contribution tuple rejected: " << r.status();
         return;
       }
-      if (track_support) tracker_.Ensure(name, t).external = true;
+      tracker_.Ensure(name, t).external = true;
     });
   });
 }
 
-void Engine::RunFixpoint(
-    StageStats* stats, std::map<ContributionKey, TupleSet>* contributions,
-    std::map<uint64_t, Delegation>* delegations,
-    std::unordered_set<Fact, FactHasher>* self_updates,
-    std::unordered_set<Fact, FactHasher>* self_deletes,
-    std::unordered_set<Fact, FactHasher>* remote_deletes,
-    DerivationTracker* tracker) {
-  // Stratify the active rule set (single stratum when negation-free).
-  std::vector<Rule> rule_bodies;
-  rule_bodies.reserve(rules_.size());
-  for (const InstalledRule& ir : rules_) rule_bodies.push_back(ir.rule);
-  Stratification strat;
-  Result<Stratification> strat_result = Stratify(rule_bodies);
-  if (strat_result.ok()) {
-    strat = std::move(strat_result).value();
-  } else {
-    // A delegated rule may have broken stratification after install
-    // validation (dynamic arrivals); fall back to one stratum and log.
-    WDL_LOG(Error) << "stratification failed; evaluating in one stratum: "
-                   << strat_result.status();
-    strat.rule_stratum.assign(rules_.size(), 0);
-    strat.num_strata = 1;
-  }
-  stats->strata = strat.num_strata;
-
-  // The evaluator (and its plan cache) lives across stages; stage stats
-  // report the delta of its cumulative counters.
-  uint64_t tuples_before = evaluator_.counters().tuples_examined;
-
-  for (int stratum = 0; stratum < strat.num_strata; ++stratum) {
-    // Resolve each active rule's compiled plan once per stage; the
-    // iteration loops below re-drive the plan directly instead of
-    // re-hashing the rule through the cache every call.
-    std::vector<const RulePlan*> active;
-    for (size_t i = 0; i < rules_.size(); ++i) {
-      if (strat.rule_stratum[i] != stratum) continue;
-      active.push_back(&evaluator_.PlanFor(rules_[i].rule));
-    }
-    if (active.empty()) continue;
-
-    DeltaMap delta;      // tuples new in the previous iteration
-    DeltaMap next_delta; // tuples new in this iteration
-
-    // Set per evaluation: whether the rule being evaluated is a
-    // deletion rule (its head derivations remove instead of insert).
-    bool current_rule_deletes = false;
-
-    RuleEvaluator::Sinks sinks;
-    sinks.on_local_fact = [&](const Fact& f) {
-      Relation* rel = catalog_.Get(f.relation);
-      bool intensional =
-          rel != nullptr && rel->kind() == RelationKind::kIntensional;
-      if (current_rule_deletes) {
-        if (intensional) {
-          WDL_LOG(Warning) << "deletion rule derived into view "
-                           << f.PredicateId() << "; dropped";
-        } else if (rel != nullptr && rel->Contains(f.args)) {
-          self_deletes->insert(f);  // deferred, Bud's <-
-        }
-        return;
-      }
-      if (intensional) {
+/// One stage's forward evaluation (DESIGN.md §2, §6): the sinks rule
+/// heads derive through, and everything they collect. Full and Δ stages
+/// share it. Only a Δ stage records per-key contribution changes
+/// (`record_changes`), for its O(change) emission; a full stage diffs
+/// whole contributions against what was sent instead.
+struct Engine::StagePass {
+  StagePass(Engine* engine, StageStats* stage_stats,
+            std::map<ContributionKey, TupleSet>* contribution_sink,
+            std::map<uint64_t, Delegation>* delegation_sink, bool record)
+      : stats(stage_stats),
+        contributions(contribution_sink),
+        delegations(delegation_sink),
+        record_changes(record),
+        tuples_before(engine->evaluator_.counters().tuples_examined) {
+    derive.on_local_fact = [this, engine](const Fact& f) {
+      Relation* rel = engine->catalog_.Get(f.relation);
+      if (rel != nullptr && rel->kind() == RelationKind::kIntensional) {
         // Every derivation event marks rule support, including events
         // for tuples already resident (slice-seeded or re-derived):
         // semi-naive evaluation fires each valid derivation at least
         // once, so after the fixpoint the derived bit is exact.
-        if (tracker != nullptr) {
-          tracker->Ensure(f.relation, f.args).derived = true;
-        }
+        engine->tracker_.Ensure(f.relation, f.args).derived = true;
         Result<bool> r = rel->Insert(f.args);
         if (r.ok() && *r) {
           next_delta[rel->symbol()].Insert(f.args);
           ++stats->local_derivations;
+          state_mutated = true;
         }
-      } else {
-        // Local update rule: deferred to the next stage (Bud's <+).
-        if (rel == nullptr || !rel->Contains(f.args)) {
-          self_updates->insert(f);
-        }
+      } else if (rel == nullptr || !rel->Contains(f.args)) {
+        self_updates.insert(f);  // local update rule: next stage, Bud's <+
       }
     };
-    sinks.on_remote_fact = [&](const Fact& f) {
-      if (current_rule_deletes) {
-        remote_deletes->insert(f);
-      } else {
-        (*contributions)[ContributionKey{f.peer, f.relation}].insert(
-            f.args);
+    derive.on_remote_fact = [this](const Fact& f) {
+      ContributionKey key{f.peer, f.relation};
+      if ((*contributions)[key].insert(f.args).second && record_changes) {
+        RecordContribAdd(key, f.args);
       }
     };
-    sinks.on_delegation = [&](const Delegation& d) {
-      delegations->emplace(d.Key(), d);
+    derive.on_delegation = [this](const Delegation& d) {
+      delegations_changed |= delegations->emplace(d.Key(), d).second;
     };
-
-    auto evaluate = [&](const RulePlan* plan, const DeltaMap* d, int pos) {
-      current_rule_deletes = plan->rule.head_deletes;
-      evaluator_.EvaluatePlan(*plan, d, pos, sinks);
-    };
-    auto evaluate_delta_positions = [&](const RulePlan* plan) {
-      for (size_t pos = 0; pos < plan->rule.body.size(); ++pos) {
-        if (!plan->rule.body[pos].negated) {
-          evaluate(plan, &delta, static_cast<int>(pos));
-        }
+    remove.on_local_fact = [this, engine](const Fact& f) {
+      Relation* rel = engine->catalog_.Get(f.relation);
+      if (rel != nullptr && rel->kind() == RelationKind::kIntensional) {
+        WDL_LOG(Warning) << "deletion rule derived into view "
+                         << f.PredicateId() << "; dropped";
+      } else if (rel != nullptr && rel->Contains(f.args)) {
+        self_deletes.insert(f);  // deferred, Bud's <-
       }
     };
-
-    // Iteration 1: full evaluation.
-    int iterations = 1;
-    for (const RulePlan* plan : active) evaluate(plan, nullptr, -1);
-
-    if (options_.mode == EvalMode::kNaive) {
-      // Naive: re-run everything until no new local facts appear.
-      while (!next_delta.empty() &&
-             iterations < options_.max_fixpoint_iterations) {
-        next_delta.clear();
-        ++iterations;
-        for (const RulePlan* plan : active) evaluate(plan, nullptr, -1);
-      }
-    } else {
-      // Semi-naive: only join against the Δ of the previous iteration.
-      // When eval_threads > 1, the round-eligible rules run
-      // Δ-partitioned across the engine's worker pool with buffered
-      // emissions replayed through the sinks above (DESIGN.md §8);
-      // ineligible rules (delegation-capable, non-rotatable body) run
-      // the serial loop against the same frozen Δ after the replay
-      // barrier — a per-*rule* fallback, so one such rule no longer
-      // forces the whole round off the parallel path. The serial loop
-      // stays the oracle and the no-eligible-rules fallback.
-      ParallelEval* par = nullptr;
-      std::vector<const RulePlan*> prules;
-      std::vector<const RulePlan*> serial_rules;
-      if (options_.eval_threads > 1) {
-        for (const RulePlan* plan : active) {
-          (PlanRoundEligible(plan, self_sym_) ? prules : serial_rules)
-              .push_back(plan);
-        }
-        if (!prules.empty()) par = EnsureParallelEval();
-        if (par != nullptr) {
-          for (const RulePlan* plan : prules) {
-            PrebuildPlanIndexes(&catalog_, *plan);
-          }
-        } else {
-          serial_rules.clear();  // plain serial loop covers everything
-        }
-      }
-      auto replay_fact = [&](uint32_t r, bool remote, const Fact& f) {
-        current_rule_deletes = prules[r]->rule.head_deletes;
-        if (remote) {
-          sinks.on_remote_fact(f);
-        } else {
-          sinks.on_local_fact(f);
-        }
-      };
-      while (!next_delta.empty() &&
-             iterations < options_.max_fixpoint_iterations) {
-        delta = std::move(next_delta);
-        next_delta = DeltaMap();
-        ++iterations;
-        if (par != nullptr) {
-          ++evaluator_.mutable_counters()->parallel_rounds;
-          if (!serial_rules.empty()) {
-            ++evaluator_.mutable_counters()->parallel_mixed_rounds;
-          }
-          par->RunRound(prules, delta, replay_fact, sinks.on_delegation,
-                        evaluator_.mutable_counters());
-          // Ineligible rules see the same frozen Δ, on the driving
-          // thread, after the parallel replay (emissions land in
-          // order-independent sets/maps, and semi-naive finds any
-          // derivation enabled by this round's parallel inserts at most
-          // one round later — same fixpoint as all-serial).
-          for (const RulePlan* plan : serial_rules) {
-            evaluate_delta_positions(plan);
-          }
-          continue;
-        }
-        for (const RulePlan* plan : active) evaluate_delta_positions(plan);
-      }
-    }
-    if (iterations >= options_.max_fixpoint_iterations) {
-      WDL_LOG(Error) << "fixpoint iteration limit reached at peer "
-                     << self_peer_;
-    }
-    stats->iterations += iterations;
+    remove.on_remote_fact = [this](const Fact& f) {
+      remote_deletes.insert(f);
+    };
+    remove.on_delegation = derive.on_delegation;
   }
-  stats->tuples_examined =
-      evaluator_.counters().tuples_examined - tuples_before;
+  StagePass(const StagePass&) = delete;  // the sinks capture `this`
+  StagePass& operator=(const StagePass&) = delete;
+
+  /// Deletion rules' heads remove; every other rule's head derives.
+  const RuleEvaluator::Sinks& SinksFor(const RulePlan& plan) const {
+    return plan.rule.head_deletes ? remove : derive;
+  }
+
+  // Per-stage contribution changes, netted: a tuple removed by the
+  // deletion cascade and restored by re-derivation or the forward pass
+  // must not ship at all.
+  void RecordContribAdd(const ContributionKey& key, const Tuple& t) {
+    auto it = contrib_removed.find(key);
+    if (it != contrib_removed.end() && it->second.erase(t) > 0) return;
+    contrib_added[key].insert(t);
+  }
+  void RecordContribRemove(const ContributionKey& key, const Tuple& t) {
+    auto it = contrib_added.find(key);
+    if (it != contrib_added.end() && it->second.erase(t) > 0) return;
+    contrib_removed[key].insert(t);
+  }
+
+  StageStats* stats;
+  // Where derived contributions and delegations land: the engine's
+  // current maps in a Δ stage, fresh ones in a recompute stage.
+  std::map<ContributionKey, TupleSet>* contributions;
+  std::map<uint64_t, Delegation>* delegations;
+  const bool record_changes;
+  const uint64_t tuples_before;
+  RuleEvaluator::Sinks derive;
+  RuleEvaluator::Sinks remove;
+  DeltaMap next_delta;  // local tuples new in the current round
+  bool state_mutated = false;
+  bool delegations_changed = false;
+  std::unordered_set<Fact, FactHasher> self_updates;
+  std::unordered_set<Fact, FactHasher> self_deletes;
+  std::unordered_set<Fact, FactHasher> remote_deletes;
+  std::map<ContributionKey, TupleSet> contrib_added;
+  std::map<ContributionKey, TupleSet> contrib_removed;
+};
+
+int Engine::RunRounds(std::vector<const RulePlan*> rules, DeltaMap delta,
+                      StagePass* pass) {
+  // When eval_threads > 1, the round-eligible rules run Δ-partitioned
+  // across the engine's worker pool with buffered emissions replayed
+  // through the pass's sinks (DESIGN.md §8); the rest stay in `rules`
+  // and run serially against the same frozen Δ after the replay
+  // barrier — a per-*rule* fallback, so one ineligible rule does not
+  // force the whole round off the parallel path.
+  std::vector<const RulePlan*> parallel_rules;
+  if (options_.eval_threads > 1) {
+    auto serial = std::stable_partition(
+        rules.begin(), rules.end(), [&](const RulePlan* plan) {
+          return PlanRoundEligible(plan, self_sym_);
+        });
+    parallel_rules.assign(rules.begin(), serial);
+    rules.erase(rules.begin(), serial);
+  }
+  ParallelEval* par = parallel_rules.empty() ? nullptr : EnsureParallelEval();
+  if (par != nullptr) {
+    for (const RulePlan* plan : parallel_rules) {
+      PrebuildPlanIndexes(&catalog_, *plan);
+    }
+  }
+  auto replay_fact = [&](uint32_t r, bool remote, const Fact& f) {
+    const RuleEvaluator::Sinks& sinks = pass->SinksFor(*parallel_rules[r]);
+    (remote ? sinks.on_remote_fact : sinks.on_local_fact)(f);
+  };
+  EvalCounters* counters = evaluator_.mutable_counters();
+  int rounds = 0;
+  while (!delta.empty() && rounds < kMaxFixpointRounds) {
+    ++rounds;
+    if (par != nullptr) {
+      ++counters->parallel_rounds;
+      if (!rules.empty()) ++counters->parallel_mixed_rounds;
+      par->RunRound(parallel_rules, delta, replay_fact,
+                    pass->derive.on_delegation, counters);
+    }
+    // Serial rules see the same frozen Δ (emissions land in
+    // order-independent sets and maps, and semi-naive finds any
+    // derivation enabled by this round's parallel inserts at most one
+    // round later — the same fixpoint as all-serial). A rule whose body
+    // reads nothing in the Δ has nothing new to find.
+    for (const RulePlan* plan : rules) {
+      if (BodyReadsDelta(*plan, delta)) {
+        EvaluateDeltaPositions(&evaluator_, *plan, delta,
+                               pass->SinksFor(*plan));
+      }
+    }
+    delta = std::move(pass->next_delta);
+    pass->next_delta = DeltaMap();
+  }
+  if (rounds >= kMaxFixpointRounds) {
+    WDL_LOG(Error) << "fixpoint round limit reached at peer " << self_peer_;
+  }
+  return rounds;
+}
+
+void Engine::RunFixpoint(StagePass* pass) {
+  // Stratify the active rule set. Installs keep it stratifiable
+  // (PrepareRule), and a negation-free program is one stratum.
+  Stratification strat;
+  strat.rule_stratum.assign(rules_.size(), 0);
+  if (program_info_.has_negation) {
+    std::vector<Rule> rule_bodies;
+    rule_bodies.reserve(rules_.size());
+    for (const InstalledRule& ir : rules_) rule_bodies.push_back(ir.rule);
+    Result<Stratification> stratified = Stratify(rule_bodies);
+    if (stratified.ok()) {
+      strat = std::move(stratified).value();
+    } else {
+      WDL_LOG(Error) << "stratification failed; evaluating in one stratum: "
+                     << stratified.status();
+    }
+  }
+  pass->stats->strata = strat.num_strata;
+
+  for (int stratum = 0; stratum < strat.num_strata; ++stratum) {
+    std::vector<const RulePlan*> active;
+    for (size_t i = 0; i < rules_.size(); ++i) {
+      if (strat.rule_stratum[i] == stratum) {
+        active.push_back(rules_[i].plan.get());
+      }
+    }
+    if (active.empty()) continue;
+    // Round 1 evaluates every rule in full; the semi-naive rounds
+    // continue from what it derived.
+    for (const RulePlan* plan : active) {
+      evaluator_.Evaluate(*plan, nullptr, -1, pass->SinksFor(*plan));
+    }
+    DeltaMap delta = std::move(pass->next_delta);
+    pass->next_delta = DeltaMap();
+    pass->stats->iterations += 1 + RunRounds(std::move(active),
+                                             std::move(delta), pass);
+  }
 }
 
 namespace {
@@ -915,9 +932,9 @@ void Engine::ClearDeleteSuppression(const std::string& relation,
   if (sent_remote_deletes_.erase(f) == 0) return;
   // The fact went out as an insert after we had shipped its deletion:
   // if a deletion rule still derives it, the deletion must ship again.
-  // The next stage settles the verdict — the recompute oracle re-fires
-  // every deletion rule there anyway; the incremental path re-checks
-  // exactly the queued facts. (This runs inside a stage, which raises
+  // The next stage settles the verdict — a recompute stage re-fires
+  // every deletion rule anyway; a Δ stage re-checks exactly the queued
+  // facts. (This runs inside a stage, which raises
   // no work notices: the non-empty queue is what the runtime's
   // post-stage re-check sees.)
   pending_delete_rechecks_.insert(std::move(f));
@@ -950,13 +967,11 @@ void Engine::ShipDelta(const ContributionKey& key, SentContribution* sent,
 /// delta of the inserts/deletes against the last-sent state. An
 /// emptied contribution ships once, as a delta deleting the remainder,
 /// so the receiver clears its slice.
-void Engine::EmitContributions(
-    std::map<ContributionKey, TupleSet>* contributions,
-    StageResult* result) {
+void Engine::EmitContributions(StageResult* result) {
   // Vanished contributions first: keys we shipped before that this
   // stage derived nothing for.
   for (auto& [key, sent] : sent_contributions_) {
-    if (contributions->count(key) || sent.tuples.empty()) continue;
+    if (current_contributions_.count(key) || sent.tuples.empty()) continue;
     DerivedDelta dd;
     dd.deletes.assign(sent.tuples.begin(), sent.tuples.end());
     sent.tuples.clear();
@@ -964,7 +979,7 @@ void Engine::EmitContributions(
   }
 
   // Changed contributions.
-  for (auto& [key, set] : *contributions) {
+  for (const auto& [key, set] : current_contributions_) {
     SentContribution& sent = sent_contributions_[key];
     if (sent.tuples == set) continue;  // unchanged, stay silent
     DerivedDelta dd;
@@ -974,7 +989,8 @@ void Engine::EmitContributions(
     for (const Tuple& t : sent.tuples) {
       if (!set.count(t)) dd.deletes.push_back(t);
     }
-    sent.tuples = std::move(set);
+    for (const Tuple& t : dd.deletes) sent.tuples.erase(t);
+    for (const Tuple& t : dd.inserts) sent.tuples.insert(t);
     ShipDelta(key, &sent, std::move(dd), result);
   }
 
@@ -1007,8 +1023,8 @@ void Engine::EmitContributionsIncremental(
     for (const Tuple& t : dd.inserts) sent.tuples.insert(t);
     for (const Tuple& t : dd.deletes) sent.tuples.erase(t);
     ShipDelta(key, &sent, std::move(dd), result);
-    // Emptied contributions leave the current map (mirrors the
-    // recompute path, where an underived key simply stops appearing).
+    // Emptied contributions leave the current map (as in a recompute
+    // stage, where an underived key simply stops appearing).
     auto cur = current_contributions_.find(key);
     if (cur != current_contributions_.end() && cur->second.empty()) {
       current_contributions_.erase(cur);
@@ -1123,30 +1139,27 @@ uint64_t Engine::IntensionalContentHash() const {
 
 void Engine::RefreshProgramInfo() {
   program_info_ = ProgramInfo();
-  // The naive-mode ablation measures full-fixpoint cost; Δ-driven
-  // stages would bypass exactly what it measures.
-  program_info_.incremental_ok = options_.mode == EvalMode::kSemiNaive;
-  bool any_negation = false;
   for (const InstalledRule& ir : rules_) {
-    if (ir.info.negated_relation_var) {
+    const PlanStaticInfo& info = ir.plan->info;
+    if (info.negated_relation_var) {
       // A negated atom that names its relation with a variable can read
       // any relation: no change is provably outside its footprint.
       program_info_.incremental_ok = false;
-      any_negation = true;
     }
-    for (Symbol s : ir.info.negated_relations) {
-      any_negation = true;
+    for (Symbol s : info.negated_relations) {
       program_info_.negated_ids.insert(s.id());
     }
+    program_info_.has_negation |= info.HasNegation();
   }
-  if (any_negation) {
+  if (program_info_.has_negation) {
     // Derivations must never write a negated relation, or stratified
     // re-evaluation order matters mid-Δ and the incremental pass is
     // unsound. Direct EDB changes to negated relations are caught per
     // stage in ChangesEligible.
     for (const InstalledRule& ir : rules_) {
-      if (ir.info.head_relation_var ||
-          program_info_.negated_ids.count(ir.info.head_relation.id())) {
+      const PlanStaticInfo& info = ir.plan->info;
+      if (info.head_relation_var ||
+          program_info_.negated_ids.count(info.head_relation.id())) {
         program_info_.incremental_ok = false;
         break;
       }
@@ -1166,9 +1179,9 @@ bool Engine::ChangesEligible(const StageChangeLog& log) const {
 }
 
 bool Engine::HasLocalDerivation(const Fact& target) {
-  for (const InstalledRule& ir : rules_) {
+  for (InstalledRule& ir : rules_) {
     if (ir.rule.head_deletes) continue;
-    if (evaluator_.ExistsDerivation(ir.rule, target)) return true;
+    if (evaluator_.ExistsDerivation(HeadBoundPlan(&ir), target)) return true;
   }
   return false;
 }
@@ -1185,210 +1198,64 @@ StageResult Engine::RunStage() {
     rules_changed_ = false;
   }
 
-  bool changed_local = false;
-  if (!options_.use_incremental_maintenance) {
-    // Step 1: load inputs received since the previous stage.
-    ApplyInputs(&result.stats, &changed_local, nullptr);
-    RunStageRecompute(&result, changed_local,
-                      /*rebuild_derived_state=*/false);
-    return result;
-  }
-
+  // Step 1: load inputs received since the previous stage.
   StageChangeLog log = std::move(direct_changes_);
   direct_changes_ = StageChangeLog();
-  ApplyInputs(&result.stats, &changed_local, &log);
+  bool changed_local = false;
+  ApplyInputs(&changed_local, &log);
 
+  // Steps 2 and 3: Δ-driven from the change, unless the change is one a
+  // Δ pass cannot serve soundly (DESIGN.md §6).
   if (!derived_state_ready_ || rule_set_changed || !ChangesEligible(log)) {
-    RunStageRecompute(&result, changed_local, /*rebuild_derived_state=*/true);
+    RunStageRecompute(&result, changed_local);
   } else {
     RunStageIncremental(&result, changed_local, &log);
   }
   return result;
 }
 
-void Engine::RunStageRecompute(StageResult* result, bool changed_local,
-                               bool rebuild_derived_state) {
-  DerivationTracker* tracker = nullptr;
-  uint64_t pre_hash = 0;
+void Engine::RunStageRecompute(StageResult* result, bool changed_local) {
+  ++evaluator_.mutable_counters()->stages_full;
+  const uint64_t pre_hash = IntensionalContentHash();
   // A full fixpoint re-derives every deletion-rule verdict, so the
-  // queued per-fact rechecks are subsumed (this path *is* the oracle
-  // behavior the rechecks emulate).
+  // queued per-fact rechecks are subsumed.
   pending_delete_rechecks_.clear();
-  if (rebuild_derived_state) {
-    ++evaluator_.mutable_counters()->stages_full;
-    pre_hash = IntensionalContentHash();
-    tracker_.Clear();
-    tracker = &tracker_;
-  }
+  tracker_.Clear();
 
   // Step 2: local fixpoint. Intensional relations are views: reset, then
   // re-seed with remote contributions, then derive.
   ClearIntensionalRelations();
-  SeedIntensionalFromContributions(/*track_support=*/tracker != nullptr);
-
+  SeedIntensionalFromContributions();
   std::map<ContributionKey, TupleSet> contributions;
   std::map<uint64_t, Delegation> delegations;
-  std::unordered_set<Fact, FactHasher> self_updates;
-  std::unordered_set<Fact, FactHasher> self_deletes;
-  std::unordered_set<Fact, FactHasher> remote_deletes;
-  RunFixpoint(&result->stats, &contributions, &delegations, &self_updates,
-              &self_deletes, &remote_deletes, tracker);
-
-  pending_self_updates_ = std::move(self_updates);
-  pending_self_deletes_ = std::move(self_deletes);
-
-  // Remote deletions ship once per unique fact (idempotent at the
-  // receiver; re-sending is pure waste until an insert re-ships it).
-  for (const Fact& f : remote_deletes) {
-    if (sent_remote_deletes_.insert(f).second) {
-      result->outbound[f.peer].fact_deletes.push_back(f);
-    }
-  }
-
-  if (rebuild_derived_state) {
-    // Snapshot the derived outputs before emission consumes them: they
-    // are the baseline the next incremental stages evolve.
-    current_contributions_ = contributions;
-    current_delegations_ = delegations;
-  }
-
-  // Step 3: emit facts (updates) and rules (delegations) to other peers.
-  EmitContributions(&contributions, result);
-  EmitDelegationDiff(std::move(delegations), result);
-  FinalizeOutbound(result);
-
-  bool views_changed;
-  uint64_t intensional_hash = IntensionalContentHash();
-  if (rebuild_derived_state) {
-    // Incremental stages don't maintain the cross-stage hash, so a
-    // fallback stage compares its own before/after states instead.
-    views_changed = intensional_hash != pre_hash;
-    derived_state_ready_ = true;
-  } else {
-    views_changed = intensional_hash != prev_intensional_hash_;
-  }
-  prev_intensional_hash_ = intensional_hash;
-
-  result->changed = changed_local || views_changed ||
-                    !result->outbound.empty() ||
-                    !pending_self_updates_.empty() ||
-                    !pending_self_deletes_.empty() ||
-                    !pending_delete_rechecks_.empty();
+  StagePass pass(this, &result->stats, &contributions, &delegations,
+                 /*record=*/false);
+  RunFixpoint(&pass);
+  // Swap the rebuilt outputs in; the old ones are freed only now.
+  // Clearing them before the rebuild made malloc serve it from just-freed
+  // chunks, ~20% more CPU per op on the social_churn benchmark. The
+  // delegation set was rebuilt from nothing, so it is always diffed.
+  current_contributions_.swap(contributions);
+  current_delegations_.swap(delegations);
+  pass.delegations_changed = true;
+  derived_state_ready_ = true;
+  FinishStage(&pass, changed_local || IntensionalContentHash() != pre_hash,
+              result);
 }
 
 void Engine::RunStageIncremental(StageResult* result, bool changed_local,
                                  StageChangeLog* log) {
   EvalCounters* counters = evaluator_.mutable_counters();
   ++counters->stages_incremental;
-  StageStats* stats = &result->stats;
-  uint64_t tuples_before = evaluator_.counters().tuples_examined;
-  bool state_mutated = false;
-
-  // Per-stage contribution changes, netted (a tuple removed by the
-  // deletion cascade and restored by re-derivation or the insert pass
-  // must not ship at all).
-  std::map<ContributionKey, TupleSet> contrib_added;
-  std::map<ContributionKey, TupleSet> contrib_removed;
-  auto record_contrib_add = [&](const ContributionKey& key, const Tuple& t) {
-    auto it = contrib_removed.find(key);
-    if (it != contrib_removed.end() && it->second.erase(t) > 0) return;
-    contrib_added[key].insert(t);
-  };
-  auto record_contrib_remove = [&](const ContributionKey& key,
-                                   const Tuple& t) {
-    auto it = contrib_added.find(key);
-    if (it != contrib_added.end() && it->second.erase(t) > 0) return;
-    contrib_removed[key].insert(t);
-  };
-
-  std::unordered_set<Fact, FactHasher> self_updates;
-  std::unordered_set<Fact, FactHasher> self_deletes;
-  std::unordered_set<Fact, FactHasher> remote_deletes;
-
-  // Resolve each active rule's compiled plan once (mirrors RunFixpoint).
-  struct ActiveRule {
-    const InstalledRule* ir;
-    const RulePlan* plan;
-  };
-  std::vector<ActiveRule> active;
-  active.reserve(rules_.size());
-  for (const InstalledRule& ir : rules_) {
-    active.push_back(ActiveRule{&ir, &evaluator_.PlanFor(ir.rule)});
-  }
-  auto body_reads_delta = [](const ActiveRule& ar, const DeltaMap& delta) {
-    for (const auto& [sym, ds] : delta) {
-      if (!ds.empty() && ar.ir->info.BodyReads(sym)) return true;
-    }
-    return false;
-  };
-
-  bool current_rule_deletes = false;
-  DeltaMap next_delta;
-
-  // The forward (insert) sinks: also used by the full re-fires below —
-  // every action is idempotent against resident state.
-  RuleEvaluator::Sinks sinks;
-  sinks.on_local_fact = [&](const Fact& f) {
-    Relation* rel = catalog_.Get(f.relation);
-    bool intensional =
-        rel != nullptr && rel->kind() == RelationKind::kIntensional;
-    if (current_rule_deletes) {
-      if (intensional) {
-        WDL_LOG(Warning) << "deletion rule derived into view "
-                         << f.PredicateId() << "; dropped";
-      } else if (rel != nullptr && rel->Contains(f.args)) {
-        self_deletes.insert(f);  // deferred, Bud's <-
-      }
-      return;
-    }
-    if (intensional) {
-      tracker_.Ensure(f.relation, f.args).derived = true;
-      Result<bool> r = rel->Insert(f.args);
-      if (r.ok() && *r) {
-        next_delta[rel->symbol()].Insert(f.args);
-        ++stats->local_derivations;
-        state_mutated = true;
-      }
-    } else if (rel == nullptr || !rel->Contains(f.args)) {
-      self_updates.insert(f);  // deferred, Bud's <+
-    }
-  };
-  sinks.on_remote_fact = [&](const Fact& f) {
-    if (current_rule_deletes) {
-      remote_deletes.insert(f);
-      return;
-    }
-    ContributionKey key{f.peer, f.relation};
-    if (current_contributions_[key].insert(f.args).second) {
-      record_contrib_add(key, f.args);
-    }
-  };
-  bool delegations_changed = false;
-  sinks.on_delegation = [&](const Delegation& d) {
-    delegations_changed |= current_delegations_.emplace(d.Key(), d).second;
-  };
-
-  auto evaluate = [&](const ActiveRule& ar, const RuleEvaluator::Sinks& s,
-                      const DeltaMap* delta, int pos) {
-    current_rule_deletes = ar.ir->rule.head_deletes;
-    evaluator_.EvaluatePlan(*ar.plan, delta, pos, s);
-  };
-  auto evaluate_delta_positions = [&](const ActiveRule& ar,
-                                      const RuleEvaluator::Sinks& s,
-                                      const DeltaMap* delta) {
-    const Rule& rule = ar.ir->rule;
-    for (size_t pos = 0; pos < rule.body.size(); ++pos) {
-      if (rule.body[pos].negated) continue;
-      evaluate(ar, s, delta, static_cast<int>(pos));
-    }
-  };
+  StagePass pass(this, &result->stats, &current_contributions_,
+                 &current_delegations_, /*record=*/true);
 
   // ---- Deletion-verdict rechecks queued by insert re-ships ----------
   for (const Fact& f : pending_delete_rechecks_) {
-    for (const ActiveRule& ar : active) {
-      if (!ar.ir->rule.head_deletes) continue;
-      if (evaluator_.ExistsDerivation(ar.ir->rule, f)) {
-        remote_deletes.insert(f);
+    for (InstalledRule& ir : rules_) {
+      if (!ir.rule.head_deletes) continue;
+      if (evaluator_.ExistsDerivation(HeadBoundPlan(&ir), f)) {
+        pass.remote_deletes.insert(f);
         break;
       }
     }
@@ -1448,9 +1315,9 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
   std::unordered_set<Fact, FactHasher> recheck_derived;
   const bool any_deletions = !frontier.empty();
 
+  DeltaMap next_frontier;
   RuleEvaluator::Sinks del_sinks;
   del_sinks.on_local_fact = [&](const Fact& f) {
-    if (current_rule_deletes) return;  // deletion rules sustain nothing
     Relation* rel = catalog_.Get(f.relation);
     if (rel == nullptr || rel->kind() != RelationKind::kIntensional) {
       return;  // extensional updates persist; never retract them
@@ -1467,10 +1334,9 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
       return;
     }
     m.insert(f.args);
-    next_delta[rel->symbol()].Insert(f.args);
+    next_frontier[rel->symbol()].Insert(f.args);
   };
   del_sinks.on_remote_fact = [&](const Fact& f) {
-    if (current_rule_deletes) return;
     ContributionKey key{f.peer, f.relation};
     auto it = current_contributions_.find(key);
     if (it == current_contributions_.end() || it->second.count(f.args) == 0) {
@@ -1479,15 +1345,16 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
     marked_contrib[key].insert(f.args);  // leaf: nothing local reads it
   };
 
+  // Deletion rules sustain nothing, so only derivation rules cascade.
   while (!frontier.empty()) {
-    next_delta = DeltaMap();
-    for (const ActiveRule& ar : active) {
-      if (ar.ir->rule.head_deletes) continue;
-      if (!body_reads_delta(ar, frontier)) continue;
-      evaluate_delta_positions(ar, del_sinks, &frontier);
+    for (const InstalledRule& ir : rules_) {
+      if (ir.rule.head_deletes || !BodyReadsDelta(*ir.plan, frontier)) {
+        continue;
+      }
+      EvaluateDeltaPositions(&evaluator_, *ir.plan, frontier, del_sinks);
     }
-    frontier = std::move(next_delta);
-    next_delta = DeltaMap();
+    frontier = std::move(next_frontier);
+    next_frontier = DeltaMap();
   }
 
   // ---- Apply deletions, then re-derive survivors --------------------
@@ -1508,7 +1375,7 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
       candidates.push_back(Candidate{&rel_name, rel, &t});
     }
   }
-  if (!candidates.empty()) state_mutated = true;
+  if (!candidates.empty()) pass.state_mutated = true;
 
   // DRed re-derivation loop: a candidate with an alternative derivation
   // over the post-deletion database returns; returned tuples can in
@@ -1543,7 +1410,7 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
         continue;
       }
       cur->second.erase(t);
-      record_contrib_remove(key, t);
+      pass.RecordContribRemove(key, t);
       ++counters->tuples_retracted;
     }
   }
@@ -1576,20 +1443,23 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
       for (const Tuple& t : tuples) deleted[rel->symbol()].Insert(t);
     }
     RuleEvaluator::Sinks delegation_only;
-    delegation_only.on_delegation = sinks.on_delegation;
-    for (const ActiveRule& ar : active) {
-      if (!ar.ir->info.CanDelegate(self_sym_)) continue;
-      if (!body_reads_delta(ar, deleted)) continue;
+    delegation_only.on_delegation = pass.derive.on_delegation;
+    for (const InstalledRule& ir : rules_) {
+      const RulePlan& plan = *ir.plan;
+      if (!plan.info.CanDelegate(self_sym_)) continue;
+      if (!BodyReadsDelta(plan, deleted)) continue;
+      // Residuals carry the hash of the plan they were substituted from,
+      // which every α-variant of the rule at this peer shares.
       for (auto it = current_delegations_.begin();
            it != current_delegations_.end();) {
-        if (it->second.origin_rule_hash == ar.ir->rule_hash) {
+        if (it->second.origin_rule_hash == plan.rule_hash) {
           it = current_delegations_.erase(it);
-          delegations_changed = true;
+          pass.delegations_changed = true;
         } else {
           ++it;
         }
       }
-      evaluate(ar, delegation_only, nullptr, -1);
+      evaluator_.Evaluate(plan, nullptr, -1, delegation_only);
     }
   }
 
@@ -1610,153 +1480,94 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
       Result<bool> r = rel->Insert(t);
       if (r.ok() && *r) {
         delta[rel->symbol()].Insert(t);
-        state_mutated = true;
+        pass.state_mutated = true;
       }
     }
   }
 
-  // Continuous-enforcement re-fires, seeding the loop: a deletion rule
+  // Continuous-enforcement re-fires, seeding the rounds: a deletion rule
   // whose head relation regained tuples must delete them again, and an
   // update rule whose (extensional) head relation lost tuples must
-  // re-assert them — exactly what the recompute oracle does by
-  // re-firing everything every stage.
-  next_delta = DeltaMap();
-  {
-    std::unordered_set<uint32_t> added_ids, removed_ids;
-    for (const auto& [rel_name, tuples] : log->added()) {
-      if (tuples.empty()) continue;
-      Symbol s = Symbol::Find(rel_name);
-      if (s.valid()) added_ids.insert(s.id());
-    }
-    for (const auto& [rel_name, tuples] : log->removed()) {
-      if (tuples.empty()) continue;
-      Symbol s = Symbol::Find(rel_name);
-      if (s.valid()) removed_ids.insert(s.id());
-    }
-    for (const ActiveRule& ar : active) {
-      const PlanStaticInfo& info = ar.ir->info;
-      bool refire = false;
-      if (ar.ir->rule.head_deletes) {
-        refire = !added_ids.empty() &&
-                 (info.head_relation_var ||
-                  added_ids.count(info.head_relation.id()) > 0);
-      } else if (!removed_ids.empty()) {
-        // Only local extensional heads re-assert; remote heads are
-        // contributions (receiver-persistent) and view heads were
-        // handled by the cascade.
-        bool head_local =
-            info.head_peer_var || info.head_peer == self_sym_;
-        bool head_ext = info.head_relation_var;
-        if (!info.head_relation_var) {
-          const Relation* head_rel =
-              catalog_.Get(info.head_relation.str());
-          head_ext = head_rel == nullptr ||
-                     head_rel->kind() == RelationKind::kExtensional;
-        }
-        refire = head_local && head_ext &&
-                 (info.head_relation_var ||
-                  removed_ids.count(info.head_relation.id()) > 0);
-      }
-      if (refire) evaluate(ar, sinks, nullptr, -1);
-    }
+  // re-assert them — what a recompute stage does by re-firing
+  // everything.
+  std::unordered_set<uint32_t> added_ids, removed_ids;
+  for (const auto& [rel_name, tuples] : log->added()) {
+    if (tuples.empty()) continue;
+    Symbol s = Symbol::Find(rel_name);
+    if (s.valid()) added_ids.insert(s.id());
   }
-  for (auto& [sym, ds] : next_delta) {
+  for (const auto& [rel_name, tuples] : log->removed()) {
+    if (tuples.empty()) continue;
+    Symbol s = Symbol::Find(rel_name);
+    if (s.valid()) removed_ids.insert(s.id());
+  }
+  std::vector<const RulePlan*> plans;
+  plans.reserve(rules_.size());
+  for (const InstalledRule& ir : rules_) {
+    const RulePlan& plan = *ir.plan;
+    plans.push_back(&plan);
+    const PlanStaticInfo& info = plan.info;
+    bool refire = false;
+    if (ir.rule.head_deletes) {
+      refire = !added_ids.empty() &&
+               (info.head_relation_var ||
+                added_ids.count(info.head_relation.id()) > 0);
+    } else if (!removed_ids.empty()) {
+      // Only local extensional heads re-assert; remote heads are
+      // contributions (receiver-persistent) and view heads were handled
+      // by the cascade.
+      bool head_local = info.head_peer_var || info.head_peer == self_sym_;
+      bool head_ext = info.head_relation_var;
+      if (!info.head_relation_var) {
+        const Relation* head_rel = catalog_.Get(info.head_relation.str());
+        head_ext = head_rel == nullptr ||
+                   head_rel->kind() == RelationKind::kExtensional;
+      }
+      refire = head_local && head_ext &&
+               (info.head_relation_var ||
+                removed_ids.count(info.head_relation.id()) > 0);
+    }
+    if (refire) evaluator_.Evaluate(plan, nullptr, -1, pass.SinksFor(plan));
+  }
+  for (auto& [sym, ds] : pass.next_delta) {
     for (const Tuple& t : ds.tuples()) delta[sym].Insert(t);
   }
+  pass.next_delta = DeltaMap();
 
-  int iterations = 0;
-  // Parallel forward rounds under the same per-rule gate as
-  // RunFixpoint: round-eligible rules (Δ-first variants everywhere, no
-  // delegation possible) run Δ-partitioned; ineligible
-  // rules fall back to the serial loop within the same round, after the
-  // replay barrier. Replay routes buffered emissions through the
-  // ordinary sinks above, so tracker/contribution/delta bookkeeping is
-  // the serial code verbatim. (The serial path's body_reads_delta
-  // filter is skipped for the eligible rules — a rule whose body cannot
-  // read the Δ exits its variant's leading Δ-probe immediately, so the
-  // filter buys nothing in parallel mode; serial-fallback rules keep
-  // it.)
-  ParallelEval* par = nullptr;
-  std::vector<const RulePlan*> prules;
-  std::vector<const ActiveRule*> serial_rules;
-  if (options_.eval_threads > 1) {
-    std::vector<const ActiveRule*> eligible;
-    for (const ActiveRule& ar : active) {
-      (PlanRoundEligible(ar.plan, self_sym_) ? eligible : serial_rules)
-          .push_back(&ar);
-    }
-    if (!eligible.empty()) par = EnsureParallelEval();
-    if (par != nullptr) {
-      prules.reserve(eligible.size());
-      for (const ActiveRule* ar : eligible) {
-        prules.push_back(ar->plan);
-        PrebuildPlanIndexes(&catalog_, *ar->plan);
-      }
-    } else {
-      serial_rules.clear();  // plain serial loop covers everything
-    }
-  }
-  auto replay_fact = [&](uint32_t r, bool remote, const Fact& f) {
-    current_rule_deletes = prules[r]->rule.head_deletes;
-    if (remote) {
-      sinks.on_remote_fact(f);
-    } else {
-      sinks.on_local_fact(f);
-    }
-  };
-  while (!delta.empty() && iterations < options_.max_fixpoint_iterations) {
-    ++iterations;
-    next_delta = DeltaMap();
-    if (par != nullptr) {
-      ++evaluator_.mutable_counters()->parallel_rounds;
-      if (!serial_rules.empty()) {
-        ++evaluator_.mutable_counters()->parallel_mixed_rounds;
-      }
-      par->RunRound(prules, delta, replay_fact, sinks.on_delegation,
-                    evaluator_.mutable_counters());
-      for (const ActiveRule* ar : serial_rules) {
-        if (!body_reads_delta(*ar, delta)) continue;
-        evaluate_delta_positions(*ar, sinks, &delta);
-      }
-    } else {
-      for (const ActiveRule& ar : active) {
-        if (!body_reads_delta(ar, delta)) continue;
-        evaluate_delta_positions(ar, sinks, &delta);
-      }
-    }
-    delta = std::move(next_delta);
-    next_delta = DeltaMap();
-  }
-  if (iterations >= options_.max_fixpoint_iterations) {
-    WDL_LOG(Error) << "incremental pass iteration limit reached at peer "
-                   << self_peer_;
-  }
-  stats->iterations += iterations;
-  stats->strata = 1;
+  result->stats.iterations +=
+      RunRounds(std::move(plans), std::move(delta), &pass);
+  result->stats.strata = 1;
+  FinishStage(&pass, changed_local || pass.state_mutated, result);
+}
 
-  // ---- Finalize: deferred updates, shipping, diffs ------------------
-  pending_self_updates_ = std::move(self_updates);
-  pending_self_deletes_ = std::move(self_deletes);
-  for (const Fact& f : remote_deletes) {
+void Engine::FinishStage(StagePass* pass, bool changed, StageResult* result) {
+  pending_self_updates_ = std::move(pass->self_updates);
+  pending_self_deletes_ = std::move(pass->self_deletes);
+  // Remote deletions ship once per unique fact (idempotent at the
+  // receiver; re-sending is pure waste until an insert re-ships it).
+  for (const Fact& f : pass->remote_deletes) {
     if (sent_remote_deletes_.insert(f).second) {
       result->outbound[f.peer].fact_deletes.push_back(f);
     }
   }
-  EmitContributionsIncremental(&contrib_added, &contrib_removed, result);
-  if (delegations_changed) {
+  if (pass->record_changes) {
+    EmitContributionsIncremental(&pass->contrib_added,
+                                 &pass->contrib_removed, result);
+  } else {
+    EmitContributions(result);
+  }
+  if (pass->delegations_changed) {
     EmitDelegationDiff(current_delegations_, result);
   } else {
-    // Nothing touched the delegation set: skip the copy + full-map
-    // diff so stage cost stays proportional to the change.
+    // Nothing touched the delegation set: skip the copy + full-map diff
+    // so stage cost stays proportional to the change.
     result->stats.delegations_active = sent_delegations_.size();
   }
   FinalizeOutbound(result);
 
-  stats->tuples_examined =
-      evaluator_.counters().tuples_examined - tuples_before;
-
-  result->changed = changed_local || state_mutated ||
-                    !result->outbound.empty() ||
+  result->stats.tuples_examined =
+      evaluator_.counters().tuples_examined - pass->tuples_before;
+  result->changed = changed || !result->outbound.empty() ||
                     !pending_self_updates_.empty() ||
                     !pending_self_deletes_.empty() ||
                     !pending_delete_rechecks_.empty();

@@ -23,14 +23,6 @@
 
 namespace wdl {
 
-/// Fixpoint strategy. Semi-naive is the production path; naive exists
-/// for the A1 ablation (bench_fixpoint) and as a differential-testing
-/// oracle (both must produce identical relations).
-enum class EvalMode : uint8_t {
-  kSemiNaive = 0,
-  kNaive = 1,
-};
-
 /// Process-wide default for EngineOptions::eval_threads: the
 /// WDL_EVAL_THREADS environment variable (read once), else 1. Lets CI
 /// drive existing suites through the parallel paths without touching
@@ -38,31 +30,16 @@ enum class EvalMode : uint8_t {
 int DefaultEvalThreads();
 
 struct EngineOptions {
-  EvalMode mode = EvalMode::kSemiNaive;
-  bool use_indexes = true;
-  /// Maintain intensional relations *incrementally* across stages
-  /// (production): views persist, per-stage Δ-sets (local EDB changes
-  /// plus slice-store support transitions) drive semi-naive evaluation
-  /// forward from the changed tuples only, and deletions retract by
-  /// support-counted DRed-style over-delete/re-derive (DESIGN.md §6).
-  /// When false, every stage clears views and recomputes the fixpoint
-  /// from scratch — the seed semantics, kept as a differential-testing
-  /// oracle until Δ-propagation covers every stage. Stages an
-  /// incremental engine cannot serve soundly (rule-set changes, changes
-  /// touching negated relations, naive mode) fall back to a full
-  /// recompute transparently; both modes converge byte-identically.
-  bool use_incremental_maintenance = true;
   Dialect dialect = Dialect::kExtended;
-  int max_fixpoint_iterations = 1 << 20;  // safety net; datalog terminates
   /// Intra-peer parallelism (DESIGN.md §8): partition each semi-naive
   /// round's Δ by tuple hash across this many workers, evaluate Δ-first
   /// plan variants per partition into per-worker emit buffers, and
   /// merge the buffers in stable partition order at the round barrier.
-  /// 1 (the default unless WDL_EVAL_THREADS overrides it) preserves
-  /// today's exact serial code path as the oracle; any thread count
-  /// yields bit-identical relation state. Rules that are not eligible
-  /// (missing Δ-first variants, delegation-capable) run on the serial
-  /// path within the same round, transparently.
+  /// 1 (the default unless WDL_EVAL_THREADS overrides it) runs every
+  /// round serially; any thread count yields bit-identical relation
+  /// state. Rules that are not eligible (missing Δ-first variants,
+  /// delegation-capable) run serially within the same round,
+  /// transparently.
   int eval_threads = DefaultEvalThreads();
   /// Durable-peer mode (DESIGN.md §11): on a link reset, keep the
   /// inbound stream versions and skip the blanket outbound contribution
@@ -160,22 +137,36 @@ struct StageResult {
 };
 
 /// A rule active at this peer, either authored locally or installed by
-/// a remote peer through delegation.
+/// a remote peer through delegation. The rule owns its compiled plans
+/// (DESIGN.md §4): acquired from the process-wide SharedPlanCache at
+/// install and released with the rule, so the evaluator holds none.
 struct InstalledRule {
   uint64_t id = 0;             // engine-local handle
   Rule rule;
   std::string origin_peer;     // == self for locally authored rules
   uint64_t delegation_key = 0; // nonzero iff installed via delegation
-  uint64_t rule_hash = 0;      // rule.Hash(), cached at install
-  /// What the rule can read/write/delegate, derived at install; routes
-  /// Δ-sets to affected rules in incremental stages (DESIGN.md §6).
-  PlanStaticInfo info;
+  /// The natural plan, shared with every α-equivalent rule in the
+  /// process. Its `info` routes Δ-sets to affected rules in incremental
+  /// stages (DESIGN.md §6); its `rule_hash` stamps the delegations it
+  /// emits.
+  std::shared_ptr<const RulePlan> plan;
+  /// The head-bound plan of DRed existence checks, acquired by the
+  /// first check against this rule.
+  std::shared_ptr<const RulePlan> head_bound_plan;
 };
 
 /// The WebdamLog engine of a single peer: catalog + active rule set +
 /// the three-step stage of §2 — (1) load inputs received since the
 /// previous stage, (2) run a local fixpoint, (3) emit facts (updates)
 /// and rules (delegations) for other peers.
+///
+/// Intensional relations are maintained incrementally across stages
+/// (DESIGN.md §6): views persist, per-stage Δ-sets (local EDB changes
+/// plus slice-store support transitions) drive semi-naive evaluation
+/// forward from the changed tuples only, and deletions retract by
+/// support-counted DRed-style over-delete/re-derive. Stages a Δ pass
+/// cannot serve soundly — the first, rule-set changes, changes touching
+/// negated relations — clear the views and recompute the fixpoint.
 ///
 /// Not thread-safe; one Engine per peer, driven by the runtime.
 class Engine {
@@ -278,8 +269,8 @@ class Engine {
   std::vector<const InstalledRule*> rules() const;
 
   /// Evaluator telemetry accumulated across every stage this engine has
-  /// run: plan-cache behavior, access-path choices, join work. Benches
-  /// surface these in their JSON so perf work can attribute wins.
+  /// run: access-path choices, join work, stage kinds. Benches surface
+  /// these in their JSON so perf work can attribute wins.
   const EvalCounters& eval_counters() const { return evaluator_.counters(); }
 
   /// Propagation-plane telemetry (deltas and snapshots shipped, resync
@@ -392,29 +383,41 @@ class Engine {
     DerivedDelta delta;
   };
 
-  /// Program-level facts the incremental driver needs per stage,
-  /// recomputed when the rule set changes.
+  /// Program-level facts the stage driver needs, recomputed when the
+  /// rule set changes.
   struct ProgramInfo {
-    /// False when no incremental stage can be sound for this program /
-    /// configuration (variable-named negated atoms, derivations that
-    /// can write negated relations, naive-mode ablation).
+    /// Some rule has a negated atom: full stages stratify.
+    bool has_negation = false;
+    /// False when no incremental stage can be sound for this program
+    /// (variable-named negated atoms, derivations that can write negated
+    /// relations).
     bool incremental_ok = true;
     /// Interned ids of relations appearing in (constant-named) negated
     /// atoms; a stage whose Δ touches one falls back to recompute.
     std::unordered_set<uint32_t> negated_ids;
   };
 
-  Status ValidateNewRule(const Rule& rule) const;
+  /// One stage's forward evaluation: the sinks rule heads derive
+  /// through and what they collect (engine.cc).
+  struct StagePass;
+
+  /// Validates `rule` against the dialect and the installed program and
+  /// acquires its plan.
+  Result<std::shared_ptr<const RulePlan>> PrepareRule(const Rule& rule) const;
+  uint64_t InstallRule(uint64_t id, const Rule& rule,
+                       std::shared_ptr<const RulePlan> plan,
+                       const std::string& origin_peer,
+                       uint64_t delegation_key);
   /// Marks the next stage as needed and tells the work listener.
   void NoteWork();
   void NoteRuleSetChanged();
   void RefreshProgramInfo();
   bool ChangesEligible(const StageChangeLog& log) const;
-  void ApplyInputs(StageStats* stats, bool* changed, StageChangeLog* log);
+  void ApplyInputs(bool* changed, StageChangeLog* log);
   void ApplyInboundDerived(InboundDerived& in, bool* changed,
                            StageChangeLog* log);
   void ClearIntensionalRelations();
-  void SeedIntensionalFromContributions(bool track_support);
+  void SeedIntensionalFromContributions();
   /// Erases the ship-once suppression entry for a fact this stage
   /// re-ships as an insert, and schedules the next stage to re-derive
   /// (and re-ship) any deletion-rule verdict on it.
@@ -422,9 +425,7 @@ class Engine {
                               const std::string& peer, const Tuple& tuple);
   void ShipDelta(const ContributionKey& key, SentContribution* sent,
                  DerivedDelta dd, StageResult* result);
-  void EmitContributions(
-      std::map<ContributionKey, TupleSet>* contributions,
-      StageResult* result);
+  void EmitContributions(StageResult* result);
   void EmitContributionsIncremental(
       std::map<ContributionKey, TupleSet>* contrib_added,
       std::map<ContributionKey, TupleSet>* contrib_removed,
@@ -433,30 +434,32 @@ class Engine {
   void EmitDelegationDiff(std::map<uint64_t, Delegation> delegations,
                           StageResult* result);
   void FinalizeOutbound(StageResult* result);
-  void RunFixpoint(StageStats* stats,
-                   std::map<ContributionKey, TupleSet>* contributions,
-                   std::map<uint64_t, Delegation>* delegations,
-                   std::unordered_set<Fact, FactHasher>* self_updates,
-                   std::unordered_set<Fact, FactHasher>* self_deletes,
-                   std::unordered_set<Fact, FactHasher>* remote_deletes,
-                   DerivationTracker* tracker);
-  /// The seed semantics: clear views, reseed from slices, recompute the
-  /// fixpoint. Serves recompute-mode stages and doubles as the init /
-  /// fallback path of incremental mode (`rebuild_derived_state`).
-  void RunStageRecompute(StageResult* result, bool changed_local,
-                         bool rebuild_derived_state);
+  /// Semi-naive rounds from `delta` until no rule derives a new local
+  /// tuple: the one round loop of full and Δ stages (DESIGN.md §8).
+  /// Returns the number of rounds run.
+  int RunRounds(std::vector<const RulePlan*> rules, DeltaMap delta,
+                StagePass* pass);
+  /// The full fixpoint of a recompute stage, stratum by stratum.
+  void RunFixpoint(StagePass* pass);
+  /// Clears views, reseeds them from slices and recomputes the fixpoint:
+  /// the first stage, and the fallback of every stage a Δ pass cannot
+  /// serve.
+  void RunStageRecompute(StageResult* result, bool changed_local);
   /// The Δ-driven stage: deletion cascade (over-delete / re-derive),
   /// then semi-naive forward evaluation from the change seeds only.
   void RunStageIncremental(StageResult* result, bool changed_local,
                            StageChangeLog* log);
+  /// Step 3, shared by both kinds of stage: deferred self-updates,
+  /// remote deletions, contribution and delegation emission.
+  void FinishStage(StagePass* pass, bool changed, StageResult* result);
   bool HasLocalDerivation(const Fact& target);
   uint64_t IntensionalContentHash() const;
 
   /// Parallel Δ-round machinery (engine.cc): the engine's thread pool,
   /// per-worker evaluators, partitions, and emit buffers. Created
   /// lazily on the first eligible round when eval_threads > 1; null
-  /// forever at eval_threads == 1, so the serial oracle path carries
-  /// zero parallel state.
+  /// forever at eval_threads == 1, so serial engines carry zero
+  /// parallel state.
   struct ParallelEval;
   ParallelEval* EnsureParallelEval();
 
@@ -464,8 +467,8 @@ class Engine {
   Symbol self_sym_;  // interned self name (delegation-capability checks)
   EngineOptions options_;
   Catalog catalog_;
-  // Owned across stages so the plan cache persists: a rule is compiled
-  // once per engine, not once per fixpoint.
+  // Owned across stages: its counters accumulate and its scratch
+  // buffers keep their capacity.
   RuleEvaluator evaluator_;
   std::unique_ptr<ParallelEval> parallel_;
 
@@ -500,10 +503,9 @@ class Engine {
   std::unordered_set<Fact, FactHasher> pending_self_deletes_;
 
   // Remote contributions to local intensional relations: per-sender
-  // slices with support counts and delta-stream versions. Under the
-  // recompute oracle the union is re-seeded into the view relations at
-  // every stage start; under incremental maintenance only support
-  // transitions flow into the views.
+  // slices with support counts and delta-stream versions. A recompute
+  // stage re-seeds the union into the view relations; a Δ stage feeds
+  // them only the support transitions.
   SliceStore slice_store_;
 
   // What we already shipped, for change detection and delta diffing.
@@ -517,12 +519,11 @@ class Engine {
   // --- incremental-maintenance state (DESIGN.md §6) -------------------
   // Per-tuple support records of resident derived tuples.
   DerivationTracker tracker_;
-  // Net direct InsertFact/RemoveFact changes since the last stage
-  // (incremental mode records them; recompute re-reads everything).
+  // Net direct InsertFact/RemoveFact changes since the last stage.
   StageChangeLog direct_changes_;
   // The current derived contribution per (target peer, relation) and
   // the current delegation set — maintained across stages so emission
-  // diffs are O(change); the recompute oracle rebuilds them per stage.
+  // diffs are O(change); a recompute stage rebuilds them.
   std::map<ContributionKey, TupleSet> current_contributions_;
   std::map<uint64_t, Delegation> current_delegations_;
   // Facts whose delete-suppression entry was cleared by an insert
@@ -538,7 +539,6 @@ class Engine {
 
   PropagationCounters prop_counters_;
 
-  uint64_t prev_intensional_hash_ = 0;
   bool ran_any_stage_ = false;
   // Set by NoteWork at every public entry point that creates work, so
   // the runtime knows a stage is needed; cleared by RunStage.

@@ -1,17 +1,11 @@
 #include "engine/eval.h"
 
 #include "base/logging.h"
-#include "engine/plan_cache.h"
 
 namespace wdl {
 
-void RuleEvaluator::Evaluate(const Rule& rule, const DeltaMap* delta,
+void RuleEvaluator::Evaluate(const RulePlan& plan, const DeltaMap* delta,
                              int delta_pos, const Sinks& sinks) {
-  EvaluatePlan(PlanFor(rule), delta, delta_pos, sinks);
-}
-
-void RuleEvaluator::EvaluatePlan(const RulePlan& plan, const DeltaMap* delta,
-                                 int delta_pos, const Sinks& sinks) {
   slots_.assign(plan.num_slots, nullptr);
   // A Δ-restricted evaluation prefers the Δ-first variant: the
   // iteration's work becomes proportional to |Δ| (later atoms probe
@@ -29,46 +23,11 @@ void RuleEvaluator::EvaluatePlan(const RulePlan& plan, const DeltaMap* delta,
   ExecFrom(plan, plan.atoms, nullptr, 0, delta, delta_pos, sinks);
 }
 
-const RulePlan& RuleEvaluator::PlanFor(const Rule& rule) {
-  std::vector<LocalPlanEntry>& bucket = plans_[rule.Hash()];
-  for (const LocalPlanEntry& entry : bucket) {
-    if (entry.rule == rule) {
-      ++counters_.plan_cache_hits;
-      return *entry.plan;
-    }
-  }
-  // First acquisition by this evaluator; the shared cache compiles only
-  // if no α-equivalent plan is live anywhere in the process.
-  // plans_compiled keeps its per-evaluator meaning (distinct rules this
-  // evaluator resolved to plans) — the process-wide compile count is
-  // SharedPlanCache::stats().
-  bucket.push_back(LocalPlanEntry{rule, SharedPlanCache::Instance().Acquire(rule)});
-  ++counters_.plans_compiled;
-  return *bucket.back().plan;
-}
-
-bool RuleEvaluator::ExistsDerivation(const Rule& rule, const Fact& target) {
-  // Note: callers decide what a match *means* — for derivation rules it
+bool RuleEvaluator::ExistsDerivation(const RulePlan& plan,
+                                     const Fact& target) {
+  // Callers decide what a match *means*: for derivation rules it
   // sustains the tuple (re-derivation), for deletion rules it re-arms a
   // deletion verdict. Both need the raw body-match answer.
-  return ExistsViaPlan(HeadBoundPlanFor(rule), target);
-}
-
-const RulePlan& RuleEvaluator::HeadBoundPlanFor(const Rule& rule) {
-  std::vector<LocalPlanEntry>& bucket = head_bound_plans_[rule.Hash()];
-  for (const LocalPlanEntry& entry : bucket) {
-    if (entry.rule == rule) {
-      ++counters_.plan_cache_hits;
-      return *entry.plan;
-    }
-  }
-  bucket.push_back(LocalPlanEntry{
-      rule, SharedPlanCache::Instance().AcquireHeadBound(rule)});
-  ++counters_.plans_compiled;
-  return *bucket.back().plan;
-}
-
-bool RuleEvaluator::ExistsViaPlan(const RulePlan& plan, const Fact& target) {
   if (plan.head.terms.size() != target.args.size()) return false;
   slots_.assign(plan.num_slots, nullptr);
   seed_values_.clear();
@@ -108,27 +67,6 @@ bool RuleEvaluator::ExistsViaPlan(const RulePlan& plan, const Fact& target) {
   ExecFrom(plan, plan.atoms, nullptr, 0, nullptr, -1, kNoSinks);
   exists_mode_ = false;
   return exists_found_;
-}
-
-void RuleEvaluator::EvictPlan(const Rule& rule) {
-  // Drops this evaluator's strong references (natural and head-bound
-  // flavor alike); a shared entry expires when the last evaluator
-  // holding the plan evicts it.
-  auto evict_from =
-      [&](std::unordered_map<uint64_t, std::vector<LocalPlanEntry>>* plans) {
-        auto it = plans->find(rule.Hash());
-        if (it == plans->end()) return;
-        std::vector<LocalPlanEntry>& bucket = it->second;
-        for (auto p = bucket.begin(); p != bucket.end(); ++p) {
-          if (p->rule == rule) {
-            bucket.erase(p);
-            break;
-          }
-        }
-        if (bucket.empty()) plans->erase(it);
-      };
-  evict_from(&plans_);
-  evict_from(&head_bound_plans_);
 }
 
 // Unifies one stored tuple against the atom's compiled op sequence.

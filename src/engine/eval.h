@@ -3,7 +3,6 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -83,10 +82,9 @@ struct EvalCounters {
   uint64_t tuples_examined = 0;
   uint64_t bindings_completed = 0;
   uint64_t delegations_emitted = 0;
-  // Plan-cache and access-path telemetry (compiled path only), surfaced
-  // in the bench JSON so perf PRs can attribute wins.
-  uint64_t plans_compiled = 0;   // distinct rules compiled to plans
-  uint64_t plan_cache_hits = 0;  // Evaluate calls served by the cache
+  // Access-path telemetry, surfaced in the bench JSON so perf PRs can
+  // attribute wins. (Plan compiles and reuse are process-wide:
+  // SharedPlanCache::stats().)
   uint64_t slot_bindings = 0;    // slots bound during unification
   uint64_t index_lookups = 0;    // atoms matched via a column-index probe
   uint64_t full_scans = 0;       // atoms matched via a full relation scan
@@ -120,8 +118,6 @@ struct EvalCounters {
     tuples_examined += o.tuples_examined;
     bindings_completed += o.bindings_completed;
     delegations_emitted += o.delegations_emitted;
-    plans_compiled += o.plans_compiled;
-    plan_cache_hits += o.plan_cache_hits;
     slot_bindings += o.slot_bindings;
     index_lookups += o.index_lookups;
     full_scans += o.full_scans;
@@ -150,11 +146,11 @@ struct EvalCounters {
 ///    evaluation and emits the residual rule as a Delegation
 ///    (`on_delegation`) — the paper's signature feature.
 ///
-/// Each rule is compiled once into a RulePlan (slot bindings, interned
-/// symbols, static access paths) and the plan is executed, with zero
-/// heap allocation per tuple in the steady-state join loop. Facts
-/// passed to sinks are reused scratch storage — copy them to keep them,
-/// as the engine does.
+/// The evaluator executes compiled RulePlans (slot bindings, interned
+/// symbols, static access paths) with zero heap allocation per tuple in
+/// the steady-state join loop; it holds no plans itself. Facts passed
+/// to sinks are reused scratch storage — copy them to keep them, as the
+/// engine does.
 ///
 /// Not reentrant: sinks must not call back into Evaluate on the same
 /// evaluator (slot bindings and scratch buffers are instance state).
@@ -172,43 +168,26 @@ class RuleEvaluator {
         self_sym_(Symbol::Intern(self_peer_)),
         options_(options) {}
 
-  /// Evaluates `rule` through its cached plan. When `delta` is non-null
+  /// Evaluates a compiled plan (the caller owns it: an installed rule
+  /// holds its plan from install to removal). When `delta` is non-null
   /// and `delta_pos >= 0`, the positive body atom at index `delta_pos`
   /// matches only tuples in the Δ-set of its resolved relation
   /// (semi-naive restriction); all other atoms match full relations.
-  /// Pass delta == nullptr for a full (naive / first-iteration)
-  /// evaluation.
-  void Evaluate(const Rule& rule, const DeltaMap* delta, int delta_pos,
+  /// Pass delta == nullptr for a full (first-round) evaluation.
+  void Evaluate(const RulePlan& plan, const DeltaMap* delta, int delta_pos,
                 const Sinks& sinks);
 
-  /// Evaluates an already-compiled plan, skipping the cache lookup.
-  /// The fixpoint loop resolves each rule's plan once per stage and
-  /// re-drives it across iterations and Δ-positions through this.
-  void EvaluatePlan(const RulePlan& plan, const DeltaMap* delta,
-                    int delta_pos, const Sinks& sinks);
-
-  /// The compiled plan for `rule`, from the cache (compiling on miss).
-  /// The reference stays valid until the plan is evicted.
-  const RulePlan& PlanFor(const Rule& rule);
-
-  /// Drops the cached plan for `rule`, if any. Called when a rule is
-  /// removed or a delegation retracted, so one-off rules (ad-hoc query
-  /// scratch rules, churning residuals) don't accumulate plans for the
-  /// evaluator's lifetime.
-  void EvictPlan(const Rule& rule);
-
-  /// True when `rule` has at least one complete *local* body match
+  /// True when the rule `head_bound` was compiled from (with
+  /// CompileRuleHeadBound) has at least one complete *local* body match
   /// under the bindings obtained by unifying its head with `target` —
   /// i.e. the rule currently derives exactly `target`. The re-derive
-  /// existence check of DRed-style retraction (DESIGN.md §6): cost is
-  /// one selective body evaluation (head constants drive the access
-  /// paths), independent of view size. Evaluation short-circuits on the
-  /// first match, emits nothing, and never delegates (a body that
-  /// reaches a remote atom does not derive locally). It runs the
-  /// head-bound adorned plan: every head variable's slot is seeded from
-  /// `target`, and body occurrences are compiled to checks and index
-  /// probes.
-  bool ExistsDerivation(const Rule& rule, const Fact& target);
+  /// existence check of DRed-style retraction (DESIGN.md §6): every
+  /// head variable's slot is seeded from `target`, so body occurrences
+  /// are checks and index probes and the cost is one selective body
+  /// evaluation, independent of view size. Evaluation short-circuits on
+  /// the first match, emits nothing, and never delegates (a body that
+  /// reaches a remote atom does not derive locally).
+  bool ExistsDerivation(const RulePlan& head_bound, const Fact& target);
 
   const EvalCounters& counters() const { return counters_; }
   void ResetCounters() { counters_ = EvalCounters(); }
@@ -232,12 +211,6 @@ class RuleEvaluator {
   void EmitHeadPlan(const RulePlan& plan, const Sinks& sinks);
   void EmitDelegationPlan(const RulePlan& plan, size_t split_index,
                           const std::string& target, const Sinks& sinks);
-  /// Seeds `plan`'s head slots from `target` and runs the body in
-  /// exists mode. `plan` must be the head-bound flavor of the rule
-  /// being checked.
-  bool ExistsViaPlan(const RulePlan& plan, const Fact& target);
-  /// The head-bound adorned plan for `rule`, cached like PlanFor.
-  const RulePlan& HeadBoundPlanFor(const Rule& rule);
 
   Catalog* catalog_;
   std::string self_peer_;
@@ -249,8 +222,8 @@ class RuleEvaluator {
   // short-circuits on the first complete match (exists_found_) and
   // treats remote atoms as dead branches instead of delegating. It runs
   // the head-bound plan flavor (plan.h), whose bind/check op split was
-  // fixed at compile time for a *seeded* head — ExistsViaPlan fills the
-  // seed slots from the target fact.
+  // fixed at compile time for a *seeded* head — ExistsDerivation fills
+  // the seed slots from the target fact.
   bool exists_mode_ = false;
   bool exists_found_ = false;
   // Owned storage for seeded slot values (slots point into resident
@@ -258,23 +231,6 @@ class RuleEvaluator {
   // for the duration of the check). Reserved up front so pushes never
   // reallocate under live slot pointers.
   std::vector<Value> seed_values_;
-
-  // Local plan cache: one strong reference per rule this evaluator has
-  // installed, keyed by exact rule content hash (the per-hash vector
-  // guards against collisions; entries verify full rule equality
-  // against the *lookup* rule, which may be an α-variant of the shared
-  // plan's owned rule). Plan storage itself lives in the process-global
-  // SharedPlanCache (plan_cache.h), so N evaluators installing the same
-  // rule compile it once and share one immutable plan.
-  struct LocalPlanEntry {
-    Rule rule;  // the rule as this evaluator installed it
-    std::shared_ptr<const RulePlan> plan;
-  };
-  std::unordered_map<uint64_t, std::vector<LocalPlanEntry>> plans_;
-  // Head-bound flavor of the same rules, resolved lazily on the first
-  // existence check against each rule and evicted together with the
-  // natural plan.
-  std::unordered_map<uint64_t, std::vector<LocalPlanEntry>> head_bound_plans_;
 
   // Reusable execution scratch (capacity persists across Evaluate
   // calls; steady state performs no heap allocation).

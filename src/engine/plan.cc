@@ -101,6 +101,39 @@ PlanAtom CompileAtom(Compiler& c, const Atom& atom,
   return pa;
 }
 
+/// What the rule can read, write and delegate, read off its AST.
+PlanStaticInfo ComputeStaticInfo(const Rule& rule) {
+  PlanStaticInfo info;
+  if (rule.head.relation.is_name()) {
+    info.head_relation = Symbol::Intern(rule.head.relation.name());
+  } else {
+    info.head_relation_var = true;
+  }
+  if (rule.head.peer.is_name()) {
+    info.head_peer = Symbol::Intern(rule.head.peer.name());
+  } else {
+    info.head_peer_var = true;
+  }
+  for (const Atom& atom : rule.body) {
+    if (atom.relation.is_name()) {
+      Symbol s = Symbol::Intern(atom.relation.name());
+      AddUnique(atom.negated ? &info.negated_relations
+                             : &info.body_relations,
+                s);
+    } else if (atom.negated) {
+      info.negated_relation_var = true;
+    } else {
+      info.body_relation_var = true;
+    }
+    if (atom.peer.is_name()) {
+      AddUnique(&info.body_peers, Symbol::Intern(atom.peer.name()));
+    } else {
+      info.body_peer_var = true;
+    }
+  }
+  return info;
+}
+
 /// Compiles the head under the current boundness state and finalizes
 /// the slot count and static info.
 void CompileHead(Compiler& c, const Rule& rule) {
@@ -145,38 +178,6 @@ bool BodyRotatable(const Rule& rule, RulePlan* plan) {
 }
 
 }  // namespace
-
-PlanStaticInfo ComputeStaticInfo(const Rule& rule) {
-  PlanStaticInfo info;
-  if (rule.head.relation.is_name()) {
-    info.head_relation = Symbol::Intern(rule.head.relation.name());
-  } else {
-    info.head_relation_var = true;
-  }
-  if (rule.head.peer.is_name()) {
-    info.head_peer = Symbol::Intern(rule.head.peer.name());
-  } else {
-    info.head_peer_var = true;
-  }
-  for (const Atom& atom : rule.body) {
-    if (atom.relation.is_name()) {
-      Symbol s = Symbol::Intern(atom.relation.name());
-      AddUnique(atom.negated ? &info.negated_relations
-                             : &info.body_relations,
-                s);
-    } else if (atom.negated) {
-      info.negated_relation_var = true;
-    } else {
-      info.body_relation_var = true;
-    }
-    if (atom.peer.is_name()) {
-      AddUnique(&info.body_peers, Symbol::Intern(atom.peer.name()));
-    } else {
-      info.body_peer_var = true;
-    }
-  }
-  return info;
-}
 
 RulePlan CompileRule(const Rule& rule) {
   RulePlan plan;

@@ -171,6 +171,9 @@ struct PlanStaticInfo {
   bool HeadCanWrite(Symbol relation) const {
     return head_relation_var || head_relation == relation;
   }
+  bool HasNegation() const {
+    return negated_relation_var || !negated_relations.empty();
+  }
   bool CanDelegate(Symbol self_peer) const {
     if (body_peer_var) return true;
     for (Symbol s : body_peers) {
@@ -179,11 +182,6 @@ struct PlanStaticInfo {
     return false;
   }
 };
-
-/// Derives the static info from the rule AST. Used by CompileRule and
-/// directly by the engine at rule install, so both share one definition
-/// of "what can this rule touch".
-PlanStaticInfo ComputeStaticInfo(const Rule& rule);
 
 /// An alternative body execution order for one Δ-restricted position:
 /// the Δ atom runs first (so the iteration's work is proportional to

@@ -24,12 +24,13 @@ uint64_t CanonicalRuleHash(const Rule& rule);
 /// variables (argument, relation, and peer positions alike).
 bool AlphaEquivalent(const Rule& a, const Rule& b);
 
-/// Process-global compiled-plan cache, shared by every RuleEvaluator in
-/// the process (DESIGN.md §9). Plans are peer-agnostic and immutable
+/// Process-global compiled-plan cache, shared by every engine in the
+/// process (DESIGN.md §4, §9). Plans are peer-agnostic and immutable
 /// once compiled (see plan.h), so the identical rule set installed at
-/// 100k peers compiles exactly once; each evaluator keeps a strong
-/// reference for the rules it has installed, and this cache holds only
-/// weak references — a plan's storage dies with its last evaluator, so
+/// 100k peers compiles exactly once. Each installed rule holds a strong
+/// reference to its plans (InstalledRule, engine.h), as does a demand
+/// query for the span of its run; this cache holds only weak
+/// references — a plan's storage dies with the last rule using it, so
 /// churning ad-hoc rules (scratch queries, delegation residuals) do not
 /// accumulate for the process lifetime.
 ///
@@ -44,9 +45,9 @@ bool AlphaEquivalent(const Rule& a, const Rule& b);
 ///
 /// Thread-safety follows the global Symbol table's pattern (base/
 /// symbol.h): a shared_mutex with shared-locked lookups and an
-/// exclusive-locked first-time compile; evaluators call Acquire once
-/// per installed rule and then run lock-free off their local strong
-/// reference.
+/// exclusive-locked first-time compile; an engine calls Acquire once
+/// per installed rule and then evaluates lock-free off the rule's
+/// strong reference.
 class SharedPlanCache {
  public:
   struct Stats {

@@ -86,8 +86,8 @@ class Catalog {
 
   /// Invokes `fn` on every declared relation, in name order. The
   /// clear-all-views stage reset that used to live here is gone:
-  /// whether a view resets or persists across stages is an engine
-  /// policy (recompute oracle vs incremental maintenance, DESIGN.md
+  /// whether a view resets or persists across a stage is an engine
+  /// decision (a recompute stage resets, a Δ stage maintains, DESIGN.md
   /// §6), so the engine drives per-relation resets through this.
   void ForEachRelation(const std::function<void(Relation&)>& fn);
 

@@ -143,16 +143,5 @@ TEST(DeterminismTest, CompiledPlansMatchInterpreterOracle) {
   EXPECT_EQ(state.peers["Emilien"].relations["email"].tuples.size(), 1u);
 }
 
-TEST(DeterminismTest, NaiveModeReachesSameGlobalState) {
-  WepicOptions naive_options;
-  naive_options.engine.mode = EvalMode::kNaive;
-  WepicApp naive_app(naive_options);
-  WepicApp semi_app;
-  RunWorkload(naive_app);
-  RunWorkload(semi_app);
-  EXPECT_EQ(GlobalStateFingerprint(naive_app),
-            GlobalStateFingerprint(semi_app));
-}
-
 }  // namespace
 }  // namespace wdl

@@ -41,7 +41,7 @@ class EvalTest : public ::testing::Test {
     sinks.on_delegation = [&](const Delegation& d) {
       c.delegations.push_back(d);
     };
-    evaluator_.Evaluate(rule, delta, delta_pos, sinks);
+    evaluator_.Evaluate(CompileRule(rule), delta, delta_pos, sinks);
     return c;
   }
 
@@ -205,7 +205,7 @@ TEST_F(EvalTest, IndexAndScanModesAgree) {
   Collected scanned;
   RuleEvaluator::Sinks sinks;
   sinks.on_local_fact = [&](const Fact& f) { scanned.local.push_back(f); };
-  scan_eval.Evaluate(rule, nullptr, -1, sinks);
+  scan_eval.Evaluate(CompileRule(rule), nullptr, -1, sinks);
 
   auto key = [](const Fact& f) { return f.ToString(); };
   std::set<std::string> a, b;

@@ -9,6 +9,7 @@
 
 #include "engine/engine.h"
 #include "engine/eval.h"
+#include "engine/plan_cache.h"
 #include "parser/parser.h"
 #include "runtime/system.h"
 #include "storage/tuple.h"
@@ -114,54 +115,82 @@ TEST(CompileRuleTest, DebugStringDescribesSlotsAndAccessPath) {
 
 // --- Plan cache -------------------------------------------------------
 
+// Installed rules own their plans (DESIGN.md §4): each install
+// acquires from the process-wide cache once, stages never consult it,
+// and removing a rule releases its plans.
+
 TEST(PlanCacheTest, CompilesOncePerRuleAndCountsHits) {
-  Catalog catalog("p");
-  (void)catalog.InsertFact(Fact("b", "p", {I(1)}));
-  RuleEvaluator evaluator(&catalog, "p", EvalOptions{});
-  RuleEvaluator::Sinks sinks;
-  sinks.on_local_fact = [](const Fact&) {};
+  SharedPlanCache& cache = SharedPlanCache::Instance();
+  cache.ResetStatsForTesting();
+  Engine engine("p");
+  ASSERT_TRUE(engine.AddRule(R("h@p($x) :- b@p($x)")).ok());
+  EXPECT_EQ(cache.stats().compiles, 1u);
+  for (int64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(engine.InsertFact(Fact("b", "p", {I(i)})).ok());
+    (void)engine.RunStage();
+  }
+  EXPECT_EQ(cache.stats().compiles, 1u);  // stages reuse the rule's plan
+  EXPECT_EQ(cache.stats().hits, 0u);
 
-  Rule rule = R("h@p($x) :- b@p($x)");
-  evaluator.Evaluate(rule, nullptr, -1, sinks);
-  evaluator.Evaluate(rule, nullptr, -1, sinks);
-  evaluator.Evaluate(rule, nullptr, -1, sinks);
-  EXPECT_EQ(evaluator.counters().plans_compiled, 1u);
-  EXPECT_EQ(evaluator.counters().plan_cache_hits, 2u);
-
-  evaluator.Evaluate(R("h2@p($x) :- b@p($x)"), nullptr, -1, sinks);
-  EXPECT_EQ(evaluator.counters().plans_compiled, 2u);
+  ASSERT_TRUE(engine.AddRule(R("h2@p($x) :- b@p($x)")).ok());
+  EXPECT_EQ(cache.stats().compiles, 2u);
+  ASSERT_TRUE(engine.AddRule(R("h@p($y) :- b@p($y)")).ok());  // α-variant
+  EXPECT_EQ(cache.stats().compiles, 2u);
+  EXPECT_EQ(cache.stats().hits, 1u);
 }
 
 TEST(PlanCacheTest, EvictedPlansRecompileAndDoNotAccumulate) {
-  Catalog catalog("p");
-  RuleEvaluator evaluator(&catalog, "p", EvalOptions{});
-  Rule rule = R("h@p($x) :- b@p($x)");
-  (void)evaluator.PlanFor(rule);
-  evaluator.EvictPlan(rule);
-  (void)evaluator.PlanFor(rule);  // must compile again, not hit the cache
-  EXPECT_EQ(evaluator.counters().plans_compiled, 2u);
-  EXPECT_EQ(evaluator.counters().plan_cache_hits, 0u);
-  evaluator.EvictPlan(rule);
-  evaluator.EvictPlan(rule);  // idempotent
-  evaluator.EvictPlan(R("never@p($x) :- cached@p($x)"));  // absent: no-op
+  // Churning residuals (delegations come and go with their prefixes)
+  // must not accumulate plans, natural or head-bound, for the engine's
+  // lifetime.
+  SharedPlanCache& cache = SharedPlanCache::Instance();
+  cache.ResetStatsForTesting();
+  const size_t live_before = cache.LiveCountForTesting();
+  Engine engine("p");
+  ASSERT_TRUE(engine.LoadProgram(test::P(R"(
+    collection ext b@p(x: int);
+    collection int v@p(x: int);
+  )")).ok());
+  const Fact b1("b", "p", {I(1)});
+  for (int i = 0; i < 20; ++i) {
+    Delegation d;
+    d.origin_peer = "q";
+    d.target_peer = "p";
+    d.rule = R("v@p(" + std::to_string(i) + ") :- b@p($x)");
+    ASSERT_TRUE(engine.InstallDelegatedRule(d).ok());
+    ASSERT_TRUE(engine.InsertFact(b1).ok());
+    test::Settle(&engine);
+    // Retracting v(i) runs a DRed existence check: the head-bound plan.
+    ASSERT_TRUE(engine.RemoveFact(b1).ok());
+    test::Settle(&engine);
+    EXPECT_EQ(cache.LiveCountForTesting(), live_before + 2);
+    engine.RetractDelegatedRule(d.Key());
+    test::Settle(&engine);
+    EXPECT_EQ(cache.LiveCountForTesting(), live_before);
+  }
+  EXPECT_EQ(cache.stats().compiles, 40u);
+  EXPECT_EQ(cache.stats().hits, 0u);
 }
 
 TEST(PlanCacheTest, EngineEvictsPlansForRemovedRules) {
   // One-off rules (ad-hoc queries, retracted delegations) must not
-  // accumulate plans in the engine-lifetime cache: re-adding after
-  // removal recompiles instead of hitting a stale entry.
+  // keep their plans alive: re-adding after removal recompiles instead
+  // of hitting a stale entry.
+  SharedPlanCache& cache = SharedPlanCache::Instance();
+  cache.ResetStatsForTesting();
+  const size_t live_before = cache.LiveCountForTesting();
   Engine engine("p");
-  (void)engine.DeclareRelation(RelationDecl{
-      "b", "p", RelationKind::kExtensional, {{"x", ValueKind::kInt}}});
   Rule rule = R("h@p($x) :- b@p($x)");
   Result<uint64_t> id = engine.AddRule(rule);
   ASSERT_TRUE(id.ok());
   (void)engine.RunStage();
-  EXPECT_EQ(engine.eval_counters().plans_compiled, 1u);
+  EXPECT_EQ(cache.LiveCountForTesting(), live_before + 1);
   ASSERT_TRUE(engine.RemoveRule(*id).ok());
-  (void)engine.AddRule(rule);
+  EXPECT_EQ(cache.LiveCountForTesting(), live_before);
+  ASSERT_TRUE(engine.AddRule(rule).ok());
   (void)engine.RunStage();
-  EXPECT_EQ(engine.eval_counters().plans_compiled, 2u);
+  EXPECT_EQ(cache.stats().compiles, 2u);
+  EXPECT_EQ(cache.stats().hits, 0u);
 }
 
 TEST(PlanCacheTest, AccessPathCountersAttributeTheWork) {
@@ -172,8 +201,9 @@ TEST(PlanCacheTest, AccessPathCountersAttributeTheWork) {
   RuleEvaluator evaluator(&catalog, "p", EvalOptions{});
   RuleEvaluator::Sinks sinks;
   sinks.on_local_fact = [](const Fact&) {};
-  evaluator.Evaluate(R("h@p($x, $z) :- e@p($x, $y), e@p($y, $z)"),
-                     nullptr, -1, sinks);
+  evaluator.Evaluate(
+      CompileRule(R("h@p($x, $z) :- e@p($x, $y), e@p($y, $z)")), nullptr, -1,
+      sinks);
   // Atom 0 scans once; atom 1 probes the index once per outer tuple.
   EXPECT_EQ(evaluator.counters().full_scans, 1u);
   EXPECT_EQ(evaluator.counters().index_lookups, 10u);
@@ -279,8 +309,9 @@ TEST(PlanEquivalenceTest, DelegatedDeletionRulesKeepTheDeletionFlag) {
   sinks.on_delegation = [&](const Delegation& d) {
     delegations.push_back(d);
   };
-  evaluator.Evaluate(R("-pending@p($x) :- sel@p($a), trig@$a($x)"), nullptr,
-                     -1, sinks);
+  evaluator.Evaluate(
+      CompileRule(R("-pending@p($x) :- sel@p($a), trig@$a($x)")), nullptr,
+      -1, sinks);
   ASSERT_EQ(delegations.size(), 1u);
   EXPECT_TRUE(delegations[0].rule.head_deletes);
   EXPECT_EQ(delegations[0].target_peer, "q");
@@ -293,28 +324,6 @@ TEST(PlanEquivalenceTest, RemoteHeadsMatchInterpreter) {
                              "fact b@p(7);"
                              "rule h@q($x) :- b@p($x);"},
                             {"q", ""}});
-}
-
-TEST(PlanEquivalenceTest, SemiNaiveAndNaiveModesAgreeUnderPlans) {
-  const char* kProgram =
-      "collection ext edge@p(x: int, y: int);"
-      "collection int tc@p(x: int, y: int);"
-      "fact edge@p(1, 2); fact edge@p(2, 3); fact edge@p(3, 1);"
-      "rule tc@p($x, $y) :- edge@p($x, $y);"
-      "rule tc@p($x, $z) :- tc@p($x, $y), edge@p($y, $z);";
-  auto run = [&](EvalMode mode) {
-    EngineOptions options;
-    options.mode = mode;
-    Engine engine("p", options);
-    (void)engine.LoadProgram(*ParseProgram(kProgram));
-    (void)engine.RunStage();
-    std::string out;
-    for (const Tuple& t : engine.catalog().Get("tc")->SortedTuples()) {
-      out += TupleToString(t);
-    }
-    return out;
-  };
-  EXPECT_EQ(run(EvalMode::kSemiNaive), run(EvalMode::kNaive));
 }
 
 }  // namespace

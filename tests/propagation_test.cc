@@ -9,7 +9,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -23,25 +22,12 @@ namespace wdl {
 namespace {
 
 using test::I;
+using test::Insert;
+using test::Load;
 using test::NetworkCounters;
 using test::ReferenceProgram;
+using test::Remove;
 using test::S;
-
-// Each scenario step goes to the system and, where it is an input, to
-// the reference program too — so the reference sees the scenario's
-// inputs, never the system's state.
-void Load(Peer* peer, ReferenceProgram* ref, std::string_view text) {
-  ASSERT_TRUE(peer->LoadProgramText(text).ok());
-  ASSERT_TRUE(ref->Load(peer->name(), text).ok());
-}
-void Insert(Peer* peer, ReferenceProgram* ref, const Fact& fact) {
-  ASSERT_TRUE(peer->Insert(fact).ok());
-  ref->Insert(fact);
-}
-void Remove(Peer* peer, ReferenceProgram* ref, const Fact& fact) {
-  ASSERT_TRUE(peer->Remove(fact).ok());
-  ref->Remove(fact);
-}
 
 using Scenario = std::function<void(System&, ReferenceProgram*)>;
 
@@ -230,44 +216,39 @@ TEST(PropagationOracleTest, IncrementalChangeShipsChangeNotView) {
 // deleted again never re-shipped the delete — the receiver kept the
 // zombie fact forever.
 TEST(PropagationOracleTest, RemoteDeleteReshipsAfterInsertReship) {
-  for (bool incremental : {false, true}) {
-    SCOPED_TRACE(testing::Message() << "incremental=" << incremental);
-    PeerOptions mode;
-    mode.engine.use_incremental_maintenance = incremental;
-    System system;
-    Peer* a = system.CreatePeer("a", mode);
-    Peer* b = system.CreatePeer("b", mode);
-    ASSERT_TRUE(a->LoadProgramText(R"(
-      collection ext src@a(x: int);
-      collection ext kill@a(x: int);
-      rule p@b($x) :- src@a($x);
-      rule -p@b($x) :- src@a($x), kill@a($x);
-    )").ok());
-    ASSERT_TRUE(b->LoadProgramText("collection ext p@b(x: int);").ok());
-    const Relation* p = b->engine().catalog().Get("p");
+  System system;
+  Peer* a = system.CreatePeer("a");
+  Peer* b = system.CreatePeer("b");
+  ASSERT_TRUE(a->LoadProgramText(R"(
+    collection ext src@a(x: int);
+    collection ext kill@a(x: int);
+    rule p@b($x) :- src@a($x);
+    rule -p@b($x) :- src@a($x), kill@a($x);
+  )").ok());
+  ASSERT_TRUE(b->LoadProgramText("collection ext p@b(x: int);").ok());
+  const Relation* p = b->engine().catalog().Get("p");
 
-    // Ship p(1), then delete it through the deletion rule.
-    ASSERT_TRUE(a->Insert(Fact("src", "a", {I(1)})).ok());
-    ASSERT_TRUE(system.RunUntilQuiescent().ok());
-    ASSERT_TRUE(p->Contains({I(1)}));
-    ASSERT_TRUE(a->Insert(Fact("kill", "a", {I(1)})).ok());
-    ASSERT_TRUE(system.RunUntilQuiescent().ok());
-    ASSERT_FALSE(p->Contains({I(1)}));
+  // Ship p(1), then delete it through the deletion rule.
+  ASSERT_TRUE(a->Insert(Fact("src", "a", {I(1)})).ok());
+  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  ASSERT_TRUE(p->Contains({I(1)}));
+  ASSERT_TRUE(a->Insert(Fact("kill", "a", {I(1)})).ok());
+  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  ASSERT_FALSE(p->Contains({I(1)}));
 
-    // Drain the contribution, then re-assert: p(1) ships as an insert
-    // again, which must clear the delete suppression.
-    ASSERT_TRUE(a->Remove(Fact("src", "a", {I(1)})).ok());
-    ASSERT_TRUE(a->Remove(Fact("kill", "a", {I(1)})).ok());
-    ASSERT_TRUE(system.RunUntilQuiescent().ok());
-    ASSERT_TRUE(a->Insert(Fact("src", "a", {I(1)})).ok());
-    ASSERT_TRUE(system.RunUntilQuiescent().ok());
-    ASSERT_TRUE(p->Contains({I(1)}));
+  // Drain the contribution, then re-assert: p(1) ships as an insert
+  // again, which must clear the delete suppression.
+  ASSERT_TRUE(a->Remove(Fact("src", "a", {I(1)})).ok());
+  ASSERT_TRUE(a->Remove(Fact("kill", "a", {I(1)})).ok());
+  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  ASSERT_TRUE(a->Insert(Fact("src", "a", {I(1)})).ok());
+  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  ASSERT_TRUE(p->Contains({I(1)}));
 
-    // Second deletion of the same fact: must ship (and delete) again.
-    ASSERT_TRUE(a->Insert(Fact("kill", "a", {I(1)})).ok());
-    ASSERT_TRUE(system.RunUntilQuiescent().ok());
-    EXPECT_FALSE(p->Contains({I(1)}));
-  }
+  // Second deletion of the same fact: must ship (and delete) again.
+  ASSERT_TRUE(a->Insert(Fact("kill", "a", {I(1)})).ok());
+  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  EXPECT_FALSE(p->Contains({I(1)}));
 }
 
 // Companion regression: a resync *snapshot* also re-ships facts as
@@ -275,48 +256,43 @@ TEST(PropagationOracleTest, RemoteDeleteReshipsAfterInsertReship) {
 // contribution traffic does — otherwise a receiver repaired through a
 // snapshot keeps a zombie fact whose deletion verdict never re-ships.
 TEST(PropagationOracleTest, ResyncSnapshotAlsoLiftsDeleteSuppression) {
-  for (bool incremental : {false, true}) {
-    SCOPED_TRACE(testing::Message() << "incremental=" << incremental);
-    PeerOptions mode;
-    mode.engine.use_incremental_maintenance = incremental;
-    System system;
-    Peer* a = system.CreatePeer("a", mode);
-    Peer* b = system.CreatePeer("b", mode);
-    ASSERT_TRUE(a->LoadProgramText(R"(
-      collection ext src@a(x: int);
-      collection ext kill@a(x: int);
-      rule p@b($x) :- src@a($x);
-      rule -p@b($x) :- src@a($x), kill@a($x);
-    )").ok());
-    ASSERT_TRUE(b->LoadProgramText("collection ext p@b(x: int);").ok());
-    const Relation* p = b->engine().catalog().Get("p");
+  System system;
+  Peer* a = system.CreatePeer("a");
+  Peer* b = system.CreatePeer("b");
+  ASSERT_TRUE(a->LoadProgramText(R"(
+    collection ext src@a(x: int);
+    collection ext kill@a(x: int);
+    rule p@b($x) :- src@a($x);
+    rule -p@b($x) :- src@a($x), kill@a($x);
+  )").ok());
+  ASSERT_TRUE(b->LoadProgramText("collection ext p@b(x: int);").ok());
+  const Relation* p = b->engine().catalog().Get("p");
 
-    // p(1) shipped and then deleted; the suppression entry is armed and
-    // the contribution still carries p(1) (src(1) holds).
-    ASSERT_TRUE(a->Insert(Fact("src", "a", {I(1)})).ok());
-    ASSERT_TRUE(system.RunUntilQuiescent().ok());
-    ASSERT_TRUE(a->Insert(Fact("kill", "a", {I(1)})).ok());
-    ASSERT_TRUE(system.RunUntilQuiescent().ok());
-    ASSERT_FALSE(p->Contains({I(1)}));
+  // p(1) shipped and then deleted; the suppression entry is armed and
+  // the contribution still carries p(1) (src(1) holds).
+  ASSERT_TRUE(a->Insert(Fact("src", "a", {I(1)})).ok());
+  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  ASSERT_TRUE(a->Insert(Fact("kill", "a", {I(1)})).ok());
+  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  ASSERT_FALSE(p->Contains({I(1)}));
 
-    // Lose a frame, then heal: the next change exposes the gap, b
-    // resyncs, and the snapshot re-delivers p(1) among the rest.
-    LinkConfig dead;
-    dead.drop_probability = 1.0;
-    system.network().SetLink("a", "b", dead);
-    ASSERT_TRUE(a->Insert(Fact("src", "a", {I(2)})).ok());
-    ASSERT_TRUE(system.RunUntilQuiescent().ok());
-    system.network().SetLink("a", "b", LinkConfig{});
-    ASSERT_TRUE(a->Insert(Fact("src", "a", {I(3)})).ok());
-    ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  // Lose a frame, then heal: the next change exposes the gap, b
+  // resyncs, and the snapshot re-delivers p(1) among the rest.
+  LinkConfig dead;
+  dead.drop_probability = 1.0;
+  system.network().SetLink("a", "b", dead);
+  ASSERT_TRUE(a->Insert(Fact("src", "a", {I(2)})).ok());
+  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  system.network().SetLink("a", "b", LinkConfig{});
+  ASSERT_TRUE(a->Insert(Fact("src", "a", {I(3)})).ok());
+  ASSERT_TRUE(system.RunUntilQuiescent().ok());
 
-    // The snapshot resurrected p(1) at b; the re-armed deletion verdict
-    // must have shipped right behind it.
-    EXPECT_TRUE(p->Contains({I(2)}));
-    EXPECT_TRUE(p->Contains({I(3)}));
-    EXPECT_FALSE(p->Contains({I(1)}));
-    EXPECT_GE(b->engine().propagation_counters().resyncs_requested, 1u);
-  }
+  // The snapshot resurrected p(1) at b; the re-armed deletion verdict
+  // must have shipped right behind it.
+  EXPECT_TRUE(p->Contains({I(2)}));
+  EXPECT_TRUE(p->Contains({I(3)}));
+  EXPECT_FALSE(p->Contains({I(1)}));
+  EXPECT_GE(b->engine().propagation_counters().resyncs_requested, 1u);
 }
 
 // Stream heartbeats (ROADMAP): a contribution stream that goes silent

@@ -1,6 +1,6 @@
 // Generative property tests: random WebdamLog programs, safe by
-// construction, pushed through the parser, the wire codec, both
-// fixpoint modes, and the distributed runtime. Each TEST_P instance is
+// construction, pushed through the parser, the wire codec, the
+// reference evaluator, and the distributed runtime. Each TEST_P instance is
 // a distinct seed, so failures reproduce exactly.
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include "net/wire.h"
 #include "parser/parser.h"
 #include "runtime/system.h"
+#include "support/fixture.h"
 #include "support/rng_check.h"
 
 namespace wdl {
@@ -184,28 +185,17 @@ TEST_P(SeededTest, DistributedRandomSystemConvergesDeterministically) {
   EXPECT_EQ(a, b);
 }
 
+// The semi-naive engine against the naive reference evaluator
+// (support/reference_eval.h) on random single-peer programs.
 TEST_P(SeededTest, NaiveAndSemiNaiveAgreeOnRandomLocalPrograms) {
-  auto run = [&](EvalMode mode) {
-    EngineOptions options;
-    options.mode = mode;
-    Engine engine("alice", options);
-    ProgramGenerator gen(GetParam() ^ 0xeea1, {"alice"});
-    Program program = gen.RandomProgram("alice", 12, 6);
-    EXPECT_TRUE(engine.LoadProgram(program).ok());
-    for (int i = 0; i < 30 && engine.HasPendingWork(); ++i) {
-      engine.RunStage();
-    }
-    std::string fingerprint;
-    for (const std::string& rel : engine.catalog().RelationNames()) {
-      fingerprint += rel + ":";
-      for (const Tuple& t : engine.catalog().Get(rel)->SortedTuples()) {
-        fingerprint += TupleToString(t);
-      }
-      fingerprint += "\n";
-    }
-    return fingerprint;
-  };
-  EXPECT_EQ(run(EvalMode::kSemiNaive), run(EvalMode::kNaive));
+  ProgramGenerator gen(GetParam() ^ 0xeea1, {"alice"});
+  test::ReferenceProgram reference;
+  reference.peers["alice"] = gen.RandomProgram("alice", 12, 6);
+  System system;
+  Status st = system.CreatePeer("alice")->LoadProgram(reference.peers["alice"]);
+  ASSERT_TRUE(st.ok()) << st;
+  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  test::ExpectMatchesReference(system, reference);
 }
 
 // Seeds come from the shared fixed-seed schedule: independent of

@@ -51,6 +51,21 @@ void ExpectMatchesReference(const System& system,
   EXPECT_EQ(RenderLogicalState(LogicalStateOf(system)), want);
 }
 
+void Load(Peer* peer, ReferenceProgram* ref, std::string_view text) {
+  ASSERT_TRUE(peer->LoadProgramText(text).ok());
+  ASSERT_TRUE(ref->Load(peer->name(), text).ok());
+}
+
+void Insert(Peer* peer, ReferenceProgram* ref, const Fact& fact) {
+  ASSERT_TRUE(peer->Insert(fact).ok());
+  ref->Insert(fact);
+}
+
+void Remove(Peer* peer, ReferenceProgram* ref, const Fact& fact) {
+  ASSERT_TRUE(peer->Remove(fact).ok());
+  ref->Remove(fact);
+}
+
 Peer* MultiPeerFixture::AddPeer(const std::string& name,
                                 PeerOptions options) {
   return system_.CreatePeer(name, std::move(options));

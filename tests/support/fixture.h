@@ -2,6 +2,7 @@
 #define WDL_TESTS_SUPPORT_FIXTURE_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,6 +24,13 @@ std::string RenderLogicalState(const LogicalState& state);
 /// reference evaluator computes for `program`.
 void ExpectMatchesReference(const System& system,
                             const ReferenceProgram& program);
+
+// Scenario steps that are inputs go to the system and to the reference
+// program alike, so the reference sees the scenario's inputs, never the
+// system's state.
+void Load(Peer* peer, ReferenceProgram* ref, std::string_view text);
+void Insert(Peer* peer, ReferenceProgram* ref, const Fact& fact);
+void Remove(Peer* peer, ReferenceProgram* ref, const Fact& fact);
 
 /// In-memory multi-peer network fixture: a System plus the peer setup
 /// boilerplate (creation, mutual trust, quiescence with asserted
