@@ -8,7 +8,8 @@
 // linearly in the output. The naive-fixpoint ablation that justified
 // the choice is gone with its mode; its last numbers are the
 // `_Naive` rows of BENCH_pr10.json (1.8x to 37x slower at the largest
-// sizes).
+// sizes). The multi-threaded variants went with the thread pools
+// (DESIGN.md §8 has their last numbers).
 
 #include <benchmark/benchmark.h>
 
@@ -127,62 +128,6 @@ void BM_SameGen_SemiNaive(benchmark::State& state) {
 }
 
 BENCHMARK(BM_SameGen_SemiNaive)->Arg(4)->Arg(6)->Arg(8);
-
-// Multi-core Δ-rounds (DESIGN.md §8): the same fixpoints at
-// eval_threads 1/2/4/8 on fixed workloads. The /1 run takes the exact
-// serial code path, so `bench_compare.py --speedup` reads the parallel
-// scaling straight out of one baseline file. parallel_rounds > 0
-// proves the partitioned path actually engaged.
-void BM_TcChainThreads(benchmark::State& state) {
-  int threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    EngineOptions opts;
-    opts.eval_threads = threads;
-    Engine e("p", opts);
-    (void)e.LoadProgram(*ParseProgram(kTcProgram));
-    LoadChain(&e, 512);
-    state.ResumeTiming();
-    StageResult r = e.RunStage();
-    benchmark::DoNotOptimize(r);
-    state.counters["derived"] =
-        static_cast<double>(e.catalog().Get("tc")->size());
-    state.counters["parallel_rounds"] =
-        static_cast<double>(e.eval_counters().parallel_rounds);
-  }
-}
-BENCHMARK(BM_TcChainThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_SameGenThreads(benchmark::State& state) {
-  int threads = static_cast<int>(state.range(0));
-  constexpr int kDepth = 8;
-  for (auto _ : state) {
-    state.PauseTiming();
-    EngineOptions opts;
-    opts.eval_threads = threads;
-    Engine e("p", opts);
-    (void)e.LoadProgram(*ParseProgram(
-        "collection ext par@p(c: int, d: int);"
-        "collection int sg@p(x: int, y: int);"
-        "rule sg@p($x, $x) :- par@p($x, $_);"
-        "rule sg@p($x, $y) :- par@p($x, $xp), sg@p($xp, $yp), "
-        "par@p($y, $yp);"));
-    for (int parent = 1; parent < (1 << kDepth); ++parent) {
-      (void)e.InsertFact(Fact(
-          "par", "p", {Value::Int(2 * parent), Value::Int(parent)}));
-      (void)e.InsertFact(Fact(
-          "par", "p", {Value::Int(2 * parent + 1), Value::Int(parent)}));
-    }
-    state.ResumeTiming();
-    StageResult r = e.RunStage();
-    benchmark::DoNotOptimize(r);
-    state.counters["derived"] =
-        static_cast<double>(e.catalog().Get("sg")->size());
-    state.counters["parallel_rounds"] =
-        static_cast<double>(e.eval_counters().parallel_rounds);
-  }
-}
-BENCHMARK(BM_SameGenThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 }  // namespace
 }  // namespace wdl

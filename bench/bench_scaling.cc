@@ -122,65 +122,6 @@ void BM_AudienceJoin(benchmark::State& state) {
 BENCHMARK(BM_AudienceJoin)->Arg(1)->Arg(8)->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
-// Inter-peer worker pool (DESIGN.md §8): the 32-attendee Wepic-shaped
-// workload with stages scheduled across worker_threads 1/2/4/8. The /1
-// run is the serial oracle path; `bench_compare.py --speedup` reads
-// the scaling from one baseline. hub_pictures cross-checks that every
-// configuration converged to the same state.
-void BM_WepicShapedWorkers(benchmark::State& state) {
-  constexpr int kPeers = 32;
-  int threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    SystemOptions sys_opts;
-    sys_opts.worker_threads = threads;
-    System system(sys_opts);
-    Peer* hub = system.CreatePeer("hub");
-    (void)hub->LoadProgramText(
-        "collection ext pictures@hub(id: int, name: string, "
-        "owner: string);");
-    std::vector<Peer*> attendees;
-    for (int i = 0; i < kPeers; ++i) {
-      std::string name = "peer" + std::to_string(i);
-      Peer* p = system.CreatePeer(name);
-      attendees.push_back(p);
-      (void)p->LoadProgramText(StrFormat(
-          "collection ext pictures@%s(id: int, name: string, "
-          "owner: string);"
-          "collection ext selectedAttendee@%s(a: string);"
-          "collection int attendeePictures@%s(id: int, name: string, "
-          "owner: string);"
-          "rule attendeePictures@%s($i, $n, $o) :- "
-          "selectedAttendee@%s($a), pictures@$a($i, $n, $o);"
-          "rule pictures@hub($i, $n, $o) :- pictures@%s($i, $n, $o);",
-          name.c_str(), name.c_str(), name.c_str(), name.c_str(),
-          name.c_str(), name.c_str()));
-    }
-    for (Peer* p : attendees) {
-      for (int i = 0; i < kPeers; ++i) {
-        p->gate().TrustPeer("peer" + std::to_string(i));
-      }
-    }
-    for (int i = 0; i < kPeers; ++i) {
-      (void)attendees[i]->Insert(
-          Fact("pictures", "peer" + std::to_string(i),
-               {I(i), S("pic" + std::to_string(i)),
-                S("peer" + std::to_string(i))}));
-      (void)attendees[i]->Insert(
-          Fact("selectedAttendee", "peer" + std::to_string(i),
-               {S("peer" + std::to_string((i + 1) % kPeers))}));
-    }
-    state.ResumeTiming();
-    Result<int> rounds = system.RunUntilQuiescent(10000);
-    benchmark::DoNotOptimize(rounds);
-    state.counters["rounds"] = rounds.ok() ? *rounds : -1;
-    state.counters["hub_pictures"] = static_cast<double>(
-        hub->engine().catalog().Get("pictures")->size());
-  }
-}
-BENCHMARK(BM_WepicShapedWorkers)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace wdl
 

@@ -29,7 +29,8 @@ constexpr size_t kMaxChunks = size_t{1} << 16;
 // they hold was published either by the same thread's Intern/Find
 // (whose lock release/acquire orders the entry write before the read)
 // or handed across a thread boundary whose own synchronization (e.g.
-// the ThreadPool barrier) carries the same happens-before edge.
+// a thread join or a mutex-guarded queue) carries the same
+// happens-before edge.
 struct Table {
   std::shared_mutex mu;
   std::unordered_map<std::string_view, uint32_t> ids;  // guarded by mu

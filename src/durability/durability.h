@@ -103,9 +103,7 @@ struct DurabilityCounters {
 /// passes its CRC and replays its matching log, truncating any torn
 /// tail so appends resume after the last valid record.
 ///
-/// Not thread-safe: owned by one Peer and driven from whichever thread
-/// runs that peer's stage (the per-peer concurrency contract of
-/// DESIGN.md §8).
+/// Not thread-safe: owned by one Peer, like everything per-peer.
 class PeerDurability {
  public:
   /// Opens (creating the directory if needed) and performs the disk

@@ -1,11 +1,9 @@
 #include "engine/engine.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "base/logging.h"
 #include "base/string_util.h"
-#include "base/thread_pool.h"
 #include "engine/plan_cache.h"
 
 namespace wdl {
@@ -28,164 +26,6 @@ void EvaluateDeltaPositions(RuleEvaluator* evaluator, const RulePlan& plan,
   }
 }
 
-}  // namespace
-
-int DefaultEvalThreads() {
-  static const int v = [] {
-    const char* s = std::getenv("WDL_EVAL_THREADS");
-    if (s == nullptr) return 1;
-    int n = std::atoi(s);
-    return n >= 1 ? n : 1;
-  }();
-  return v;
-}
-
-Engine::Engine(std::string self_peer, EngineOptions options)
-    : self_peer_(std::move(self_peer)),
-      self_sym_(Symbol::Intern(self_peer_)),
-      options_(options),
-      catalog_(self_peer_),
-      evaluator_(&catalog_, self_peer_, EvalOptions{}) {}
-
-Engine::~Engine() = default;
-
-/// Intra-peer parallel Δ-rounds (DESIGN.md §8). A semi-naive round is
-/// parallelized by partitioning the previous iteration's Δ by tuple
-/// content hash across P workers, evaluating every rule's Δ-first plan
-/// variants on each partition against *frozen* relations (the workers'
-/// evaluators use the concurrent read paths and never mutate anything
-/// outside their own buffers), and replaying the per-worker emit
-/// buffers through the engine's ordinary serial sinks at the round
-/// barrier, in stable partition order. All bookkeeping — derivation
-/// tracker, contribution maps, next-Δ chaining, stats — therefore runs
-/// exactly the serial code on exactly the same events, just discovered
-/// concurrently. The final fixpoint is bit-identical across thread
-/// counts: rules are monotone within a round and relations are frozen
-/// mid-round, so a derivation the serial path finds via mid-round
-/// visibility is found here at most one round later (textbook
-/// semi-naive), converging to the same set.
-struct Engine::ParallelEval {
-  struct FactEmit {
-    uint32_t rule;
-    bool remote;
-    Fact fact;
-  };
-  struct Buffer {
-    std::vector<FactEmit> facts;
-    std::vector<Delegation> delegations;
-  };
-
-  ParallelEval(Catalog* catalog, const std::string& self_peer,
-               const EngineOptions& opts)
-      : pool(opts.eval_threads) {
-    EvalOptions wopts;
-    wopts.concurrent_reads = true;
-    workers.reserve(static_cast<size_t>(opts.eval_threads));
-    for (int i = 0; i < opts.eval_threads; ++i) {
-      workers.push_back(
-          std::make_unique<RuleEvaluator>(catalog, self_peer, wopts));
-    }
-    parts.resize(workers.size());
-    buffers.resize(workers.size());
-  }
-
-  /// One parallel semi-naive round. Partition assignment is by tuple
-  /// content hash, so it is independent of DeltaMap iteration order and
-  /// identical across runs; replay order (worker 0..P-1, emission order
-  /// within each) is therefore deterministic at a fixed thread count.
-  void RunRound(
-      const std::vector<const RulePlan*>& rules, const DeltaMap& delta,
-      const std::function<void(uint32_t, bool, const Fact&)>& replay_fact,
-      const std::function<void(const Delegation&)>& replay_delegation,
-      EvalCounters* counters) {
-    const size_t p = workers.size();
-    for (DeltaMap& part : parts) part.clear();
-    TupleHasher hasher;
-    for (const auto& [sym, ds] : delta) {
-      for (const Tuple& t : ds.tuples()) {
-        parts[hasher(t) % p][sym].Insert(t);
-      }
-    }
-    for (Buffer& b : buffers) {
-      b.facts.clear();
-      b.delegations.clear();
-    }
-    pool.ParallelFor(static_cast<int>(p), [&](int w) {
-      const DeltaMap& part = parts[static_cast<size_t>(w)];
-      if (part.empty()) return;
-      RuleEvaluator& ev = *workers[static_cast<size_t>(w)];
-      Buffer& buf = buffers[static_cast<size_t>(w)];
-      uint32_t current = 0;
-      RuleEvaluator::Sinks s;
-      s.on_local_fact = [&](const Fact& f) {
-        buf.facts.push_back(FactEmit{current, false, f});
-      };
-      s.on_remote_fact = [&](const Fact& f) {
-        buf.facts.push_back(FactEmit{current, true, f});
-      };
-      s.on_delegation = [&](const Delegation& d) {
-        buf.delegations.push_back(d);
-      };
-      for (size_t r = 0; r < rules.size(); ++r) {
-        current = static_cast<uint32_t>(r);
-        EvaluateDeltaPositions(&ev, *rules[r], part, s);
-      }
-    });
-    for (size_t w = 0; w < p; ++w) {
-      for (const FactEmit& e : buffers[w].facts) {
-        replay_fact(e.rule, e.remote, e.fact);
-      }
-      for (const Delegation& d : buffers[w].delegations) {
-        replay_delegation(d);
-      }
-    }
-    for (auto& ev : workers) {
-      counters->MergeFrom(ev->counters());
-      ev->ResetCounters();
-    }
-  }
-
-  ThreadPool pool;
-  std::vector<std::unique_ptr<RuleEvaluator>> workers;
-  std::vector<DeltaMap> parts;   // reused across rounds
-  std::vector<Buffer> buffers;   // reused across rounds
-};
-
-namespace {
-
-/// True when `plan` may run inside a parallel Δ-round: a valid Δ-first
-/// variant at every positive body position (so per-
-/// partition work is |Δ-partition|-proportional, not a P-times
-/// duplicated prefix scan), and no delegation can arise (workers have
-/// no serial order for residual emission; the gate also implies every
-/// body atom lives at the evaluating peer, so no remote atom stops
-/// evaluation mid-body).
-bool PlanRoundEligible(const RulePlan* plan, Symbol self) {
-  if (plan->info.CanDelegate(self)) return false;
-  const std::vector<Atom>& body = plan->rule.body;
-  // A single-atom body compiles without variants (nothing to rotate),
-  // but the base plan's Δ-restriction at position 0 already iterates
-  // only the Δ — per-partition work is |Δ-partition|-proportional.
-  if (body.size() == 1) return true;
-  if (plan->delta_variants.size() < body.size()) return false;
-  for (size_t pos = 0; pos < body.size(); ++pos) {
-    if (body[pos].negated) continue;
-    if (!plan->delta_variants[pos].valid) return false;
-  }
-  return true;
-}
-
-/// Pre-builds every relation index `plan`'s access paths probe. The
-/// worker evaluators read concurrently and never build; already-built
-/// indexes stay current through the replayed inserts (OnInsert), so
-/// once per stage is enough.
-void PrebuildPlanIndexes(Catalog* catalog, const RulePlan& plan) {
-  ForEachIndexUse(plan, [&](Symbol rel_sym, size_t col) {
-    Relation* rel = catalog->Get(rel_sym);
-    if (rel != nullptr) rel->PrebuildIndex(col);
-  });
-}
-
 /// False when no body atom of `plan` can read a relation of `delta`:
 /// every Δ-restricted evaluation of the rule would find nothing new.
 bool BodyReadsDelta(const RulePlan& plan, const DeltaMap& delta) {
@@ -206,14 +46,12 @@ const RulePlan& HeadBoundPlan(InstalledRule* ir) {
 
 }  // namespace
 
-Engine::ParallelEval* Engine::EnsureParallelEval() {
-  if (options_.eval_threads <= 1) return nullptr;
-  if (parallel_ == nullptr) {
-    parallel_ =
-        std::make_unique<ParallelEval>(&catalog_, self_peer_, options_);
-  }
-  return parallel_.get();
-}
+Engine::Engine(std::string self_peer, EngineOptions options)
+    : self_peer_(std::move(self_peer)),
+      self_sym_(Symbol::Intern(self_peer_)),
+      options_(options),
+      catalog_(self_peer_),
+      evaluator_(&catalog_, self_peer_, EvalOptions{}) {}
 
 Status Engine::LoadProgram(const Program& program,
                            std::vector<uint64_t>* rule_ids) {
@@ -820,48 +658,12 @@ struct Engine::StagePass {
   std::map<ContributionKey, TupleSet> contrib_removed;
 };
 
-int Engine::RunRounds(std::vector<const RulePlan*> rules, DeltaMap delta,
-                      StagePass* pass) {
-  // When eval_threads > 1, the round-eligible rules run Δ-partitioned
-  // across the engine's worker pool with buffered emissions replayed
-  // through the pass's sinks (DESIGN.md §8); the rest stay in `rules`
-  // and run serially against the same frozen Δ after the replay
-  // barrier — a per-*rule* fallback, so one ineligible rule does not
-  // force the whole round off the parallel path.
-  std::vector<const RulePlan*> parallel_rules;
-  if (options_.eval_threads > 1) {
-    auto serial = std::stable_partition(
-        rules.begin(), rules.end(), [&](const RulePlan* plan) {
-          return PlanRoundEligible(plan, self_sym_);
-        });
-    parallel_rules.assign(rules.begin(), serial);
-    rules.erase(rules.begin(), serial);
-  }
-  ParallelEval* par = parallel_rules.empty() ? nullptr : EnsureParallelEval();
-  if (par != nullptr) {
-    for (const RulePlan* plan : parallel_rules) {
-      PrebuildPlanIndexes(&catalog_, *plan);
-    }
-  }
-  auto replay_fact = [&](uint32_t r, bool remote, const Fact& f) {
-    const RuleEvaluator::Sinks& sinks = pass->SinksFor(*parallel_rules[r]);
-    (remote ? sinks.on_remote_fact : sinks.on_local_fact)(f);
-  };
-  EvalCounters* counters = evaluator_.mutable_counters();
+int Engine::RunRounds(const std::vector<const RulePlan*>& rules,
+                      DeltaMap delta, StagePass* pass) {
   int rounds = 0;
   while (!delta.empty() && rounds < kMaxFixpointRounds) {
     ++rounds;
-    if (par != nullptr) {
-      ++counters->parallel_rounds;
-      if (!rules.empty()) ++counters->parallel_mixed_rounds;
-      par->RunRound(parallel_rules, delta, replay_fact,
-                    pass->derive.on_delegation, counters);
-    }
-    // Serial rules see the same frozen Δ (emissions land in
-    // order-independent sets and maps, and semi-naive finds any
-    // derivation enabled by this round's parallel inserts at most one
-    // round later — the same fixpoint as all-serial). A rule whose body
-    // reads nothing in the Δ has nothing new to find.
+    // A rule whose body reads nothing in the Δ has nothing new to find.
     for (const RulePlan* plan : rules) {
       if (BodyReadsDelta(*plan, delta)) {
         EvaluateDeltaPositions(&evaluator_, *plan, delta,
@@ -911,8 +713,7 @@ void Engine::RunFixpoint(StagePass* pass) {
     }
     DeltaMap delta = std::move(pass->next_delta);
     pass->next_delta = DeltaMap();
-    pass->stats->iterations += 1 + RunRounds(std::move(active),
-                                             std::move(delta), pass);
+    pass->stats->iterations += 1 + RunRounds(active, std::move(delta), pass);
   }
 }
 
@@ -934,9 +735,8 @@ void Engine::ClearDeleteSuppression(const std::string& relation,
   // if a deletion rule still derives it, the deletion must ship again.
   // The next stage settles the verdict — a recompute stage re-fires
   // every deletion rule anyway; a Δ stage re-checks exactly the queued
-  // facts. (This runs inside a stage, which raises
-  // no work notices: the non-empty queue is what the runtime's
-  // post-stage re-check sees.)
+  // facts. (This runs inside a stage, whose FinishStage raises the work
+  // notice.)
   pending_delete_rechecks_.insert(std::move(f));
 }
 
@@ -1535,7 +1335,7 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
   pass.next_delta = DeltaMap();
 
   result->stats.iterations +=
-      RunRounds(std::move(plans), std::move(delta), &pass);
+      RunRounds(plans, std::move(delta), &pass);
   result->stats.strata = 1;
   FinishStage(&pass, changed_local || pass.state_mutated, result);
 }
@@ -1567,10 +1367,11 @@ void Engine::FinishStage(StagePass* pass, bool changed, StageResult* result) {
 
   result->stats.tuples_examined =
       evaluator_.counters().tuples_examined - pass->tuples_before;
-  result->changed = changed || !result->outbound.empty() ||
-                    !pending_self_updates_.empty() ||
-                    !pending_self_deletes_.empty() ||
-                    !pending_delete_rechecks_.empty();
+  const bool leaves_work = !pending_self_updates_.empty() ||
+                           !pending_self_deletes_.empty() ||
+                           !pending_delete_rechecks_.empty();
+  result->changed = changed || !result->outbound.empty() || leaves_work;
+  if (leaves_work) NoteWork();
 }
 
 std::vector<DerivedDelta> Engine::CollectHeartbeats() {

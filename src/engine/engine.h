@@ -23,24 +23,8 @@
 
 namespace wdl {
 
-/// Process-wide default for EngineOptions::eval_threads: the
-/// WDL_EVAL_THREADS environment variable (read once), else 1. Lets CI
-/// drive existing suites through the parallel paths without touching
-/// their code.
-int DefaultEvalThreads();
-
 struct EngineOptions {
   Dialect dialect = Dialect::kExtended;
-  /// Intra-peer parallelism (DESIGN.md §8): partition each semi-naive
-  /// round's Δ by tuple hash across this many workers, evaluate Δ-first
-  /// plan variants per partition into per-worker emit buffers, and
-  /// merge the buffers in stable partition order at the round barrier.
-  /// 1 (the default unless WDL_EVAL_THREADS overrides it) runs every
-  /// round serially; any thread count yields bit-identical relation
-  /// state. Rules that are not eligible (missing Δ-first variants,
-  /// delegation-capable) run serially within the same round,
-  /// transparently.
-  int eval_threads = DefaultEvalThreads();
   /// Durable-peer mode (DESIGN.md §11): on a link reset, keep the
   /// inbound stream versions and skip the blanket outbound contribution
   /// re-serve. A durable peer restarts with its stream state intact, so
@@ -172,7 +156,6 @@ struct InstalledRule {
 class Engine {
  public:
   explicit Engine(std::string self_peer, EngineOptions options = {});
-  ~Engine();  // out-of-line: ParallelEval is incomplete here
 
   // Neither copyable nor movable: evaluator_ holds &catalog_, so a
   // moved Engine would evaluate against the moved-from catalog. (The
@@ -252,15 +235,13 @@ class Engine {
   /// next stage has guaranteed work.
   bool HasPendingWork() const;
 
-  /// Installs the callback every public entry point that creates work
-  /// for the next stage calls (fact and rule edits, delegation install
-  /// and retract, the Enqueue* inputs, NoteLinkReset,
-  /// DropScratchRelation): after any such call HasPendingWork() is
-  /// true. RunStage never calls it, so stages may run on worker
-  /// threads; work a stage leaves behind (deferred self-updates, delete
-  /// rechecks) is for the caller to re-check once the stage returns.
-  /// The owning Peer forwards it to the System's ready set (DESIGN.md
-  /// §2).
+  /// Installs the callback told whenever the next stage has work: by
+  /// every public entry point that creates some (fact and rule edits,
+  /// delegation install and retract, the Enqueue* inputs,
+  /// NoteLinkReset, DropScratchRelation), and by a stage that leaves
+  /// some behind (deferred self-updates and self-deletes, delete
+  /// rechecks). After it fires HasPendingWork() is true. The owning
+  /// Peer forwards it to the System's ready set (DESIGN.md §2).
   void set_work_listener(std::function<void()> listener) {
     work_listener_ = std::move(listener);
   }
@@ -435,9 +416,9 @@ class Engine {
                           StageResult* result);
   void FinalizeOutbound(StageResult* result);
   /// Semi-naive rounds from `delta` until no rule derives a new local
-  /// tuple: the one round loop of full and Δ stages (DESIGN.md §8).
+  /// tuple: the one round loop of full and Δ stages (DESIGN.md §6).
   /// Returns the number of rounds run.
-  int RunRounds(std::vector<const RulePlan*> rules, DeltaMap delta,
+  int RunRounds(const std::vector<const RulePlan*>& rules, DeltaMap delta,
                 StagePass* pass);
   /// The full fixpoint of a recompute stage, stratum by stratum.
   void RunFixpoint(StagePass* pass);
@@ -450,18 +431,11 @@ class Engine {
   void RunStageIncremental(StageResult* result, bool changed_local,
                            StageChangeLog* log);
   /// Step 3, shared by both kinds of stage: deferred self-updates,
-  /// remote deletions, contribution and delegation emission.
+  /// remote deletions, contribution and delegation emission. Raises a
+  /// work notice when it leaves work for the next stage.
   void FinishStage(StagePass* pass, bool changed, StageResult* result);
   bool HasLocalDerivation(const Fact& target);
   uint64_t IntensionalContentHash() const;
-
-  /// Parallel Δ-round machinery (engine.cc): the engine's thread pool,
-  /// per-worker evaluators, partitions, and emit buffers. Created
-  /// lazily on the first eligible round when eval_threads > 1; null
-  /// forever at eval_threads == 1, so serial engines carry zero
-  /// parallel state.
-  struct ParallelEval;
-  ParallelEval* EnsureParallelEval();
 
   std::string self_peer_;
   Symbol self_sym_;  // interned self name (delegation-capability checks)
@@ -470,7 +444,6 @@ class Engine {
   // Owned across stages: its counters accumulate and its scratch
   // buffers keep their capacity.
   RuleEvaluator evaluator_;
-  std::unique_ptr<ParallelEval> parallel_;
 
   std::vector<InstalledRule> rules_;
   uint64_t next_rule_id_ = 1;
@@ -540,7 +513,7 @@ class Engine {
   PropagationCounters prop_counters_;
 
   bool ran_any_stage_ = false;
-  // Set by NoteWork at every public entry point that creates work, so
+  // Set by NoteWork wherever work for the next stage is created, so
   // the runtime knows a stage is needed; cleared by RunStage.
   bool dirty_ = true;
   std::function<void()> work_listener_;

@@ -233,29 +233,6 @@ struct RulePlan {
   std::string DebugString() const;
 };
 
-/// Invokes `fn(Symbol relation, size_t column)` for every compiled
-/// index access path of `plan` — the natural atom order plus every
-/// valid Δ-first variant — whose atom names its relation with a
-/// constant. The parallel round coordinator (DESIGN.md §8) pre-builds
-/// exactly these relation indexes before workers probe them
-/// concurrently, because the concurrent read path never builds. A
-/// variant's leading atom probes the Δ-set rather than the relation;
-/// pre-building its relation index anyway is harmless (the same
-/// (relation, column) pair typically also occurs in another order).
-template <typename Fn>
-void ForEachIndexUse(const RulePlan& plan, Fn&& fn) {
-  auto visit = [&](const std::vector<PlanAtom>& atoms) {
-    for (const PlanAtom& a : atoms) {
-      if (a.negated || a.index_column < 0 || !a.relation.is_const) continue;
-      fn(a.relation.sym, static_cast<size_t>(a.index_column));
-    }
-  };
-  visit(plan.atoms);
-  for (const DeltaVariant& v : plan.delta_variants) {
-    if (v.valid) visit(v.atoms);
-  }
-}
-
 /// Compiles `rule` into an executable plan. Never fails: rules that
 /// safety analysis would reject compile to plans with dead branches
 /// (unbound head -> no emission, never-ground negation -> logged dead

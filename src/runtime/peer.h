@@ -43,15 +43,10 @@ struct PeerOptions {
 /// a few empty containers — the property that lets one process host
 /// 100k+ simulated peers (DESIGN.md §9).
 ///
-/// Concurrency contract (DESIGN.md §8): a Peer's state is touched by
-/// exactly one thread at a time, but *different* peers' RunStage calls
-/// may run concurrently — everything a stage reads or writes is owned
-/// by this peer (engine, catalog, gate, sequence numbers, WAL) or is
-/// one of the process-wide thread-safe structures (the Symbol intern
-/// table). Envelope delivery (HandleEnvelope) and the returned
-/// envelopes' submission stay on the System's driving thread, and so
-/// does every work notice (set_work_listener): RunStage raises none,
-/// so the System re-checks the peers that ran after the pool barrier.
+/// Not thread-safe: one thread drives a Peer. Everything a stage reads
+/// or writes is owned by this peer (engine, catalog, gate, sequence
+/// numbers, WAL) or is one of the process-wide thread-safe structures
+/// (the Symbol intern table, SharedPlanCache).
 ///
 /// Durability semantics (DESIGN.md §11), active only with a data dir
 /// configured: every state-changing input — local writes through the
@@ -115,9 +110,9 @@ class Peer {
   /// work: its engine materialized (a fresh engine always runs a first
   /// stage) or took an input that needs a stage (see
   /// Engine::set_work_listener) — whether through this Peer's API or
-  /// through engine() directly. A System uses it to keep the set of
-  /// peers a round visits (DESIGN.md §2). Work left behind by RunStage
-  /// raises no notice; the caller re-checks HasPendingWork() after it.
+  /// through engine() directly — or ran a stage that left work for the
+  /// next one. A System uses it to keep the set of peers a round visits
+  /// (DESIGN.md §2).
   void set_work_listener(std::function<void()> listener) {
     work_listener_ = std::move(listener);
   }

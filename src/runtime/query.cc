@@ -207,8 +207,7 @@ Result<QueryResult> RunQuery(System* system, const std::string& peer_name,
   result.columns = columns;
   const Relation* rel = peer->engine().catalog().Get(relation);
   if (rel != nullptr) result.rows = rel->SortedTuples();
-  result.rounds =
-      (converged.ok() ? *converged : system->rounds_run()) - rounds_before;
+  result.rounds = system->rounds_run() - rounds_before;
   result.tuples_examined =
       peer->engine().eval_counters().tuples_examined - tuples_before;
 

@@ -2,22 +2,11 @@
 
 #include <cassert>
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 
 #include "base/logging.h"
 
 namespace wdl {
-
-int DefaultWorkerThreads() {
-  static const int v = [] {
-    const char* s = std::getenv("WDL_WORKER_THREADS");
-    if (s == nullptr) return 1;
-    int n = std::atoi(s);
-    return n >= 1 ? n : 1;
-  }();
-  return v;
-}
 
 System::System(SystemOptions options)
     : options_(options),
@@ -136,13 +125,10 @@ RoundReport System::RunRound() {
   // Wrappers move external data in/out before the stages.
   SyncWrappers();
 
-  // Run a stage at every peer with pending work. Every such peer is in
-  // the ready set, which iterates in name order; with
-  // worker_threads > 1 the stages run concurrently on the pool (peers
-  // are share-nothing except the thread-safe Symbol table), but
-  // outbound envelopes are buffered and submitted serially below in
-  // that same name order — byte-identical traffic, and on the
-  // simulated transport an identical RNG stream, to the serial loop.
+  // Run a stage at every peer with pending work, then submit their
+  // output. Every such peer is in the ready set, which iterates in name
+  // order; a stage that leaves work behind puts its peer back for the
+  // next round.
   uint64_t bytes_before = network_->StatsSnapshot().bytes_sent;
   std::vector<Peer*> pending;
   for (Peer* peer : ready_) {
@@ -151,24 +137,8 @@ RoundReport System::RunRound() {
   ready_.clear();
   report.stages_run = pending.size();
   std::vector<std::vector<Envelope>> stage_out(pending.size());
-  if (options_.worker_threads > 1 && pending.size() > 1) {
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<ThreadPool>(options_.worker_threads);
-    }
-    pool_->ParallelFor(static_cast<int>(pending.size()), [&](int i) {
-      stage_out[static_cast<size_t>(i)] =
-          pending[static_cast<size_t>(i)]->RunStage();
-    });
-  } else {
-    for (size_t i = 0; i < pending.size(); ++i) {
-      stage_out[i] = pending[i]->RunStage();
-    }
-  }
-  // Stages raise no work notices (they may run on the pool). Work one
-  // left behind — deferred self-updates, delete rechecks — is picked
-  // up here, after the barrier, on the driving thread.
-  for (Peer* peer : pending) {
-    if (peer->HasPendingWork()) ready_.insert(ready_.end(), peer);
+  for (size_t i = 0; i < pending.size(); ++i) {
+    stage_out[i] = pending[i]->RunStage();
   }
   for (std::vector<Envelope>& envs : stage_out) {
     for (Envelope& e : envs) {
@@ -229,17 +199,18 @@ void System::SyncWrappers() {
 }
 
 Result<int> System::RunUntilQuiescent(int max_rounds) {
+  const int start = rounds_run_;
   for (int i = 0; i < max_rounds; ++i) {
     if (IsQuiescent()) {
       // The engines are done, but the last stage may have materialized
       // tuples a wrapper still has to drain to its external service —
       // and that drain may in turn create engine work.
       SyncWrappers();
-      if (IsQuiescent()) return rounds_run_;
+      if (IsQuiescent()) return rounds_run_ - start;
     }
     RunRound();
   }
-  if (IsQuiescent()) return rounds_run_;
+  if (IsQuiescent()) return rounds_run_ - start;
   return Status::FailedPrecondition(
       "system did not quiesce within " + std::to_string(max_rounds) +
       " rounds");
@@ -249,6 +220,7 @@ Result<int> System::RunUntilIdle(int idle_rounds, int max_wall_ms,
                                  int sleep_ms) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(max_wall_ms);
+  const int start = rounds_run_;
   int idle = 0;
   while (std::chrono::steady_clock::now() < deadline) {
     RoundReport r = RunRound();
@@ -260,7 +232,7 @@ Result<int> System::RunUntilIdle(int idle_rounds, int max_wall_ms,
       idle = 0;
       continue;
     }
-    if (IsQuiescent() && ++idle >= idle_rounds) return rounds_run_;
+    if (IsQuiescent() && ++idle >= idle_rounds) return rounds_run_ - start;
     std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
   }
   return Status::FailedPrecondition(

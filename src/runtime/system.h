@@ -8,18 +8,11 @@
 #include <vector>
 
 #include "base/result.h"
-#include "base/thread_pool.h"
 #include "net/network.h"
 #include "runtime/peer.h"
 #include "runtime/wrapper.h"
 
 namespace wdl {
-
-/// Process-wide default for SystemOptions::worker_threads: the
-/// WDL_WORKER_THREADS environment variable (read once), else 1. Lets CI
-/// drive existing suites through the parallel stage scheduler without
-/// touching their code.
-int DefaultWorkerThreads();
 
 struct SystemOptions {
   uint64_t network_seed = 42;
@@ -31,16 +24,6 @@ struct SystemOptions {
   /// interval plus a resync round trip. 0 disables (the default:
   /// change-triggered repair only, as before).
   int heartbeat_interval_rounds = 0;
-  /// Inter-peer parallelism (DESIGN.md §8): peers with pending work run
-  /// their stages concurrently on a persistent worker pool, this many
-  /// ways. Peers are share-nothing except the thread-safe Symbol table,
-  /// so stages need no locking; outbound envelopes are buffered per
-  /// peer and submitted serially afterwards in peer-name order — the
-  /// exact order the serial loop submits in, so the simulated network's
-  /// RNG stream (and hence every fingerprint) is identical to
-  /// worker_threads == 1. 1 (the default unless WDL_WORKER_THREADS
-  /// overrides it) preserves today's exact code path as the oracle.
-  int worker_threads = DefaultWorkerThreads();
   /// Durability root (DESIGN.md §11). Non-empty makes every peer this
   /// System creates durable, with its data dir at
   /// `durability_root/<peer name>` (unless the peer's own
@@ -78,9 +61,9 @@ struct RoundReport {
 ///
 /// A round visits only the *ready set*: the peers that may have work.
 /// A peer joins it when its engine raises a work notice (materialized,
-/// or took a fact, rule, delegation or inbound frame — through the Peer
-/// API or engine() directly) and when a stage it just ran left work
-/// behind; it leaves when a round finds it idle. So the per-round and
+/// took a fact, rule, delegation or inbound frame — through the Peer
+/// API or engine() directly — or ran a stage that left work behind);
+/// it leaves when a round finds it idle. So the per-round and
 /// quiescence cost scales with the peers that have work, not with the
 /// registered peers, and a converged system does no work — quiescence
 /// is "no peer has pending work and nothing is in flight". The set is
@@ -105,7 +88,7 @@ class System {
 
   /// Creates and registers a peer as a lightweight slot: its engine
   /// materializes on first fact, first rule, or first inbound frame
-  /// that carries engine work, so an idle peer costs ~O(100) bytes
+  /// that carries engine work, so an idle peer costs ~520 bytes
   /// (DESIGN.md §9). The registry itself is the discovery
   /// control plane (PeerNames()); peers learn of each other from
   /// traffic (envelope senders, Hello messages) — deliberately *not* by
@@ -145,15 +128,16 @@ class System {
   RoundReport RunRound();
 
   /// Runs rounds until the system is quiescent; returns the number of
-  /// rounds it took, or FailedPrecondition after `max_rounds`.
+  /// rounds this call ran, or FailedPrecondition after `max_rounds`.
   Result<int> RunUntilQuiescent(int max_rounds = 1000);
 
   /// Real-time variant for asynchronous transports: runs rounds on the
   /// wall clock, sleeping `sleep_ms` between empty ones, until the
   /// system has been locally quiescent for `idle_rounds` consecutive
-  /// polls (heartbeat traffic does not count as work). Returns rounds
-  /// run, or FailedPrecondition after `max_wall_ms`. "Idle" is local:
-  /// a remote process may still send us something later.
+  /// polls (heartbeat traffic does not count as work). Returns the
+  /// rounds this call ran, or FailedPrecondition after `max_wall_ms`.
+  /// "Idle" is local: a remote process may still send us something
+  /// later.
   Result<int> RunUntilIdle(int idle_rounds, int max_wall_ms,
                            int sleep_ms = 1);
 
@@ -170,9 +154,6 @@ class System {
 
   SystemOptions options_;
   std::unique_ptr<Network> network_;
-  // Inter-peer stage pool; created lazily on the first round that has
-  // two or more pending peers and worker_threads > 1.
-  std::unique_ptr<ThreadPool> pool_;
   SimulatedNetwork* simulated_ = nullptr;  // network_ when simulated
   struct ByName {
     bool operator()(const Peer* a, const Peer* b) const {

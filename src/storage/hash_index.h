@@ -166,8 +166,8 @@ class HashIndex {
 /// once a join actually probes it, and already-built indexes are kept
 /// current on every subsequent insert/remove. Centralizing it here
 /// keeps the build-on-first-probe and collision-confirming-probe logic
-/// in one place (ROADMAP item); only Relation's snapshot/version layer
-/// stays outside.
+/// in one place; only Relation's snapshot/version layer stays outside.
+/// Not thread-safe: a first probe builds, even through a const owner.
 ///
 /// Tuples too short for a column are simply not indexed on it, so the
 /// helper is safe for heterogeneous scratch sets.
@@ -208,14 +208,6 @@ class LazyColumnIndexes {
   }
 
   bool Has(size_t column) const { return indexes_.count(column) > 0; }
-
-  /// The already-built index on `column`, or nullptr. The concurrent
-  /// read path (Relation::LookupEqualShared) must never build — it
-  /// probes what the coordinator pre-built and falls back to a scan.
-  const HashIndex* Built(size_t column) const {
-    auto it = indexes_.find(column);
-    return it == indexes_.end() ? nullptr : &it->second;
-  }
 
   /// Collision-confirming probe: invokes `fn(const Tuple&)` on entries
   /// of `index` whose `column`-th value *equals* `value` (the index is

@@ -27,13 +27,9 @@ namespace wdl {
 /// that are reused across calls, so resident iteration performs no heap
 /// allocation once the buffers have grown to working-set size.
 ///
-/// Not thread-safe for mutation: a Relation belongs to exactly one
-/// Peer, and peers are share-nothing (see DESIGN.md §1). During a
-/// parallel Δ-round (DESIGN.md §8) the owning engine freezes every
-/// relation — no inserts, removes, or index builds until the round
-/// barrier — and worker threads read concurrently through the *Shared
-/// methods, which bypass the single-threaded scratch/snapshot buffers
-/// the ordinary ForEach/LookupEqual lease.
+/// Not thread-safe, not even for const reads: iteration leases the
+/// scratch buffers and a probe may build an index. A Relation belongs
+/// to exactly one Peer, and peers are share-nothing (DESIGN.md §1).
 class Relation {
  public:
   explicit Relation(RelationDecl decl)
@@ -129,39 +125,6 @@ class Relation {
       if (t[column] == value) matches.push_back(&t);
     }
     for (const Tuple* t : matches) fn(*t);
-  }
-
-  /// Builds the hash index on `column` now if absent. The parallel
-  /// round coordinator calls this for every column its plans will
-  /// probe, before workers start reading concurrently — the Shared
-  /// read paths never build.
-  void PrebuildIndex(size_t column) {
-    if (column < decl_.arity()) EnsureIndex(column);
-  }
-
-  /// Concurrent-read variant of ForEach: iterates the tuple set
-  /// directly, with no snapshot buffer. Safe for any number of threads
-  /// *only* while the relation is frozen (no mutation, no index
-  /// builds); `fn` must not insert or remove.
-  template <typename Fn>
-  void ForEachShared(Fn&& fn) const {
-    for (const Tuple& t : tuples_) fn(t);
-  }
-
-  /// Concurrent-read variant of LookupEqual: probes the index on
-  /// `column` if one was pre-built (PrebuildIndex), else scans. Same
-  /// freeze contract as ForEachShared; `fn` must not mutate.
-  template <typename Fn>
-  void LookupEqualShared(size_t column, const Value& value, Fn&& fn) const {
-    if (column >= decl_.arity()) return;
-    const HashIndex* index = indexes_.Built(column);
-    if (index != nullptr) {
-      LazyColumnIndexes::ProbeEqual(*index, column, value, fn);
-      return;
-    }
-    for (const Tuple& t : tuples_) {
-      if (t[column] == value) fn(t);
-    }
   }
 
   /// Snapshot of the contents sorted into canonical order; used by

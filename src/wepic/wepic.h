@@ -18,7 +18,7 @@ inline constexpr char kFacebookGroup[] = "sigmod";
 
 struct WepicOptions {
   uint64_t network_seed = 42;
-  EngineOptions engine;  // dialect and eval threads for every peer
+  EngineOptions engine;  // applied to every peer
 };
 
 /// The Wepic conference picture manager of §3, as a library: it builds

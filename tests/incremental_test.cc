@@ -481,5 +481,66 @@ TEST(IncrementalOracleTest, RandomizedWorkloadsConvergeIdentically) {
   }
 }
 
+// Scripted multi-peer churn: hub's variable-peer rule re-targets its
+// delegation as selections toggle between b and c, pictures and edges
+// come and go, and b's local recursion feeds a view at hub. Every step
+// is checked against the reference.
+TEST(IncrementalOracleTest, DelegationRetargetingChurn) {
+  System system;
+  ReferenceProgram ref;
+  Peer* hub = system.CreatePeer("hub", Trusting());
+  Peer* b = system.CreatePeer("b", Trusting());
+  Peer* c = system.CreatePeer("c", Trusting());
+  Load(hub, &ref, R"(
+    collection ext selected@hub(who: string);
+    collection int gallery@hub(id: int);
+    collection int summary@hub(x: int);
+    rule gallery@hub($id) :- selected@hub($w), pictures@$w($id);
+  )");
+  Load(b, &ref, R"(
+    collection ext pictures@b(id: int);
+    collection ext edge@b(x: int, y: int);
+    collection int tc@b(x: int, y: int);
+    rule tc@b($x, $y) :- edge@b($x, $y);
+    rule tc@b($x, $z) :- tc@b($x, $y), edge@b($y, $z);
+    rule summary@hub($x) :- tc@b($x, $_);
+  )");
+  Load(c, &ref, "collection ext pictures@c(id: int);");
+  for (int i = 0; i < 24; ++i) {
+    Insert(b, &ref, F("edge", "b", {I(i), I(i + 1)}));
+  }
+
+  uint64_t s = 99;  // an LCG scripts the steps
+  auto next = [&s](int mod) {
+    s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<int>((s >> 33) % mod);
+  };
+  const std::vector<std::string> names = {"b", "c"};
+  for (int step = 0; step < 10; ++step) {
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    const std::string& who = names[next(2)];
+    if (next(3) == 0) {
+      Remove(hub, &ref, F("selected", "hub", {test::S(who)}));
+    } else {
+      Insert(hub, &ref, F("selected", "hub", {test::S(who)}));
+    }
+    Peer* owner = system.GetPeer(who);
+    int id = next(16);
+    if (next(4) == 0) {
+      Remove(owner, &ref, F("pictures", who, {I(id)}));
+    } else {
+      Insert(owner, &ref, F("pictures", who, {I(id)}));
+    }
+    int e = next(24);
+    if (next(5) == 0) {
+      Remove(b, &ref, F("edge", "b", {I(e), I(e + 1)}));
+    } else {
+      Insert(b, &ref, F("edge", "b", {I(e), I(e + 1)}));
+    }
+    ASSERT_TRUE(system.RunUntilQuiescent().ok());
+    test::ExpectMatchesReference(system, ref);
+  }
+}
+
 }  // namespace
 }  // namespace wdl

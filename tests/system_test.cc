@@ -224,6 +224,34 @@ TEST_F(SystemTest, QuiescentSystemStopsSendingMessages) {
   EXPECT_EQ(delta.messages_submitted, 0u) << delta;
 }
 
+// RunUntilQuiescent and RunUntilIdle count the rounds of the call, not
+// the system's running total.
+TEST_F(SystemTest, ConvergeReturnsTheRoundsOfThisCall) {
+  Peer* alice = system_.CreatePeer("alice");
+  Peer* bob = system_.CreatePeer("bob");
+  ASSERT_TRUE(alice->LoadProgramText(R"(
+    collection ext src@alice(x: int);
+    rule copy@bob($x) :- src@alice($x);
+  )").ok());
+  ASSERT_TRUE(bob->LoadProgramText("collection ext copy@bob(x: int);").ok());
+  // Each insert takes one round at alice and one at bob.
+  for (int i = 1; i <= 2; ++i) {
+    ASSERT_TRUE(alice->Insert(F("src", "alice", {I(i)})).ok());
+    Result<int> rounds = system_.RunUntilQuiescent();
+    ASSERT_TRUE(rounds.ok());
+    EXPECT_EQ(*rounds, 2) << "converge " << i;
+  }
+  Result<int> idle = system_.RunUntilQuiescent();
+  ASSERT_TRUE(idle.ok());
+  EXPECT_EQ(*idle, 0);
+  // One quiet poll is enough to call the system idle.
+  Result<int> polled = system_.RunUntilIdle(1, 10000);
+  ASSERT_TRUE(polled.ok());
+  EXPECT_EQ(*polled, 1);
+  EXPECT_EQ(system_.rounds_run(), 5);
+  EXPECT_EQ(bob->engine().catalog().Get("copy")->size(), 2u);
+}
+
 TEST_F(SystemTest, UpdateRuleDefersLocalExtensionalInsertToNextStage) {
   Peer* p = system_.CreatePeer("alice");
   ASSERT_TRUE(p->LoadProgramText(R"(

@@ -4,7 +4,7 @@
 Usage:
   bench_compare.py BASELINE.json CURRENT.json [--suite SUITE]
                    [--fail-below R] [--counters PREFIX[,PREFIX...]]
-                   [--latency] [--memory] [--speedup]
+                   [--latency] [--memory]
 
 Prints a per-benchmark throughput table: baseline and current wall time
 per iteration, and the throughput ratio current-vs-baseline (>1 means
@@ -185,38 +185,6 @@ def print_memory(base_path, curr_path, suite_filter):
         print(f"{suite:<{name_w}} {b_s:>10} {c_s:>10} {ratio}")
 
 
-def print_speedup(path, suite_filter):
-    """Thread-scaling table within one baseline: benchmarks whose name
-    ends in "/N" are grouped by the prefix, and each variant is shown
-    as a speedup over its "/1" sibling (the serial-oracle run)."""
-    suites = load_suites(path)
-    names = sorted(set(suite_filter) & set(suites)) if suite_filter \
-        else sorted(suites)
-    rows = []
-    for suite in names:
-        families = {}
-        for name, t in suites[suite].items():
-            head, _, arg = name.rpartition("/")
-            if head and arg.isdigit():
-                families.setdefault(head, {})[int(arg)] = t
-        for head in sorted(families):
-            variants = families[head]
-            if 1 not in variants or len(variants) < 2:
-                continue
-            t1 = variants[1]
-            for n in sorted(variants):
-                rows.append((f"{head}/{n}", variants[n], t1 / variants[n]))
-    if not rows:
-        return
-    name_w = max(len(r[0]) for r in rows) + 2
-    print()
-    print(f"thread scaling ({path})")
-    print(f"{'benchmark':<{name_w}} {'time':>10} {'speedup vs /1':>14}")
-    print("-" * (name_w + 26))
-    for label, t, speedup in rows:
-        print(f"{label:<{name_w}} {fmt_time(t):>10} {speedup:>13.2f}x")
-
-
 def fmt_time(ns):
     for unit, scale in (("s", 1e9), ("ms", 1e6), ("us", 1e3)):
         if ns >= scale:
@@ -249,10 +217,6 @@ def main():
     parser.add_argument("--memory", action="store_true",
                         help="also print the per-suite peak-RSS column "
                              "recorded by the rss_run wrapper")
-    parser.add_argument("--speedup", action="store_true",
-                        help="also print a thread-scaling table from the "
-                             "current file: benchmarks named NAME/N shown "
-                             "as speedup over their NAME/1 sibling")
     args = parser.parse_args()
 
     base = load_suites(args.baseline)
@@ -307,8 +271,6 @@ def main():
         print_latency(args.baseline, args.current, args.suite)
     if args.memory:
         print_memory(args.baseline, args.current, args.suite)
-    if args.speedup:
-        print_speedup(args.current, args.suite)
     return 0
 
 
