@@ -601,7 +601,7 @@ struct Engine::StagePass {
       }
     };
     derive.on_delegation = [this](const Delegation& d) {
-      delegations_changed |= delegations->emplace(d.Key(), d).second;
+      delegations_changed |= delegations->try_emplace(d.Key(), d).second;
     };
     remove.on_local_fact = [this, engine](const Fact& f) {
       Relation* rel = engine->catalog_.Get(f.relation);
@@ -897,19 +897,25 @@ void Engine::ServeResyncs(StageResult* result) {
   resync_needed_.clear();
 }
 
-void Engine::EmitDelegationDiff(std::map<uint64_t, Delegation> delegations,
-                                StageResult* result) {
+void Engine::EmitDelegationDiff(
+    const std::map<uint64_t, Delegation>& delegations, StageResult* result) {
   for (const auto& [key, d] : delegations) {
     if (!sent_delegations_.count(key)) {
       result->outbound[d.target_peer].delegation_installs.push_back(d);
     }
   }
-  for (const auto& [key, d] : sent_delegations_) {
-    if (!delegations.count(key)) {
-      result->outbound[d.target_peer].delegation_retracts.push_back(key);
+  // sent_delegations_ becomes a copy of `delegations`, copying only the
+  // entries it lacks (equal keys are equal delegations).
+  for (auto it = sent_delegations_.begin(); it != sent_delegations_.end();) {
+    if (!delegations.count(it->first)) {
+      result->outbound[it->second.target_peer].delegation_retracts.push_back(
+          it->first);
+      it = sent_delegations_.erase(it);
+    } else {
+      ++it;
     }
   }
-  sent_delegations_ = std::move(delegations);
+  for (const auto& [key, d] : delegations) sent_delegations_.try_emplace(key, d);
   result->stats.delegations_active = sent_delegations_.size();
 }
 
@@ -1242,24 +1248,29 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
       if (rel == nullptr) continue;
       for (const Tuple& t : tuples) deleted[rel->symbol()].Insert(t);
     }
-    RuleEvaluator::Sinks delegation_only;
-    delegation_only.on_delegation = pass.derive.on_delegation;
+    // The rule's entries that its re-evaluation does not emit again are
+    // gone; the ones it does emit again stay where they are, uncopied.
+    std::unordered_set<uint64_t> stale;
+    RuleEvaluator::Sinks rebuild;
+    rebuild.on_delegation = [&](const Delegation& d) {
+      const uint64_t key = d.Key();
+      stale.erase(key);
+      pass.delegations_changed |=
+          current_delegations_.try_emplace(key, d).second;
+    };
     for (const InstalledRule& ir : rules_) {
       const RulePlan& plan = *ir.plan;
       if (!plan.info.CanDelegate(self_sym_)) continue;
       if (!BodyReadsDelta(plan, deleted)) continue;
       // Residuals carry the hash of the plan they were substituted from,
       // which every α-variant of the rule at this peer shares.
-      for (auto it = current_delegations_.begin();
-           it != current_delegations_.end();) {
-        if (it->second.origin_rule_hash == plan.rule_hash) {
-          it = current_delegations_.erase(it);
-          pass.delegations_changed = true;
-        } else {
-          ++it;
-        }
+      stale.clear();
+      for (const auto& [key, d] : current_delegations_) {
+        if (d.origin_rule_hash == plan.rule_hash) stale.insert(key);
       }
-      evaluator_.Evaluate(plan, nullptr, -1, delegation_only);
+      evaluator_.Evaluate(plan, nullptr, -1, rebuild);
+      for (uint64_t key : stale) current_delegations_.erase(key);
+      pass.delegations_changed |= !stale.empty();
     }
   }
 

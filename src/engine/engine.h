@@ -412,7 +412,7 @@ class Engine {
       std::map<ContributionKey, TupleSet>* contrib_removed,
       StageResult* result);
   void ServeResyncs(StageResult* result);
-  void EmitDelegationDiff(std::map<uint64_t, Delegation> delegations,
+  void EmitDelegationDiff(const std::map<uint64_t, Delegation>& delegations,
                           StageResult* result);
   void FinalizeOutbound(StageResult* result);
   /// Semi-naive rounds from `delta` until no rule derives a new local

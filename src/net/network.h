@@ -54,8 +54,7 @@ class Network {
   /// order (time, then submission sequence).
   virtual std::vector<Envelope> DeliverDue(double now) = 0;
   virtual bool HasInFlight() const = 0;
-  /// Point-in-time copy of the transport counters (a copy because an
-  /// asynchronous transport updates them from its own threads).
+  /// Point-in-time copy of the transport counters.
   virtual NetworkStats StatsSnapshot() const = 0;
   /// Peers whose link to this endpoint was reset (connection dropped or
   /// re-established) since the last call. The runtime reacts by

@@ -40,6 +40,32 @@ std::string MakeTempRoot() {
 
 // --- WAL unit tests ---------------------------------------------------
 
+// Logs and snapshots already on disk carry this checksum: it must stay
+// the standard CRC-32 at every length and alignment.
+TEST(WalTest, Crc32MatchesTheStandardChecksum) {
+  EXPECT_EQ(Crc32(""), 0x00000000u);
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32("The quick brown fox jumps over the lazy dog"),
+            0x414FA339u);
+  std::string data(300, '\0');
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<char>(i * 131 + 7);
+  }
+  for (size_t start = 0; start < 9; ++start) {
+    for (size_t len = 0; start + len <= data.size(); len += 7) {
+      const std::string_view part = std::string_view(data).substr(start, len);
+      uint32_t crc = 0xFFFFFFFFu;  // bit at a time, from the definition
+      for (unsigned char ch : part) {
+        crc ^= ch;
+        for (int k = 0; k < 8; ++k) {
+          crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+        }
+      }
+      ASSERT_EQ(Crc32(part), crc ^ 0xFFFFFFFFu) << start << "+" << len;
+    }
+  }
+}
+
 TEST(WalTest, AppendAndReadBack) {
   std::string path = MakeTempRoot() + "/wal.log";
   {

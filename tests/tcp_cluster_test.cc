@@ -3,7 +3,10 @@
 // converging over TCP to exactly the state the in-process simulator
 // computes. The restart test SIGKILLs one daemon mid-conversation and
 // starts a fresh one from nothing but its program file: the survivors'
-// link-reset handling plus the resync protocol must rebuild it.
+// link-reset handling plus the resync protocol must rebuild it. The
+// daemon's own contract rides along: it exits cleanly on SIGTERM and at
+// --max-runtime-ms, refuses bad numbers, sleeps without CPU or extra
+// threads when idle, and keeps heartbeating while idle when asked to.
 //
 // The daemon binary path is injected by CMake as WDL_PEERD_PATH.
 
@@ -19,6 +22,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -27,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/tcp_network.h"
 #include "runtime/fingerprint.h"
 #include "runtime/system.h"
 
@@ -89,6 +94,43 @@ std::string ReadFileOrEmpty(const std::string& path) {
   return ss.str();
 }
 
+bool AwaitFile(const std::string& path, int timeout_ms) {
+  auto deadline = std::chrono::steady_clock::now() +
+                  std::chrono::milliseconds(timeout_ms);
+  while (::access(path.c_str(), F_OK) != 0) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return true;
+}
+
+/// User plus system CPU a process has used, from /proc/<pid>/stat.
+double ProcessCpuMs(pid_t pid) {
+  std::string stat = ReadFileOrEmpty("/proc/" + std::to_string(pid) + "/stat");
+  size_t paren = stat.rfind(')');  // the command name may hold blanks
+  if (paren == std::string::npos) return -1.0;
+  std::istringstream fields(stat.substr(paren + 2));
+  std::string field;
+  unsigned long long utime = 0, stime = 0;
+  for (int i = 3; fields >> field && i <= 15; ++i) {
+    if (i == 14) utime = std::stoull(field);
+    if (i == 15) stime = std::stoull(field);
+  }
+  return 1000.0 * static_cast<double>(utime + stime) /
+         static_cast<double>(::sysconf(_SC_CLK_TCK));
+}
+
+/// The "Threads:" line of /proc/<pid>/status.
+std::string ThreadsLine(pid_t pid) {
+  std::istringstream status(
+      ReadFileOrEmpty("/proc/" + std::to_string(pid) + "/status"));
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return line;
+  }
+  return "";
+}
+
 class TcpClusterTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -109,15 +151,13 @@ class TcpClusterTest : public ::testing::Test {
     for (const std::string& name : names) StopPeer(name);
   }
 
-  /// fork+exec one wdl_peerd; stderr goes to <dir>/<name>.log.
+  /// One cluster member: its program, address and fingerprint files
+  /// under the test directory, and an address file for every other
+  /// member.
   void SpawnPeer(const std::string& name,
                  const std::vector<std::string>& extra_args = {}) {
     std::vector<std::string> args = {
-        WDL_PEERD_PATH,
-        "--name",        name,
-        "--program",     dir_ + "/" + name + ".wdl",
         "--listen",      "0",
-        "--addr-file",   dir_ + "/" + name + ".addr",
         "--fingerprint", dir_ + "/" + name + ".fp",
         "--idle-ms",     "150",
     };
@@ -128,6 +168,18 @@ class TcpClusterTest : public ::testing::Test {
       args.push_back("--peer");
       args.push_back(other + "=@" + dir_ + "/" + other + ".addr");
     }
+    Spawn(name, args);
+  }
+
+  /// fork+exec one wdl_peerd with --name, --program and --addr-file
+  /// derived from `name`, then `args`; stderr goes to <dir>/<name>.log.
+  void Spawn(const std::string& name, const std::vector<std::string>& args) {
+    std::vector<std::string> argv_strings = {
+        WDL_PEERD_PATH, "--name", name,
+        "--program",    dir_ + "/" + name + ".wdl",
+        "--addr-file",  dir_ + "/" + name + ".addr",
+    };
+    argv_strings.insert(argv_strings.end(), args.begin(), args.end());
     pid_t pid = ::fork();
     ASSERT_GE(pid, 0);
     if (pid == 0) {
@@ -142,8 +194,8 @@ class TcpClusterTest : public ::testing::Test {
         ::close(fd);
       }
       std::vector<char*> argv;
-      argv.reserve(args.size() + 1);
-      for (std::string& a : args) argv.push_back(a.data());
+      argv.reserve(argv_strings.size() + 1);
+      for (std::string& a : argv_strings) argv.push_back(a.data());
       argv.push_back(nullptr);
       ::execv(argv[0], argv.data());
       ::_exit(127);  // exec failed
@@ -160,23 +212,42 @@ class TcpClusterTest : public ::testing::Test {
     pids_.erase(it);
   }
 
-  void StopPeer(const std::string& name) {
+  /// The daemon's wait status once it has exited, or nullopt if it is
+  /// still running after `timeout_ms`.
+  std::optional<int> AwaitExit(const std::string& name, int timeout_ms) {
     auto it = pids_.find(name);
-    if (it == pids_.end()) return;
-    ::kill(it->second, SIGTERM);
-    // Bounded graceful wait, then the hammer.
-    for (int i = 0; i < 500; ++i) {
+    if (it == pids_.end()) return std::nullopt;
+    auto deadline = std::chrono::steady_clock::now() +
+                    std::chrono::milliseconds(timeout_ms);
+    do {
       int status = 0;
       if (::waitpid(it->second, &status, WNOHANG) == it->second) {
         pids_.erase(it);
-        return;
+        return status;
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    } while (std::chrono::steady_clock::now() < deadline);
+    return std::nullopt;
+  }
+
+  /// SIGTERM, which must end the daemon with exit code 0 within 5 s;
+  /// otherwise the test fails and the daemon is SIGKILLed.
+  void StopPeer(const std::string& name) {
+    auto it = pids_.find(name);
+    if (it == pids_.end()) return;
+    const pid_t pid = it->second;
+    ::kill(pid, SIGTERM);
+    std::optional<int> status = AwaitExit(name, 5000);
+    if (!status.has_value()) {
+      ADD_FAILURE() << name << " still running 5 s after SIGTERM; killed";
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, nullptr, 0);
+      pids_.erase(name);
+      return;
     }
-    ::kill(it->second, SIGKILL);
-    int status = 0;
-    ::waitpid(it->second, &status, 0);
-    pids_.erase(it);
+    EXPECT_TRUE(WIFEXITED(*status) && WEXITSTATUS(*status) == 0)
+        << name << " ended with wait status " << *status << "\n"
+        << ReadFileOrEmpty(dir_ + "/" + name + ".log");
   }
 
   /// Waits until every peer's published fingerprint equals the oracle's.
@@ -281,6 +352,142 @@ TEST_F(TcpClusterTest, DurableClusterRecoversFromDiskWithoutResync) {
          at = log.find(key, at + 1)) {
       EXPECT_EQ(log[at + std::strlen(key)], '0') << key << "\n" << log;
     }
+  }
+}
+
+// An idle daemon blocks in its poll until something happens; a stop
+// signal is one of those things, and so is its --max-runtime-ms.
+TEST_F(TcpClusterTest, IdleDaemonExitsPromptlyOnSigterm) {
+  // No remote peers: the daemon is idle as soon as its program loads.
+  Spawn("bob", {"--fingerprint", dir_ + "/bob.fp", "--idle-ms", "20"});
+  ASSERT_TRUE(AwaitFile(dir_ + "/bob.fp", 10000));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  ASSERT_EQ(::kill(pids_["bob"], SIGTERM), 0);
+  std::optional<int> status = AwaitExit("bob", 1000);
+  ASSERT_TRUE(status.has_value()) << "still running 1 s after SIGTERM";
+  EXPECT_TRUE(WIFEXITED(*status) && WEXITSTATUS(*status) == 0) << *status;
+  EXPECT_NE(ReadFileOrEmpty(dir_ + "/bob.log").find("wdl_peerd bob exiting"),
+            std::string::npos);
+}
+
+TEST_F(TcpClusterTest, MaxRuntimeEndsAnIdleDaemon) {
+  Spawn("bob", {"--max-runtime-ms", "300"});
+  std::optional<int> status = AwaitExit("bob", 2000);
+  ASSERT_TRUE(status.has_value()) << "still running 2 s after its start";
+  EXPECT_TRUE(WIFEXITED(*status) && WEXITSTATUS(*status) == 0) << *status;
+  EXPECT_NE(ReadFileOrEmpty(dir_ + "/bob.log").find("wdl_peerd bob exiting"),
+            std::string::npos);
+}
+
+TEST_F(TcpClusterTest, BadNumericFlagsExitWithUsageBeforeListening) {
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"--listen", "70000"},          {"--listen", "abc"},
+      {"--listen", "-1"},             {"--listen", ""},
+      {"--idle-ms", "1e3"},           {"--idle-ms", " 5"},
+      {"--heartbeat-rounds", "-5"},   {"--max-runtime-ms", "99999999999"},
+      {"--snapshot-every", "-1"},     {"--snapshot-every", "4096x"},
+      {"--peer", "carol=127.0.0.1:99999"}, {"--peer", "carol=127.0.0.1:x"},
+  };
+  const std::string addr = dir_ + "/bob.addr";
+  for (const auto& [flag, value] : bad) {
+    Spawn("bob", {flag, value});
+    std::optional<int> status = AwaitExit("bob", 5000);
+    ASSERT_TRUE(status.has_value()) << flag << " '" << value << "' accepted";
+    EXPECT_TRUE(WIFEXITED(*status) && WEXITSTATUS(*status) == 2)
+        << flag << " '" << value << "': wait status " << *status;
+    EXPECT_NE(ReadFileOrEmpty(dir_ + "/bob.log").find("usage:"),
+              std::string::npos)
+        << flag << " '" << value << "'";
+    EXPECT_NE(::access(addr.c_str(), F_OK), 0)
+        << flag << " '" << value << "' wrote an address file";
+    ::unlink(addr.c_str());
+    ::unlink((dir_ + "/bob.log").c_str());
+  }
+}
+
+TEST_F(TcpClusterTest, ConvergedDaemonsIdleWithoutCpuOrThreads) {
+  auto oracle = SimulatorOracle();
+  for (const auto& [name, program] : kCluster) {
+    (void)program;
+    SpawnPeer(name);
+  }
+  bool converged = AwaitFingerprints(oracle, 90000);
+  if (!converged) DumpStateOnFailure(oracle);
+  ASSERT_TRUE(converged);
+  // Past every daemon's --idle-ms publication.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+  std::map<std::string, double> cpu_before;
+  for (const auto& [name, pid] : pids_) cpu_before[name] = ProcessCpuMs(pid);
+  std::this_thread::sleep_for(std::chrono::seconds(5));
+  for (const auto& [name, pid] : pids_) {
+    const double used = ProcessCpuMs(pid) - cpu_before[name];
+    EXPECT_GE(used, 0.0) << name;
+    EXPECT_LT(used, 25.0) << name << " used " << used << " ms of CPU idle";
+    // Two inbound connections and two outbound links, one thread.
+    EXPECT_EQ(ThreadsLine(pid), "Threads:\t1") << name;
+  }
+}
+
+// --heartbeat-rounds counts rounds, so a daemon asked for heartbeats
+// keeps running rounds while idle; without it, it sends nothing idle.
+TEST_F(TcpClusterTest, IdleDaemonHeartbeatsOnlyWhenAsked) {
+  {
+    std::ofstream out(dir_ + "/src.wdl");
+    out << R"(
+      collection ext data@src(x: int);
+      fact data@src(1);
+      rule out@sink($x) :- data@src($x);
+    )";
+  }
+  const std::string sink_addr = dir_ + "/sink.addr";
+  for (int rounds : {50, 0}) {
+    SCOPED_TRACE("--heartbeat-rounds " + std::to_string(rounds));
+    TcpNetwork sink;
+    ASSERT_TRUE(sink.Start().ok());
+    sink.AddLocalPeer("sink");
+    {
+      std::ofstream out(sink_addr + ".tmp");
+      out << "127.0.0.1:" << sink.port() << "\n";
+    }
+    ASSERT_EQ(::rename((sink_addr + ".tmp").c_str(), sink_addr.c_str()), 0);
+    const std::string fp = dir_ + "/src.fp";
+    ::unlink(fp.c_str());
+    Spawn("src", {"--peer", "sink=@" + sink_addr, "--heartbeat-rounds",
+                  std::to_string(rounds), "--fingerprint", fp, "--idle-ms",
+                  "50"});
+
+    size_t data = 0, heartbeats = 0;
+    auto pump_until = [&](TcpNetwork::Clock::time_point until) {
+      while (TcpNetwork::Clock::now() < until) {
+        sink.Wait(std::min(until, TcpNetwork::Clock::now() +
+                                      std::chrono::milliseconds(10)));
+        for (const Envelope& e : sink.DeliverDue(0.0)) {
+          if (e.message.type != MessageType::kDerivedDelta) continue;
+          const DerivedDelta& d = e.message.delta;
+          bool beat = d.version == d.base_version && !d.snapshot &&
+                      d.inserts.empty() && d.deletes.empty();
+          ++(beat ? heartbeats : data);
+        }
+      }
+    };
+    auto deadline = TcpNetwork::Clock::now() + std::chrono::seconds(10);
+    while (TcpNetwork::Clock::now() < deadline &&
+           (data == 0 || ::access(fp.c_str(), F_OK) != 0)) {
+      pump_until(TcpNetwork::Clock::now() + std::chrono::milliseconds(20));
+    }
+    ASSERT_GT(data, 0u) << ReadFileOrEmpty(dir_ + "/src.log");
+    ASSERT_EQ(::access(fp.c_str(), F_OK), 0) << "src never went idle";
+
+    heartbeats = 0;
+    pump_until(TcpNetwork::Clock::now() + std::chrono::seconds(1));
+    if (rounds > 0) {
+      EXPECT_GE(heartbeats, 5u);
+    } else {
+      EXPECT_EQ(heartbeats, 0u);
+    }
+    StopPeer("src");
   }
 }
 

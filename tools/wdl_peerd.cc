@@ -5,10 +5,12 @@
 // (updates) and rules (delegations) over the network. One daemon = one
 // peer: it loads a program file, listens on a TCP port, connects to
 // the peers named in its address map, and runs stages whenever there
-// is work. When the peer has been locally quiescent for --idle-ms it
-// publishes its canonical state fingerprint to --fingerprint (and
-// republishes after every later burst of activity), which is how the
-// multi-process convergence tests — and operators — observe it.
+// is work; in between, its one thread blocks in the transport's
+// poll(2) (DESIGN.md §7). When the peer has been locally quiescent
+// for --idle-ms it publishes its canonical state fingerprint to
+// --fingerprint (and republishes after every later burst of
+// activity), which is how the multi-process convergence tests — and
+// operators — observe it.
 //
 // Rendezvous: with --listen 0 the OS picks the port; --addr-file
 // publishes "host:port" for the others, and --peer name=@file entries
@@ -20,9 +22,14 @@
 //     --addr-file /tmp/w/alice.addr --peer bob=@/tmp/w/bob.addr
 //     --peer carol=@/tmp/w/carol.addr --fingerprint /tmp/w/alice.fp
 
-#include <atomic>
+#include <signal.h>
+
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
-#include <csignal>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -30,7 +37,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "net/tcp_network.h"
@@ -39,15 +45,23 @@
 
 namespace {
 
-std::atomic<bool> g_stop{false};
+volatile sig_atomic_t g_stop = 0;
 
-void HandleSignal(int) { g_stop = true; }
+void HandleSignal(int) { g_stop = 1; }
+
+/// Where a remote peer listens: a fixed host:port, or an address file.
+struct PeerAddress {
+  std::string name;
+  std::string host;
+  uint16_t port = 0;
+  std::string file;  // non-empty: --peer NAME=@FILE
+};
 
 struct PeerdArgs {
   std::string name;
   std::string program_path;
   std::string bind_address = "127.0.0.1";
-  int listen_port = 0;
+  uint16_t listen_port = 0;
   std::string addr_file;
   std::string fingerprint_path;
   int idle_ms = 200;
@@ -58,9 +72,20 @@ struct PeerdArgs {
   std::string data_dir;
   std::string fsync = "batch";
   uint64_t snapshot_every = 4096;
-  // name -> "host:port" or "@/path/to/addr/file"
-  std::vector<std::pair<std::string, std::string>> peers;
+  std::vector<PeerAddress> peers;
 };
+
+/// Parses all of `text` as a decimal number in [0, max]: no sign, no
+/// blanks, nothing after the digits.
+bool ParseNumber(const char* text, uint64_t max, uint64_t* out) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
+  errno = 0;
+  char* end = nullptr;
+  unsigned long long value = std::strtoull(text, &end, 10);
+  if (errno != 0 || *end != '\0' || value > max) return false;
+  *out = value;
+  return true;
+}
 
 int Usage(const char* argv0) {
   std::fprintf(
@@ -88,6 +113,24 @@ bool WriteFileAtomic(const std::string& path, const std::string& content) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // SIGTERM/SIGINT only set g_stop. They are blocked while the loop
+  // decides to wait and let in by the wait itself (ppoll), so a signal
+  // that lands just before the wait still ends it.
+  struct sigaction action {};
+  action.sa_handler = HandleSignal;
+  sigemptyset(&action.sa_mask);
+  sigaction(SIGTERM, &action, nullptr);
+  sigaction(SIGINT, &action, nullptr);
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGTERM);
+  sigaddset(&stop_signals, SIGINT);
+  sigset_t run_mask;
+  sigprocmask(SIG_SETMASK, nullptr, &run_mask);
+  sigdelset(&run_mask, SIGTERM);
+  sigdelset(&run_mask, SIGINT);
+  sigprocmask(SIG_SETMASK, &run_mask, nullptr);
+
   PeerdArgs args;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -95,6 +138,13 @@ int main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     const char* v = nullptr;
+    uint64_t n = 0;
+    // Every numeric flag: a bad value is a usage error, never a default.
+    auto number = [&](uint64_t max) {
+      if (ParseNumber(v, max, &n)) return true;
+      std::fprintf(stderr, "bad value for %s: %s\n", arg.c_str(), v);
+      return false;
+    };
     if (arg == "--name" && (v = next())) {
       args.name = v;
     } else if (arg == "--program" && (v = next())) {
@@ -102,17 +152,21 @@ int main(int argc, char** argv) {
     } else if (arg == "--bind" && (v = next())) {
       args.bind_address = v;
     } else if (arg == "--listen" && (v = next())) {
-      args.listen_port = std::atoi(v);
+      if (!number(UINT16_MAX)) return Usage(argv[0]);
+      args.listen_port = static_cast<uint16_t>(n);
     } else if (arg == "--addr-file" && (v = next())) {
       args.addr_file = v;
     } else if (arg == "--fingerprint" && (v = next())) {
       args.fingerprint_path = v;
     } else if (arg == "--idle-ms" && (v = next())) {
-      args.idle_ms = std::atoi(v);
+      if (!number(INT_MAX)) return Usage(argv[0]);
+      args.idle_ms = static_cast<int>(n);
     } else if (arg == "--heartbeat-rounds" && (v = next())) {
-      args.heartbeat_rounds = std::atoi(v);
+      if (!number(INT_MAX)) return Usage(argv[0]);
+      args.heartbeat_rounds = static_cast<int>(n);
     } else if (arg == "--max-runtime-ms" && (v = next())) {
-      args.max_runtime_ms = std::atoi(v);
+      if (!number(INT_MAX)) return Usage(argv[0]);
+      args.max_runtime_ms = static_cast<int>(n);
     } else if (arg == "--no-trust") {
       args.trust_all = false;
     } else if (arg == "--data-dir" && (v = next())) {
@@ -120,7 +174,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--fsync" && (v = next())) {
       args.fsync = v;
     } else if (arg == "--snapshot-every" && (v = next())) {
-      args.snapshot_every = static_cast<uint64_t>(std::atoll(v));
+      if (!number(UINT64_MAX)) return Usage(argv[0]);
+      args.snapshot_every = n;
     } else if (arg == "--peer" && (v = next())) {
       std::string spec = v;
       size_t eq = spec.find('=');
@@ -128,7 +183,24 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "bad --peer spec: %s\n", spec.c_str());
         return Usage(argv[0]);
       }
-      args.peers.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
+      PeerAddress peer;
+      peer.name = spec.substr(0, eq);
+      std::string where = spec.substr(eq + 1);
+      if (where[0] == '@') {
+        peer.file = where.substr(1);
+      } else {
+        size_t colon = where.rfind(':');
+        if (colon == std::string::npos ||
+            !ParseNumber(where.c_str() + colon + 1, UINT16_MAX, &n) ||
+            n == 0) {
+          std::fprintf(stderr, "bad --peer address for %s: %s\n",
+                       peer.name.c_str(), where.c_str());
+          return Usage(argv[0]);
+        }
+        peer.host = where.substr(0, colon);
+        peer.port = static_cast<uint16_t>(n);
+      }
+      args.peers.push_back(std::move(peer));
     } else {
       std::fprintf(stderr, "unknown or incomplete argument: %s\n",
                    arg.c_str());
@@ -148,7 +220,7 @@ int main(int argc, char** argv) {
 
   wdl::TcpNetworkOptions net_options;
   net_options.bind_address = args.bind_address;
-  net_options.listen_port = static_cast<uint16_t>(args.listen_port);
+  net_options.listen_port = args.listen_port;
   auto network = std::make_unique<wdl::TcpNetwork>(net_options);
   wdl::TcpNetwork* tcp = network.get();
   wdl::Status started = tcp->Start();
@@ -158,21 +230,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   tcp->AddLocalPeer(args.name);
-  for (const auto& [peer, where] : args.peers) {
-    if (!where.empty() && where[0] == '@') {
-      tcp->SetPeerAddressFile(peer, where.substr(1));
+  for (const PeerAddress& peer : args.peers) {
+    if (!peer.file.empty()) {
+      tcp->SetPeerAddressFile(peer.name, peer.file);
     } else {
-      size_t colon = where.rfind(':');
-      int port = colon == std::string::npos
-                     ? 0
-                     : std::atoi(where.c_str() + colon + 1);
-      if (port <= 0 || port > 65535) {
-        std::fprintf(stderr, "bad --peer address for %s: %s\n", peer.c_str(),
-                     where.c_str());
-        return 1;
-      }
-      tcp->SetPeerAddress(peer, where.substr(0, colon),
-                          static_cast<uint16_t>(port));
+      tcp->SetPeerAddress(peer.name, peer.host, peer.port);
     }
   }
   if (!args.addr_file.empty()) {
@@ -223,10 +285,7 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(dc.wal_records_recovered),
                  dc.torn_tail_truncated ? "truncated" : "clean");
   }
-  for (const auto& [remote, where] : args.peers) {
-    (void)where;
-    peer->AddKnownPeer(remote);
-  }
+  for (const PeerAddress& remote : args.peers) peer->AddKnownPeer(remote.name);
   if (peer->recovered()) {
     // State came back from disk; the program already lives in it.
     // Re-loading would duplicate facts benignly but also re-log the
@@ -242,19 +301,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::signal(SIGTERM, HandleSignal);
-  std::signal(SIGINT, HandleSignal);
-
   using Clock = std::chrono::steady_clock;
   const Clock::time_point start = Clock::now();
+  const Clock::time_point stop_at =
+      args.max_runtime_ms > 0
+          ? start + std::chrono::milliseconds(args.max_runtime_ms)
+          : Clock::time_point::max();
   Clock::time_point last_activity = start;
   bool published = false;
-  while (!g_stop) {
-    if (args.max_runtime_ms > 0 &&
-        Clock::now() - start >=
-            std::chrono::milliseconds(args.max_runtime_ms)) {
-      break;
-    }
+  while (!g_stop && Clock::now() < stop_at) {
     wdl::RoundReport report = system.RunRound();
     bool worked = report.envelopes_delivered > 0 || report.stages_run > 0;
     if (worked) {
@@ -288,7 +343,24 @@ int main(int argc, char** argv) {
       }
       published = true;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    // Sleep in the kernel until a frame, a writable link, a reconnect
+    // or the next deadline: the end of the idle window before the
+    // fingerprint is published, --max-runtime-ms, and with heartbeats
+    // on the next round (they are counted in rounds, so an idle daemon
+    // keeps running one per millisecond).
+    const Clock::time_point now = Clock::now();
+    Clock::time_point deadline = stop_at;
+    const Clock::time_point publish_at =
+        last_activity + std::chrono::milliseconds(args.idle_ms);
+    if (!published && publish_at > now) {
+      deadline = std::min(deadline, publish_at);
+    }
+    if (args.heartbeat_rounds > 0) {
+      deadline = std::min(deadline, now + std::chrono::milliseconds(1));
+    }
+    sigprocmask(SIG_BLOCK, &stop_signals, nullptr);
+    if (!g_stop) tcp->Wait(deadline, &run_mask);
+    sigprocmask(SIG_SETMASK, &run_mask, nullptr);
   }
   std::fprintf(stderr, "wdl_peerd %s exiting\n", args.name.c_str());
   return 0;
