@@ -3,16 +3,14 @@
 // Measures end-to-end ad-hoc queries: local single-relation scans,
 // local joins, distributed queries whose body crosses to another peer
 // (one delegation install + teardown per query), and bound point
-// lookups against a recursive view in both evaluation modes — the
-// demand-driven magic-set path vs the full-fixpoint scratch-rule path
-// (DESIGN.md §10).
+// lookups against a recursive view (DESIGN.md §10).
 //
-// Expected shape: local queries scale with data size; a distributed
+// Expected shape: local queries are one evaluation over the peer's
+// materialized views and scale with the rows they read; a distributed
 // query adds a constant delegation round-trip (install + retract), so
 // the local/distributed gap shrinks relatively as data grows. Bound
-// point lookups under demand evaluation touch O(relevant) tuples and
-// stay flat as the view grows; the full-fixpoint path scales with the
-// view size.
+// point lookups probe the view's index and touch O(answers) tuples, so
+// they stay flat as the view grows.
 
 #include <benchmark/benchmark.h>
 
@@ -89,10 +87,9 @@ BENCHMARK(BM_Query_Distributed)->Arg(100)->Arg(10000)
 //
 // Fixture: K disjoint chains of kChainLen edges each; the transitive
 // closure `path` holds K * kChainLen*(kChainLen+1)/2 tuples. The arg
-// is the target closure size (10k / 100k / 1M). Built once per size
-// and shared across both mode variants: queries tear down completely
-// (oracle-tested), so the system is back at its quiescent baseline
-// between iterations.
+// is the target closure size (10k / 100k / 1M), built once per size.
+// A local read installs nothing, so the system stays at its quiescent
+// baseline between iterations.
 
 constexpr int64_t kChainLen = 5;  // edges per chain -> 15 path tuples
 constexpr int64_t kPathPerChain = kChainLen * (kChainLen + 1) / 2;
@@ -131,21 +128,18 @@ double Percentile(const std::vector<double>& sorted, double p) {
 
 }  // namespace
 
-void BM_Query_BoundPoint(benchmark::State& state, bool demand) {
+void BM_Query_BoundPoint(benchmark::State& state) {
   System* system = ChainFixture(state.range(0));
-  // Probe the head of a mid-fixture chain: 5 reachable nodes out of
-  // the whole closure, so a demand evaluation has O(chain) work.
+  // Probe the head of a mid-fixture chain: 5 answers out of the whole
+  // closure.
   int64_t chains = state.range(0) / kPathPerChain;
   std::string body =
       "path@a(" + std::to_string((chains / 2) * (kChainLen + 1)) + ", $y)";
-  QueryOptions options;
-  options.use_demand_evaluation = demand;
-  options.max_rounds = 100000;
 
   // One untimed warm-up query: the first lookup after fixture build
   // pays one-time per-column index construction over the whole view
-  // (O(n), both modes); steady-state serving latency is the metric.
-  (void)RunQuery(system, "a", body, options);
+  // (O(n)); steady-state serving latency is the metric.
+  (void)RunQuery(system, "a", body);
 
   // Per-iteration wall times, for tail latency: Google Benchmark's
   // aggregate percentiles need --benchmark_repetitions, which reruns
@@ -154,14 +148,14 @@ void BM_Query_BoundPoint(benchmark::State& state, bool demand) {
   std::vector<double> laps_ns;
   for (auto _ : state) {
     auto t0 = std::chrono::steady_clock::now();
-    Result<QueryResult> r = RunQuery(system, "a", body, options);
+    Result<QueryResult> r = RunQuery(system, "a", body);
     auto t1 = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(r);
     laps_ns.push_back(
         std::chrono::duration<double, std::nano>(t1 - t0).count());
     state.counters["rows"] =
         r.ok() ? static_cast<double>(r->rows.size()) : -1;
-    state.counters["demand_path"] = r.ok() && r->demand_path ? 1 : 0;
+    state.counters["local_read"] = r.ok() && r->demand_path ? 1 : 0;
     state.counters["tuples_examined"] =
         r.ok() ? static_cast<double>(r->tuples_examined) : -1;
   }
@@ -170,9 +164,7 @@ void BM_Query_BoundPoint(benchmark::State& state, bool demand) {
   state.counters["p95_ns"] = Percentile(laps_ns, 95);
   state.counters["p99_ns"] = Percentile(laps_ns, 99);
 }
-BENCHMARK_CAPTURE(BM_Query_BoundPoint, demand, true)
-    ->Arg(10000)->Arg(100000)->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_Query_BoundPoint, full, false)
+BENCHMARK(BM_Query_BoundPoint)
     ->Arg(10000)->Arg(100000)->Unit(benchmark::kMicrosecond);
 
 }  // namespace wdl
@@ -182,14 +174,9 @@ int main(int argc, char** argv) {
   // of routine smoke runs, in reach of the manual baseline job
   // (WDL_BENCH_BIG=1, same knob as bench_topology's footprint point).
   if (std::getenv("WDL_BENCH_BIG") != nullptr) {
-    benchmark::RegisterBenchmark(
-        "BM_Query_BoundPoint/demand", [](benchmark::State& s) {
-          wdl::BM_Query_BoundPoint(s, true);
-        })->Arg(1000000)->Unit(benchmark::kMicrosecond);
-    benchmark::RegisterBenchmark(
-        "BM_Query_BoundPoint/full", [](benchmark::State& s) {
-          wdl::BM_Query_BoundPoint(s, false);
-        })->Arg(1000000)->Unit(benchmark::kMicrosecond);
+    benchmark::RegisterBenchmark("BM_Query_BoundPoint",
+                                 wdl::BM_Query_BoundPoint)
+        ->Arg(1000000)->Unit(benchmark::kMicrosecond);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -70,8 +70,9 @@ int main() {
 
   std::printf("\naudit log at Jules:\n");
   for (const auto& entry : app.attendee("Jules")->gate().audit_log()) {
-    std::printf("  [%s] from %s: %s\n", DecisionToString(entry.decision),
-                entry.origin_peer.c_str(), entry.rule_text.c_str());
+    std::printf("  [%s] from %s: key %llu\n",
+                DecisionToString(entry.decision), entry.origin_peer.c_str(),
+                static_cast<unsigned long long>(entry.delegation_key));
   }
   return 0;
 }

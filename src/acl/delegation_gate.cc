@@ -27,8 +27,8 @@ DelegationGate::Decision DelegationGate::OnArrival(
       pending_order_.push_back(key);
     }
   }
-  audit_log_.push_back(AuditEntry{delegation.origin_peer, delegation.Key(),
-                                  decision, delegation.rule.ToString()});
+  audit_log_.push_back(
+      AuditEntry{delegation.origin_peer, delegation.Key(), decision});
   return decision;
 }
 
@@ -70,8 +70,8 @@ Result<Delegation> DelegationGate::Approve(uint64_t delegation_key) {
   pending_order_.erase(std::remove(pending_order_.begin(),
                                    pending_order_.end(), delegation_key),
                        pending_order_.end());
-  audit_log_.push_back(AuditEntry{d.origin_peer, delegation_key,
-                                  Decision::kAccepted, d.rule.ToString()});
+  audit_log_.push_back(
+      AuditEntry{d.origin_peer, delegation_key, Decision::kAccepted});
   return d;
 }
 
@@ -81,9 +81,8 @@ Status DelegationGate::Reject(uint64_t delegation_key) {
     return Status::NotFound("no pending delegation with key " +
                             std::to_string(delegation_key));
   }
-  audit_log_.push_back(AuditEntry{it->second.origin_peer, delegation_key,
-                                  Decision::kRejected,
-                                  it->second.rule.ToString()});
+  audit_log_.push_back(
+      AuditEntry{it->second.origin_peer, delegation_key, Decision::kRejected});
   pending_.erase(it);
   pending_order_.erase(std::remove(pending_order_.begin(),
                                    pending_order_.end(), delegation_key),

@@ -20,7 +20,10 @@ namespace wdl {
 ///
 /// The gate screens arriving delegations: trusted origins pass through,
 /// untrusted ones are queued for an explicit Approve/Reject decision.
-/// Every decision is recorded in an audit log.
+/// Every decision is recorded in an audit log: who, which delegation
+/// (its key) and the decision. The rule text is not kept there — a
+/// residual can carry whole tuples, and the log is never trimmed;
+/// pending delegations keep theirs until decided (Pending()).
 class DelegationGate {
  public:
   enum class Decision : uint8_t {
@@ -33,7 +36,6 @@ class DelegationGate {
     std::string origin_peer;
     uint64_t delegation_key;
     Decision decision;
-    std::string rule_text;
   };
 
   DelegationGate() = default;

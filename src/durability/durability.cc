@@ -121,17 +121,9 @@ std::string EncodeWalRecord(const WalRecord& record) {
     case WalRecordType::kLocalFactDelete:
       enc.PutFact(record.fact);
       break;
-    case WalRecordType::kLocalDecl: {
-      enc.PutString(record.decl.relation);
-      enc.PutString(record.decl.peer);
-      enc.PutU8(static_cast<uint8_t>(record.decl.kind));
-      enc.PutU32(static_cast<uint32_t>(record.decl.columns.size()));
-      for (const ColumnSpec& col : record.decl.columns) {
-        enc.PutString(col.name);
-        enc.PutU8(static_cast<uint8_t>(col.type));
-      }
+    case WalRecordType::kLocalDecl:
+      enc.PutRelationDecl(record.decl);
       break;
-    }
     case WalRecordType::kLocalRuleAdd:
       enc.PutU64(record.id);
       enc.PutRule(record.rule);
@@ -180,18 +172,7 @@ Result<WalRecord> DecodeWalRecord(std::string_view bytes) {
       break;
     }
     case WalRecordType::kLocalDecl: {
-      WDL_ASSIGN_OR_RETURN(record.decl.relation, dec.GetString());
-      WDL_ASSIGN_OR_RETURN(record.decl.peer, dec.GetString());
-      WDL_ASSIGN_OR_RETURN(uint8_t kind, dec.GetU8());
-      record.decl.kind = static_cast<RelationKind>(kind);
-      WDL_ASSIGN_OR_RETURN(uint32_t ncols, dec.GetU32());
-      for (uint32_t i = 0; i < ncols; ++i) {
-        ColumnSpec col;
-        WDL_ASSIGN_OR_RETURN(col.name, dec.GetString());
-        WDL_ASSIGN_OR_RETURN(uint8_t vtype, dec.GetU8());
-        col.type = static_cast<ValueKind>(vtype);
-        record.decl.columns.push_back(std::move(col));
-      }
+      WDL_ASSIGN_OR_RETURN(record.decl, dec.GetRelationDecl());
       break;
     }
     case WalRecordType::kLocalRuleAdd: {

@@ -10,34 +10,6 @@ namespace {
 constexpr char kMagic[4] = {'W', 'D', 'L', 'S'};
 constexpr uint16_t kFormatVersion = 1;
 
-void PutDecl(WireEncoder* enc, const RelationDecl& decl) {
-  enc->PutString(decl.relation);
-  enc->PutString(decl.peer);
-  enc->PutU8(static_cast<uint8_t>(decl.kind));
-  enc->PutU32(static_cast<uint32_t>(decl.columns.size()));
-  for (const ColumnSpec& col : decl.columns) {
-    enc->PutString(col.name);
-    enc->PutU8(static_cast<uint8_t>(col.type));
-  }
-}
-
-Result<RelationDecl> GetDecl(WireDecoder* dec) {
-  RelationDecl decl;
-  WDL_ASSIGN_OR_RETURN(decl.relation, dec->GetString());
-  WDL_ASSIGN_OR_RETURN(decl.peer, dec->GetString());
-  WDL_ASSIGN_OR_RETURN(uint8_t kind, dec->GetU8());
-  decl.kind = static_cast<RelationKind>(kind);
-  WDL_ASSIGN_OR_RETURN(uint32_t ncols, dec->GetU32());
-  for (uint32_t i = 0; i < ncols; ++i) {
-    ColumnSpec col;
-    WDL_ASSIGN_OR_RETURN(col.name, dec->GetString());
-    WDL_ASSIGN_OR_RETURN(uint8_t type, dec->GetU8());
-    col.type = static_cast<ValueKind>(type);
-    decl.columns.push_back(std::move(col));
-  }
-  return decl;
-}
-
 void PutTuples(WireEncoder* enc, const std::vector<Tuple>& tuples) {
   enc->PutU32(static_cast<uint32_t>(tuples.size()));
   for (const Tuple& t : tuples) enc->PutTuple(t);
@@ -67,7 +39,7 @@ std::string EncodeSnapshot(const SnapshotData& snap) {
 
   enc.PutU32(static_cast<uint32_t>(snap.relations.size()));
   for (const SnapshotData::RelationState& rs : snap.relations) {
-    PutDecl(&enc, rs.decl);
+    enc.PutRelationDecl(rs.decl);
     PutTuples(&enc, rs.tuples);
   }
 
@@ -148,7 +120,7 @@ Result<SnapshotData> DecodeSnapshot(std::string_view bytes) {
   WDL_ASSIGN_OR_RETURN(uint32_t nrels, dec.GetU32());
   for (uint32_t i = 0; i < nrels; ++i) {
     SnapshotData::RelationState rs;
-    WDL_ASSIGN_OR_RETURN(rs.decl, GetDecl(&dec));
+    WDL_ASSIGN_OR_RETURN(rs.decl, dec.GetRelationDecl());
     WDL_ASSIGN_OR_RETURN(rs.tuples, GetTuples(&dec));
     snap.relations.push_back(std::move(rs));
   }

@@ -352,7 +352,7 @@ bool Engine::HasPendingWork() const {
          !pending_delete_rechecks_.empty() || !ran_any_stage_;
 }
 
-void Engine::ApplyInputs(bool* changed, StageChangeLog* log) {
+void Engine::ApplyInputs(StageChangeLog* log) {
   // Deferred self-updates from the previous stage land first.
   for (const Fact& f : pending_self_updates_) {
     Result<bool> r = catalog_.InsertFact(f);
@@ -360,7 +360,6 @@ void Engine::ApplyInputs(bool* changed, StageChangeLog* log) {
       WDL_LOG(Error) << "self-update " << f.ToString()
                      << " failed: " << r.status();
     } else if (*r) {
-      *changed = true;
       log->RecordInsert(f.relation, f.args);
     }
   }
@@ -368,10 +367,7 @@ void Engine::ApplyInputs(bool* changed, StageChangeLog* log) {
 
   for (const Fact& f : pending_self_deletes_) {
     Result<bool> r = catalog_.RemoveFact(f);
-    if (r.ok() && *r) {
-      *changed = true;
-      log->RecordRemove(f.relation, f.args);
-    }
+    if (r.ok() && *r) log->RecordRemove(f.relation, f.args);
   }
   pending_self_deletes_.clear();
 
@@ -387,7 +383,6 @@ void Engine::ApplyInputs(bool* changed, StageChangeLog* log) {
       WDL_LOG(Error) << "inbound insert " << f.ToString()
                      << " failed: " << r.status();
     } else if (*r) {
-      *changed = true;
       log->RecordInsert(f.relation, f.args);
     }
   }
@@ -402,21 +397,17 @@ void Engine::ApplyInputs(bool* changed, StageChangeLog* log) {
       continue;
     }
     Result<bool> r = catalog_.RemoveFact(f);
-    if (r.ok() && *r) {
-      *changed = true;
-      log->RecordRemove(f.relation, f.args);
-    }
+    if (r.ok() && *r) log->RecordRemove(f.relation, f.args);
   }
   inbound_deletes_.clear();
 
   for (InboundDerived& in : inbound_derived_) {
-    ApplyInboundDerived(in, changed, log);
+    ApplyInboundDerived(in, log);
   }
   inbound_derived_.clear();
 }
 
-void Engine::ApplyInboundDerived(InboundDerived& in, bool* changed,
-                                 StageChangeLog* log) {
+void Engine::ApplyInboundDerived(InboundDerived& in, StageChangeLog* log) {
   DerivedDelta& d = in.delta;
 
   // Version-only heartbeat (version == base_version, no payload): the
@@ -496,7 +487,6 @@ void Engine::ApplyInboundDerived(InboundDerived& in, bool* changed,
         WDL_LOG(Error) << "inbound derived tuple rejected by "
                        << rel->decl().PredicateId() << ": " << r.status();
       } else if (*r) {
-        *changed = true;
         log->RecordInsert(d.relation, t);
       }
     }
@@ -523,9 +513,8 @@ void Engine::ApplyInboundDerived(InboundDerived& in, bool* changed,
   // A stale update (duplicate or reordered-old) is already reflected.
   if (gate != SliceStore::Gate::kApply) return;
   if (d.snapshot) {
-    *changed |= slice_store_.ApplySnapshot(d.relation, in.sender,
-                                           filtered(d.inserts), d.version,
-                                           &gained, &lost);
+    slice_store_.ApplySnapshot(d.relation, in.sender, filtered(d.inserts),
+                               d.version, &gained, &lost);
   } else {
     // Validate in place; ApplyDelta dedups per tuple itself.
     d.inserts.erase(std::remove_if(d.inserts.begin(), d.inserts.end(),
@@ -533,9 +522,8 @@ void Engine::ApplyInboundDerived(InboundDerived& in, bool* changed,
                                      return !rel->CheckTuple(t).ok();
                                    }),
                     d.inserts.end());
-    *changed |= slice_store_.ApplyDelta(d.relation, in.sender,
-                                        std::move(d.inserts), d.deletes,
-                                        d.version, &gained, &lost);
+    slice_store_.ApplyDelta(d.relation, in.sender, std::move(d.inserts),
+                            d.deletes, d.version, &gained, &lost);
   }
   for (const Tuple& t : gained) log->RecordSliceGain(d.relation, t);
   for (const Tuple& t : lost) log->RecordSliceLoss(d.relation, t);
@@ -588,7 +576,6 @@ struct Engine::StagePass {
         if (r.ok() && *r) {
           next_delta[rel->symbol()].Insert(f.args);
           ++stats->local_derivations;
-          state_mutated = true;
         }
       } else if (rel == nullptr || !rel->Contains(f.args)) {
         self_updates.insert(f);  // local update rule: next stage, Bud's <+
@@ -649,7 +636,6 @@ struct Engine::StagePass {
   RuleEvaluator::Sinks derive;
   RuleEvaluator::Sinks remove;
   DeltaMap next_delta;  // local tuples new in the current round
-  bool state_mutated = false;
   bool delegations_changed = false;
   std::unordered_set<Fact, FactHasher> self_updates;
   std::unordered_set<Fact, FactHasher> self_deletes;
@@ -930,19 +916,6 @@ void Engine::FinalizeOutbound(StageResult* result) {
   }
 }
 
-uint64_t Engine::IntensionalContentHash() const {
-  uint64_t h = 0;
-  TupleHasher hasher;
-  for (const std::string& name : catalog_.RelationNames()) {
-    const Relation* rel = catalog_.Get(name);
-    if (rel->kind() != RelationKind::kIntensional) continue;
-    uint64_t rel_hash = HashString(name);
-    rel->ForEach([&](const Tuple& t) { rel_hash ^= hasher(t) | 1; });
-    h = HashCombine(h, rel_hash);
-  }
-  return h;
-}
-
 void Engine::RefreshProgramInfo() {
   program_info_ = ProgramInfo();
   for (const InstalledRule& ir : rules_) {
@@ -1007,22 +980,20 @@ StageResult Engine::RunStage() {
   // Step 1: load inputs received since the previous stage.
   StageChangeLog log = std::move(direct_changes_);
   direct_changes_ = StageChangeLog();
-  bool changed_local = false;
-  ApplyInputs(&changed_local, &log);
+  ApplyInputs(&log);
 
   // Steps 2 and 3: Δ-driven from the change, unless the change is one a
   // Δ pass cannot serve soundly (DESIGN.md §6).
   if (!derived_state_ready_ || rule_set_changed || !ChangesEligible(log)) {
-    RunStageRecompute(&result, changed_local);
+    RunStageRecompute(&result);
   } else {
-    RunStageIncremental(&result, changed_local, &log);
+    RunStageIncremental(&result, &log);
   }
   return result;
 }
 
-void Engine::RunStageRecompute(StageResult* result, bool changed_local) {
+void Engine::RunStageRecompute(StageResult* result) {
   ++evaluator_.mutable_counters()->stages_full;
-  const uint64_t pre_hash = IntensionalContentHash();
   // A full fixpoint re-derives every deletion-rule verdict, so the
   // queued per-fact rechecks are subsumed.
   pending_delete_rechecks_.clear();
@@ -1045,12 +1016,10 @@ void Engine::RunStageRecompute(StageResult* result, bool changed_local) {
   current_delegations_.swap(delegations);
   pass.delegations_changed = true;
   derived_state_ready_ = true;
-  FinishStage(&pass, changed_local || IntensionalContentHash() != pre_hash,
-              result);
+  FinishStage(&pass, result);
 }
 
-void Engine::RunStageIncremental(StageResult* result, bool changed_local,
-                                 StageChangeLog* log) {
+void Engine::RunStageIncremental(StageResult* result, StageChangeLog* log) {
   EvalCounters* counters = evaluator_.mutable_counters();
   ++counters->stages_incremental;
   StagePass pass(this, &result->stats, &current_contributions_,
@@ -1181,7 +1150,6 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
       candidates.push_back(Candidate{&rel_name, rel, &t});
     }
   }
-  if (!candidates.empty()) pass.state_mutated = true;
 
   // DRed re-derivation loop: a candidate with an alternative derivation
   // over the post-deletion database returns; returned tuples can in
@@ -1289,10 +1257,7 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
     for (const Tuple& t : tuples) {
       if (rel->Contains(t)) continue;  // already resident (e.g. derived)
       Result<bool> r = rel->Insert(t);
-      if (r.ok() && *r) {
-        delta[rel->symbol()].Insert(t);
-        pass.state_mutated = true;
-      }
+      if (r.ok() && *r) delta[rel->symbol()].Insert(t);
     }
   }
 
@@ -1348,10 +1313,10 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
   result->stats.iterations +=
       RunRounds(plans, std::move(delta), &pass);
   result->stats.strata = 1;
-  FinishStage(&pass, changed_local || pass.state_mutated, result);
+  FinishStage(&pass, result);
 }
 
-void Engine::FinishStage(StagePass* pass, bool changed, StageResult* result) {
+void Engine::FinishStage(StagePass* pass, StageResult* result) {
   pending_self_updates_ = std::move(pass->self_updates);
   pending_self_deletes_ = std::move(pass->self_deletes);
   // Remote deletions ship once per unique fact (idempotent at the
@@ -1378,11 +1343,10 @@ void Engine::FinishStage(StagePass* pass, bool changed, StageResult* result) {
 
   result->stats.tuples_examined =
       evaluator_.counters().tuples_examined - pass->tuples_before;
-  const bool leaves_work = !pending_self_updates_.empty() ||
-                           !pending_self_deletes_.empty() ||
-                           !pending_delete_rechecks_.empty();
-  result->changed = changed || !result->outbound.empty() || leaves_work;
-  if (leaves_work) NoteWork();
+  if (!pending_self_updates_.empty() || !pending_self_deletes_.empty() ||
+      !pending_delete_rechecks_.empty()) {
+    NoteWork();
+  }
 }
 
 std::vector<DerivedDelta> Engine::CollectHeartbeats() {

@@ -113,9 +113,6 @@ struct PropagationCounters {
 };
 
 struct StageResult {
-  /// True when this stage changed local state, produced messages, or
-  /// left deferred self-updates — i.e. the peer is not yet quiescent.
-  bool changed = false;
   std::map<std::string, Outbound> outbound;  // by target peer
   StageStats stats;
 };
@@ -184,6 +181,11 @@ class Engine {
   /// Installs a locally authored rule after safety/dialect validation.
   /// Returns an engine-local id usable with RemoveRule.
   Result<uint64_t> AddRule(const Rule& rule);
+  /// The checks AddRule runs, without installing anything: safety, the
+  /// dialect, and stratifiability together with the installed rules.
+  /// Returns the rule's compiled plan; ad-hoc queries evaluate it once
+  /// (runtime/query.h).
+  Result<std::shared_ptr<const RulePlan>> PrepareRule(const Rule& rule) const;
   Status RemoveRule(uint64_t id);
 
   /// Installs a rule delegated by a remote peer (access control happens
@@ -382,9 +384,6 @@ class Engine {
   /// through and what they collect (engine.cc).
   struct StagePass;
 
-  /// Validates `rule` against the dialect and the installed program and
-  /// acquires its plan.
-  Result<std::shared_ptr<const RulePlan>> PrepareRule(const Rule& rule) const;
   uint64_t InstallRule(uint64_t id, const Rule& rule,
                        std::shared_ptr<const RulePlan> plan,
                        const std::string& origin_peer,
@@ -394,9 +393,8 @@ class Engine {
   void NoteRuleSetChanged();
   void RefreshProgramInfo();
   bool ChangesEligible(const StageChangeLog& log) const;
-  void ApplyInputs(bool* changed, StageChangeLog* log);
-  void ApplyInboundDerived(InboundDerived& in, bool* changed,
-                           StageChangeLog* log);
+  void ApplyInputs(StageChangeLog* log);
+  void ApplyInboundDerived(InboundDerived& in, StageChangeLog* log);
   void ClearIntensionalRelations();
   void SeedIntensionalFromContributions();
   /// Erases the ship-once suppression entry for a fact this stage
@@ -425,17 +423,15 @@ class Engine {
   /// Clears views, reseeds them from slices and recomputes the fixpoint:
   /// the first stage, and the fallback of every stage a Δ pass cannot
   /// serve.
-  void RunStageRecompute(StageResult* result, bool changed_local);
+  void RunStageRecompute(StageResult* result);
   /// The Δ-driven stage: deletion cascade (over-delete / re-derive),
   /// then semi-naive forward evaluation from the change seeds only.
-  void RunStageIncremental(StageResult* result, bool changed_local,
-                           StageChangeLog* log);
+  void RunStageIncremental(StageResult* result, StageChangeLog* log);
   /// Step 3, shared by both kinds of stage: deferred self-updates,
   /// remote deletions, contribution and delegation emission. Raises a
   /// work notice when it leaves work for the next stage.
-  void FinishStage(StagePass* pass, bool changed, StageResult* result);
+  void FinishStage(StagePass* pass, StageResult* result);
   bool HasLocalDerivation(const Fact& target);
-  uint64_t IntensionalContentHash() const;
 
   std::string self_peer_;
   Symbol self_sym_;  // interned self name (delegation-capability checks)

@@ -1,6 +1,5 @@
 #include "engine/plan.h"
 
-#include <cstdio>
 #include <unordered_map>
 
 namespace wdl {
@@ -42,7 +41,7 @@ void AddUnique(std::vector<Symbol>* out, Symbol sym) {
 
 /// Compiles one body atom under the boundness state `bound`, advancing
 /// it. Shared by the natural-order pass, the Δ-first variants, and the
-/// adorned flavors: slot numbering lives in `c` and is identical
+/// head-bound flavor: slot numbering lives in `c` and is identical
 /// everywhere; only which occurrence binds vs checks (and hence the
 /// access path) depends on the order atoms execute in and on which
 /// slots were pre-seeded.
@@ -63,7 +62,6 @@ PlanAtom CompileAtom(Compiler& c, const Atom& atom,
   for (size_t j = 0; j < atom.args.size(); ++j) {
     const Term& t = atom.args[j];
     if (t.is_constant()) {
-      if (j < 64) pa.prebound_args |= uint64_t{1} << j;
       if (pa.index_column < 0) {
         pa.index_column = static_cast<int>(j);
         pa.index_key_is_const = true;
@@ -79,7 +77,6 @@ PlanAtom CompileAtom(Compiler& c, const Atom& atom,
     }
     if ((*bound)[s]) {
       if (s < bound_before.size() && bound_before[s]) {
-        if (j < 64) pa.prebound_args |= uint64_t{1} << j;
         if (pa.index_column < 0) {
           pa.index_column = static_cast<int>(j);
           pa.index_key_is_const = false;
@@ -221,9 +218,7 @@ RulePlan CompileRuleHeadBound(const Rule& rule) {
   RulePlan plan;
   plan.rule = rule;
   plan.rule_hash = rule.Hash();
-  plan.adorned = true;
-  size_t nargs = rule.head.args.size();
-  plan.adornment = nargs >= 64 ? ~uint64_t{0} : (uint64_t{1} << nargs) - 1;
+  plan.head_bound = true;
   Compiler c{&plan, {}, {}};
 
   // Every head variable is seeded by the caller before execution, so
@@ -241,69 +236,6 @@ RulePlan CompileRuleHeadBound(const Rule& rule) {
   }
   CompileHead(c, rule);
   return plan;  // existence checks run the natural order: no Δ variants
-}
-
-RulePlan CompileRuleDemand(const Rule& rule, uint64_t adornment) {
-  RulePlan plan;
-  plan.rule = rule;
-  plan.rule_hash = rule.Hash();
-  plan.adorned = true;
-  plan.adornment = adornment;
-  plan.has_demand_atom = true;
-  Compiler c{&plan, {}, {}};
-
-  // The synthetic demand atom: one term per bound head position,
-  // mirroring the head's term there — a head constant filters demand
-  // keys that can never match, a head variable binds its slot from the
-  // demand key. Compiled like any atom, so repeated variables and
-  // access paths fall out of the existing machinery. Its relation/peer
-  // names are placeholders; the evaluator routes extended atom index 0
-  // to the demand set, never to a catalog.
-  Atom demand_atom;
-  demand_atom.relation = SymTerm::Name(kDemandAtomName);
-  demand_atom.peer = SymTerm::Name(kDemandAtomName);
-  for (size_t j = 0; j < rule.head.args.size() && j < 64; ++j) {
-    if ((adornment >> j) & 1) demand_atom.args.push_back(rule.head.args[j]);
-  }
-
-  plan.atoms.reserve(rule.body.size() + 1);
-  plan.atoms.push_back(CompileAtom(c, demand_atom, &c.bound));
-  for (const Atom& atom : rule.body) {
-    plan.atoms.push_back(CompileAtom(c, atom, &c.bound));
-  }
-  CompileHead(c, rule);
-
-  // Δ-first variants over the extended body. A new-demand Δ (position
-  // 0) keeps the natural order — demand first is exactly right. A body
-  // Δ moves the demand atom *last*: by then the Δ tuple has bound the
-  // join variables, so outstanding demands are index-probed instead of
-  // scanned. Reordering across a negated atom could strand it before
-  // its binder, so bodies with negation keep natural order only (the
-  // demand evaluator falls back to the full-fixpoint path for negation
-  // anyway).
-  bool has_negation = false;
-  for (const Atom& atom : rule.body) has_negation |= atom.negated;
-  if (BodyRotatable(rule, &plan) && !has_negation) {
-    size_t n = plan.atoms.size();
-    plan.delta_variants.resize(n);
-    for (size_t pos = 0; pos < n; ++pos) {
-      DeltaVariant& v = plan.delta_variants[pos];
-      v.order.push_back(static_cast<uint16_t>(pos));
-      for (size_t i = 1; i < n; ++i) {
-        if (i != pos) v.order.push_back(static_cast<uint16_t>(i));
-      }
-      if (pos != 0) v.order.push_back(0);
-      std::vector<bool> bound(plan.slot_vars.size(), false);
-      v.atoms.reserve(v.order.size());
-      for (uint16_t original : v.order) {
-        const Atom& src =
-            original == 0 ? demand_atom : rule.body[original - 1];
-        v.atoms.push_back(CompileAtom(c, src, &bound));
-      }
-      v.valid = true;
-    }
-  }
-  return plan;
 }
 
 bool SubstituteCompiled(const PlanSym& rel, const PlanSym& peer,
@@ -345,15 +277,7 @@ bool SubstituteCompiled(const PlanSym& rel, const PlanSym& peer,
 
 std::string RulePlan::DebugString() const {
   std::string out = "plan for: " + rule.ToString() + "\n";
-  if (adorned) {
-    out += "adorned: mask=0x";
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%llx",
-                  static_cast<unsigned long long>(adornment));
-    out += buf;
-    if (has_demand_atom) out += " demand-atom";
-    out += "\n";
-  }
+  if (head_bound) out += "head-bound\n";
   out += "slots:";
   for (size_t s = 0; s < slot_vars.size(); ++s) {
     out += " " + std::to_string(s) + "=$" + slot_vars[s];

@@ -111,14 +111,6 @@ struct PlanAtom {
   bool index_key_is_const = false;
   Value index_const;       // index_key_is_const
   uint16_t index_slot = 0; // !index_key_is_const
-
-  /// Bitmask of argument positions (< 64) whose value is known before
-  /// the atom's tuple loop starts: constants, plus variables bound by an
-  /// earlier atom (in-atom repeats are excluded — their value only
-  /// exists per candidate tuple). This is the sideways information the
-  /// demand evaluator passes down: when the atom reads an intensional
-  /// relation, these positions form the sub-demand's adornment.
-  uint64_t prebound_args = 0;
 };
 
 /// The compiled head: same shape as an atom minus matching concerns.
@@ -211,22 +203,14 @@ struct RulePlan {
   PlanStaticInfo info;
   /// Δ-first body orders, one per body position (invalid entries for
   /// negated positions and non-rotatable bodies). Indexed by the
-  /// delta_pos the fixpoint loop evaluates. For demand plans the
-  /// positions (and orders) range over the extended body including the
-  /// synthetic demand atom at index 0.
+  /// delta_pos the fixpoint loop evaluates.
   std::vector<DeltaVariant> delta_variants;
   /// The single constant peer every body atom names, when rotatable.
   Symbol common_body_peer;
 
-  /// Binding-pattern (adorned) variants, DESIGN.md §10. `adorned` marks
-  /// a plan compiled under a head binding pattern; `adornment` is the
-  /// bitmask of bound head argument positions (all of them for the
-  /// head-bound flavor). `has_demand_atom` marks the demand flavor:
-  /// atoms[0] is a synthetic atom matched against the demand set, whose
-  /// terms mirror the head's bound positions.
-  bool adorned = false;
-  uint64_t adornment = 0;
-  bool has_demand_atom = false;
+  /// Compiled by CompileRuleHeadBound: every head variable is seeded
+  /// before the body runs.
+  bool head_bound = false;
 
   /// Human-readable plan listing (slots, per-atom ops and access path);
   /// for tests and diagnostics.
@@ -248,25 +232,6 @@ RulePlan CompileRule(const Rule& rule);
 /// the end. No Δ variants are compiled (existence checks run the
 /// natural order).
 RulePlan CompileRuleHeadBound(const Rule& rule);
-
-/// The synthetic relation name of a demand plan's seed atom. Never
-/// resolved against a catalog — the demand evaluator routes extended
-/// atom index 0 to its demand set — but it shows up in DebugString,
-/// and its symbol is interned exactly once, up front (query.cc), so
-/// per-query symbol-table growth stays zero.
-inline constexpr char kDemandAtomName[] = "__demand__";
-
-/// Compiles the demand (magic-set) variant of `rule` for a binding
-/// pattern: `adornment` bit j set means head argument position j is
-/// bound by the demand. The plan's atom list is the rule body prefixed
-/// with a synthetic demand atom whose terms mirror the head's bound
-/// positions — executing it against the demand set seeds exactly the
-/// bindings the adornment promises (head constants at bound positions
-/// filter demands that cannot match). Δ-first variants cover the
-/// extended body; for a Δ position in the real body the demand atom is
-/// moved *last*, so it is an index probe through the bindings the Δ
-/// tuple provides rather than a scan of all outstanding demands.
-RulePlan CompileRuleDemand(const Rule& rule, uint64_t adornment);
 
 /// Applies the current slot bindings to `src` (the source atom the
 /// compiled `rel`/`peer`/`terms` were built from): bound slots become

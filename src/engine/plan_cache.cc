@@ -109,47 +109,23 @@ SharedPlanCache& SharedPlanCache::Instance() {
 }
 
 std::shared_ptr<const RulePlan> SharedPlanCache::Acquire(const Rule& rule) {
-  return AcquireVariant(rule, Flavor::kNatural, 0);
+  return AcquireVariant(rule, /*head_bound=*/false);
 }
 
 std::shared_ptr<const RulePlan> SharedPlanCache::AcquireHeadBound(
     const Rule& rule) {
-  return AcquireVariant(rule, Flavor::kHeadBound, 0);
-}
-
-std::shared_ptr<const RulePlan> SharedPlanCache::AcquireDemand(
-    const Rule& rule, uint64_t adornment) {
-  return AcquireVariant(rule, Flavor::kDemand, adornment);
+  return AcquireVariant(rule, /*head_bound=*/true);
 }
 
 std::shared_ptr<const RulePlan> SharedPlanCache::AcquireVariant(
-    const Rule& rule, Flavor flavor, uint64_t adornment) {
+    const Rule& rule, bool head_bound) {
   uint64_t key = CanonicalRuleHash(rule);
-  if (flavor != Flavor::kNatural) {
-    key = HashCombine(key, static_cast<uint64_t>(flavor));
-    key = HashCombine(key, adornment);
-  }
-  // A match must agree on flavor and adornment, not just the rule:
-  // natural, head-bound, and per-pattern demand plans of one rule are
-  // distinct objects sharing this map.
+  if (head_bound) key = HashCombine(key, 1);
   auto matches = [&](const RulePlan& plan) {
-    if (plan.adorned != (flavor != Flavor::kNatural)) return false;
-    if (plan.has_demand_atom != (flavor == Flavor::kDemand)) return false;
-    if (flavor == Flavor::kDemand && plan.adornment != adornment) {
-      return false;
-    }
-    return AlphaEquivalent(plan.rule, rule);
+    return plan.head_bound == head_bound && AlphaEquivalent(plan.rule, rule);
   };
   auto compile = [&]() {
-    switch (flavor) {
-      case Flavor::kHeadBound:
-        return CompileRuleHeadBound(rule);
-      case Flavor::kDemand:
-        return CompileRuleDemand(rule, adornment);
-      case Flavor::kNatural:
-        break;
-    }
-    return CompileRule(rule);
+    return head_bound ? CompileRuleHeadBound(rule) : CompileRule(rule);
   };
   {
     std::shared_lock<std::shared_mutex> lock(mu_);

@@ -28,8 +28,8 @@ bool AlphaEquivalent(const Rule& a, const Rule& b);
 /// process (DESIGN.md §4, §9). Plans are peer-agnostic and immutable
 /// once compiled (see plan.h), so the identical rule set installed at
 /// 100k peers compiles exactly once. Each installed rule holds a strong
-/// reference to its plans (InstalledRule, engine.h), as does a demand
-/// query for the span of its run; this cache holds only weak
+/// reference to its plans (InstalledRule, engine.h), as does a local
+/// query read for the span of its run; this cache holds only weak
 /// references — a plan's storage dies with the last rule using it, so
 /// churning ad-hoc rules (scratch queries, delegation residuals) do not
 /// accumulate for the process lifetime.
@@ -61,17 +61,10 @@ class SharedPlanCache {
   /// α-equivalent rules return the same plan object.
   std::shared_ptr<const RulePlan> Acquire(const Rule& rule);
 
-  /// The head-bound (fully adorned) plan for `rule`: every head
-  /// variable pre-seeded bound, for DRed existence checks. Cached
-  /// alongside the natural plans but never aliased with them.
+  /// The head-bound plan for `rule`: every head variable pre-seeded
+  /// bound, for DRed existence checks. Cached alongside the natural
+  /// plans but never aliased with them.
   std::shared_ptr<const RulePlan> AcquireHeadBound(const Rule& rule);
-
-  /// The demand (magic-set) plan for `rule` under a binding pattern:
-  /// `adornment` bit j marks head argument position j as bound by the
-  /// demand. Keyed by (rule, adornment), so each binding pattern of a
-  /// hot rule compiles once process-wide across queries and peers.
-  std::shared_ptr<const RulePlan> AcquireDemand(const Rule& rule,
-                                                uint64_t adornment);
 
   /// Global compile/hit tallies (the "one compile per distinct rule at
   /// N peers" acceptance instrument).
@@ -84,16 +77,13 @@ class SharedPlanCache {
   void ResetStatsForTesting();
 
  private:
-  // The three compiled flavors of a rule live in one map but never
-  // alias: the flavor is mixed into the bucket key and re-verified on
-  // the plan itself at match time.
-  enum class Flavor : uint8_t { kNatural, kHeadBound, kDemand };
-
   SharedPlanCache() = default;
 
+  // The natural and head-bound flavors of a rule live in one map but
+  // never alias: the flavor is mixed into the bucket key and
+  // re-verified on the plan itself at match time.
   std::shared_ptr<const RulePlan> AcquireVariant(const Rule& rule,
-                                                 Flavor flavor,
-                                                 uint64_t adornment);
+                                                 bool head_bound);
 
   // Full expired-entry sweeps run every this-many insertions, bounding
   // the map's tombstone growth under plan churn.

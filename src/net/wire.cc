@@ -22,6 +22,7 @@ constexpr size_t kMinTermBytes = 5;    // var tag + u32 len
 constexpr size_t kMinTupleBytes = 4;   // u32 arity of an empty tuple
 constexpr size_t kMinFactBytes = 12;   // two empty strings + empty tuple
 constexpr size_t kMinAtomBytes = 15;   // neg tag + two symterms + u32 arity
+constexpr size_t kMinColumnBytes = 5;  // u32 len of an empty name + type
 }  // namespace
 
 void WireEncoder::PutU16(uint16_t v) {
@@ -106,6 +107,17 @@ void WireEncoder::PutRule(const Rule& r) {
   PutAtom(r.head);
   PutU32(static_cast<uint32_t>(r.body.size()));
   for (const Atom& a : r.body) PutAtom(a);
+}
+
+void WireEncoder::PutRelationDecl(const RelationDecl& d) {
+  PutString(d.relation);
+  PutString(d.peer);
+  PutU8(static_cast<uint8_t>(d.kind));
+  PutU32(static_cast<uint32_t>(d.columns.size()));
+  for (const ColumnSpec& col : d.columns) {
+    PutString(col.name);
+    PutU8(static_cast<uint8_t>(col.type));
+  }
 }
 
 void WireEncoder::PutDelegation(const Delegation& d) {
@@ -319,6 +331,31 @@ Result<Rule> WireDecoder::GetRule() {
     r.body.push_back(std::move(a));
   }
   return r;
+}
+
+Result<RelationDecl> WireDecoder::GetRelationDecl() {
+  RelationDecl d;
+  WDL_ASSIGN_OR_RETURN(d.relation, GetString());
+  WDL_ASSIGN_OR_RETURN(d.peer, GetString());
+  WDL_ASSIGN_OR_RETURN(uint8_t kind, GetU8());
+  if (kind > static_cast<uint8_t>(RelationKind::kIntensional)) {
+    return Status::ParseError(StrFormat("bad relation kind %u", kind));
+  }
+  d.kind = static_cast<RelationKind>(kind);
+  WDL_ASSIGN_OR_RETURN(uint32_t n,
+                       GetCount(kMinColumnBytes, "declaration columns"));
+  d.columns.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    ColumnSpec col;
+    WDL_ASSIGN_OR_RETURN(col.name, GetString());
+    WDL_ASSIGN_OR_RETURN(uint8_t type, GetU8());
+    if (type > static_cast<uint8_t>(ValueKind::kAny)) {
+      return Status::ParseError(StrFormat("bad column type %u", type));
+    }
+    col.type = static_cast<ValueKind>(type);
+    d.columns.push_back(std::move(col));
+  }
+  return d;
 }
 
 Result<Delegation> WireDecoder::GetDelegation() {

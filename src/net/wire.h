@@ -42,6 +42,8 @@ class WireEncoder {
   void PutTerm(const Term& t);
   void PutAtom(const Atom& a);
   void PutRule(const Rule& r);
+  /// A relation declaration: the durable log's and snapshot's format.
+  void PutRelationDecl(const RelationDecl& d);
   void PutDelegation(const Delegation& d);
   void PutDerivedDelta(const DerivedDelta& d);
   void PutMessage(const Message& m);
@@ -72,6 +74,8 @@ class WireDecoder {
   Result<Term> GetTerm();
   Result<Atom> GetAtom();
   Result<Rule> GetRule();
+  /// Rejects a kind or column type outside its enum.
+  Result<RelationDecl> GetRelationDecl();
   Result<Delegation> GetDelegation();
   Result<DerivedDelta> GetDerivedDelta();
   Result<Message> GetMessage();

@@ -76,6 +76,7 @@ class Peer {
   bool has_engine() const { return engine_ != nullptr; }
   DelegationGate& gate() { return gate_; }
   const DelegationGate& gate() const { return gate_; }
+  const PeerOptions& options() const { return options_; }
 
   /// Parses `source` as WebdamLog text and loads it into the engine.
   Status LoadProgramText(std::string_view source);

@@ -1,13 +1,13 @@
 #include "runtime/query.h"
 
-#include <cctype>
-#include <cstdlib>
+#include <algorithm>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "engine/demand.h"
+#include "engine/eval.h"
 #include "parser/parser.h"
 
 namespace wdl {
@@ -43,37 +43,22 @@ void ReleaseQueryName(std::string name) {
   QueryNamePool().push_back(std::move(name));
 }
 
-// The demand path's placeholder head relation: parses the body without
-// drawing from the scratch-name pool (the demand path installs
-// nothing, so the name never reaches a catalog).
-constexpr char kDemandQueryRelation[] = "__demand_query";
+// The local read's placeholder head relation: one name for every
+// query, so reading never grows the symbol table (it interns with the
+// first plan compiled under it). The read emits head facts into its
+// own sink, never into a catalog.
+constexpr char kQueryRelation[] = "__query";
 
-bool DefaultUseDemandEvaluation() {
-  static const bool value = [] {
-    // Both fixed demand-path names intern exactly once, up front, so
-    // issuing queries never grows the symbol table (the scratch-name
-    // recycling invariant).
-    Symbol::Intern(kDemandQueryRelation);
-    Symbol::Intern(kDemandAtomName);
-    const char* env = std::getenv("WDL_QUERY_DEMAND");
-    if (env == nullptr) return true;
-    std::string v(env);
-    for (char& c : v) c = static_cast<char>(std::tolower(c));
-    return !(v == "0" || v == "off" || v == "false");
-  }();
-  return value;
-}
-
-/// Parses `body` under a placeholder head and rebuilds the head from
-/// the body's variables in order of first occurrence — the query rule
-/// both evaluation paths run, and the result's column list.
-Result<Rule> BuildQueryRule(const std::string& relation,
-                            const std::string& peer_name,
+/// Parses `body` under the placeholder head and rebuilds the head from
+/// the body's variables in order of first occurrence — the query rule,
+/// and the result's column list.
+Result<Rule> BuildQueryRule(const std::string& peer_name,
                             const std::string& body,
                             std::vector<std::string>* columns) {
   WDL_ASSIGN_OR_RETURN(
       Rule skeleton,
-      ParseRule(relation + "@" + peer_name + "() :- " + body));
+      ParseRule(std::string(kQueryRelation) + "@" + peer_name + "() :- " +
+                body));
 
   auto note_var = [&](const std::string& v) {
     for (const std::string& existing : *columns) {
@@ -97,10 +82,43 @@ Result<Rule> BuildQueryRule(const std::string& relation,
   return query_rule;
 }
 
-}  // namespace
+/// Evaluates `query` once over `peer`'s catalog after the checks
+/// AddRule runs, into `result`. Returns false, leaving the rows unset,
+/// when the evaluation emitted a delegation: the body reached another
+/// peer, and only the scratch-rule path can answer it.
+Result<bool> ReadLocally(Peer* peer, const Rule& query, QueryResult* result) {
+  // An idle peer holds nothing. A throwaway engine with its options
+  // checks the query and serves the read from an empty catalog, so the
+  // peer stays idle.
+  std::unique_ptr<Engine> idle;
+  Engine* engine = nullptr;
+  if (peer->has_engine()) {
+    engine = &peer->engine();
+  } else {
+    idle = std::make_unique<Engine>(peer->name(), peer->options().engine);
+    engine = idle.get();
+  }
+  WDL_ASSIGN_OR_RETURN(std::shared_ptr<const RulePlan> plan,
+                       engine->PrepareRule(query));
 
-QueryOptions::QueryOptions()
-    : use_demand_evaluation(DefaultUseDemandEvaluation()) {}
+  std::vector<Tuple> rows;
+  bool crossed = false;
+  RuleEvaluator::Sinks sinks;
+  sinks.on_local_fact = [&](const Fact& f) { rows.push_back(f.args); };
+  sinks.on_delegation = [&](const Delegation&) { crossed = true; };
+  RuleEvaluator evaluator(&engine->catalog(), peer->name(), EvalOptions{});
+  evaluator.Evaluate(*plan, nullptr, -1, sinks);
+  if (crossed) return false;
+
+  // Every body variable is a column, so no two matches share a row.
+  std::sort(rows.begin(), rows.end());
+  result->rows = std::move(rows);
+  result->demand_path = true;
+  result->tuples_examined = evaluator.counters().tuples_examined;
+  return true;
+}
+
+}  // namespace
 
 std::string QueryResult::ToString() const {
   std::string out = "(";
@@ -118,72 +136,39 @@ std::string QueryResult::ToString() const {
 
 Result<QueryResult> RunQuery(System* system, const std::string& peer_name,
                              const std::string& body, int max_rounds) {
-  QueryOptions options;
-  options.max_rounds = max_rounds;
-  return RunQuery(system, peer_name, body, options);
-}
-
-Result<QueryResult> RunQuery(System* system, const std::string& peer_name,
-                             const std::string& body,
-                             const QueryOptions& options) {
   Peer* peer = system->GetPeer(peer_name);
   if (peer == nullptr) {
     return Status::NotFound("no peer named " + peer_name);
   }
 
-  if (options.use_demand_evaluation) {
-    // The demand path installs nothing, so it parses under a fixed
-    // placeholder head (one permanent symbol process-wide) instead of
-    // drawing from the scratch-name pool. Parse failures fall through:
-    // the full path re-parses and reports the identical error.
-    std::vector<std::string> columns;
-    Result<Rule> query_rule =
-        BuildQueryRule(kDemandQueryRelation, peer_name, body, &columns);
-    if (query_rule.ok()) {
-      // Demand evaluation is only sound against a converged system
-      // (engine/demand.h); convergence must come first because it can
-      // install delegated rules that change the reachability analysis.
-      int rounds_before = system->rounds_run();
-      if (!system->IsQuiescent()) {
-        WDL_ASSIGN_OR_RETURN(int ignored,
-                             system->RunUntilQuiescent(options.max_rounds));
-        (void)ignored;
-      }
-      DemandEvaluator evaluator(&peer->engine());
-      if (evaluator.Prepare(*query_rule).ok()) {
-        QueryResult result;
-        result.columns = std::move(columns);
-        result.rows = evaluator.Run();
-        result.rounds = system->rounds_run() - rounds_before;
-        result.demand_path = true;
-        result.tuples_examined = evaluator.stats().tuples_examined;
-        return result;
-      }
-      // Ineligible (unbound, cross-peer, negation, deletion rules, ...):
-      // fall through to the full fixpoint.
-    }
+  QueryResult result;
+  WDL_ASSIGN_OR_RETURN(Rule query_rule,
+                       BuildQueryRule(peer_name, body, &result.columns));
+  // Views are materialized at quiescence (DESIGN.md §10), and
+  // convergence can install delegated rules the checks must see.
+  const int rounds_before = system->rounds_run();
+  if (!system->IsQuiescent()) {
+    WDL_RETURN_IF_ERROR(system->RunUntilQuiescent(max_rounds).status());
+  }
+  WDL_ASSIGN_OR_RETURN(bool answered,
+                       ReadLocally(peer, query_rule, &result));
+  if (answered) {
+    result.rounds = system->rounds_run() - rounds_before;
+    return result;
   }
 
   // Unique while in use (concurrent/nested queries never collide),
   // recycled afterwards so the symbol table stays bounded.
   std::string relation = AcquireQueryName();
-
-  std::vector<std::string> columns;
-  Result<Rule> query_rule_result =
-      BuildQueryRule(relation, peer_name, body, &columns);
-  if (!query_rule_result.ok()) {
-    ReleaseQueryName(std::move(relation));  // nothing was declared
-    return query_rule_result.status();
-  }
-  Rule query_rule = std::move(query_rule_result).value();
+  query_rule.head.relation = SymTerm::Name(relation);
 
   RelationDecl decl;
   decl.relation = relation;
   decl.peer = peer_name;
   decl.kind = RelationKind::kIntensional;
-  decl.columns.resize(columns.size());
-  for (size_t i = 0; i < columns.size(); ++i) {
-    decl.columns[i].name = columns[i];
+  decl.columns.resize(result.columns.size());
+  for (size_t i = 0; i < result.columns.size(); ++i) {
+    decl.columns[i].name = result.columns[i];
     decl.columns[i].type = ValueKind::kAny;
   }
   Status declared = peer->engine().DeclareRelation(decl);
@@ -199,12 +184,9 @@ Result<QueryResult> RunQuery(System* system, const std::string& peer_name,
     return rule_id.status();
   }
 
-  int rounds_before = system->rounds_run();
   uint64_t tuples_before = peer->engine().eval_counters().tuples_examined;
-  Result<int> converged = system->RunUntilQuiescent(options.max_rounds);
+  Result<int> converged = system->RunUntilQuiescent(max_rounds);
 
-  QueryResult result;
-  result.columns = columns;
   const Relation* rel = peer->engine().catalog().Get(relation);
   if (rel != nullptr) result.rows = rel->SortedTuples();
   result.rounds = system->rounds_run() - rounds_before;
@@ -220,13 +202,12 @@ Result<QueryResult> RunQuery(System* system, const std::string& peer_name,
   // that streamed a contribution here; the final converge flushes them
   // so both ends of the stream restart at version 0 and the recycled
   // name's next use begins with a clean snapshot instead of a
-  // gap->resync round trip. Purely local queries queue nothing and the
-  // flush converge is a no-op.
+  // gap->resync round trip.
   Status removed = peer->engine().RemoveRule(*rule_id);
-  bool torn_down = system->RunUntilQuiescent(options.max_rounds).ok();
+  bool torn_down = system->RunUntilQuiescent(max_rounds).ok();
   if (removed.ok() && torn_down &&
       peer->engine().DropScratchRelation(relation).ok() &&
-      system->RunUntilQuiescent(options.max_rounds).ok()) {
+      system->RunUntilQuiescent(max_rounds).ok()) {
     ReleaseQueryName(std::move(relation));
   }
   WDL_RETURN_IF_ERROR(removed);

@@ -12,36 +12,24 @@
 namespace wdl {
 
 /// Result of an ad-hoc query: one column per distinct variable of the
-/// query body, in order of first occurrence, plus the rows.
+/// query body, in order of first occurrence, plus the distinct rows in
+/// sorted order.
 struct QueryResult {
   std::vector<std::string> columns;
   std::vector<Tuple> rows;
   int rounds = 0;  // system rounds the evaluation took
-  /// True when the demand-driven (magic-set) path answered the query;
-  /// false for the full-fixpoint scratch-rule path.
+  /// True when a local read of the query peer's catalog answered the
+  /// query; false for the scratch-rule path. (The name is older than
+  /// the local read; perfbench's social_churn reads the field.)
   bool demand_path = false;
   /// Candidate tuples the evaluation unified against — the "how much
-  /// did this query touch" instrument. On the demand path this is
-  /// O(tuples reachable from the query's constants); the full path
-  /// reports the query peer's whole-fixpoint count.
+  /// did this query touch" instrument. A local read reports its one
+  /// evaluation, O(answers) when the body's constants drive index
+  /// probes; the scratch-rule path reports the query peer's whole
+  /// fixpoint.
   uint64_t tuples_examined = 0;
 
   std::string ToString() const;
-};
-
-/// Per-query knobs. `use_demand_evaluation` defaults from the
-/// WDL_QUERY_DEMAND environment variable (unset/1/on → true; 0/off →
-/// false), read once per process. When true, bound queries whose
-/// reachable rule cone is local, positive, and insert-only are answered
-/// by the demand-driven evaluator (engine/demand.h) without touching
-/// the installed program; everything else — and everything when false —
-/// runs the full scratch-rule fixpoint, which also serves as the
-/// differential oracle for the demand path.
-struct QueryOptions {
-  bool use_demand_evaluation;
-  int max_rounds = 300;
-
-  QueryOptions();
 };
 
 /// Runs an ad-hoc WebdamLog query at `peer` — the §4 "Query tab":
@@ -51,19 +39,18 @@ struct QueryOptions {
 /// `body` is a comma-separated list of body atoms, e.g.
 ///   "selectedAttendee@Jules($a), pictures@$a($id, $name, $o, $d)".
 ///
-/// Demand-eligible bound queries (see QueryOptions) are evaluated
-/// in-place over the quiescent engine. Otherwise, mechanically: a
-/// temporary intensional relation and rule
+/// The system converges first (at most `max_rounds` rounds), and the
+/// query must pass the checks Engine::AddRule runs: left-to-right
+/// safety, the dialect, stratifiability. Then the query rule is
+/// evaluated once over the peer's catalog, where at quiescence every
+/// view is already materialized (DESIGN.md §10). Only a body that
+/// reaches another peer — the evaluation emits a delegation — takes the
+/// scratch-rule path instead: a temporary intensional relation and rule
 ///   __query_K@peer($v1, ..., $vn) :- body
 /// are installed, the system runs to quiescence (distributed bodies
 /// delegate as usual, subject to the targets' delegation gates), the
 /// view is snapshotted, and the rule and relation are removed again —
 /// including a second convergence pass so remote residuals retract.
-///
-/// The query must satisfy the usual left-to-right safety conditions.
-Result<QueryResult> RunQuery(System* system, const std::string& peer,
-                             const std::string& body,
-                             const QueryOptions& options);
 Result<QueryResult> RunQuery(System* system, const std::string& peer,
                              const std::string& body, int max_rounds = 300);
 

@@ -120,6 +120,10 @@ TEST(DelegationGateTest, AuditLogRecordsEveryDecision) {
             DelegationGate::Decision::kPending);
   EXPECT_EQ(gate.audit_log()[3].decision,
             DelegationGate::Decision::kAccepted);
+  // Who and which delegation, by key.
+  EXPECT_EQ(gate.audit_log()[1].origin_peer, "spammer");
+  EXPECT_EQ(gate.audit_log()[2].delegation_key, d.Key());
+  EXPECT_EQ(gate.audit_log()[3].delegation_key, d.Key());
 }
 
 TEST(DelegationGateTest, RenderPendingShowsNotification) {

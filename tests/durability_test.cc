@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -36,6 +38,20 @@ std::string MakeTempRoot() {
   char* made = ::mkdtemp(tmpl.data());
   EXPECT_NE(made, nullptr);
   return tmpl;
+}
+
+/// A kLocalDecl WAL record for data@alice(x) with the given kind and
+/// column-type bytes, which the encoder never writes out of range.
+std::string DeclRecord(uint8_t kind, uint8_t type) {
+  WireEncoder enc;
+  enc.PutU8(static_cast<uint8_t>(WalRecordType::kLocalDecl));
+  enc.PutString("data");
+  enc.PutString("alice");
+  enc.PutU8(kind);
+  enc.PutU32(1);
+  enc.PutString("x");
+  enc.PutU8(type);
+  return enc.TakeBuffer();
 }
 
 // --- WAL unit tests ---------------------------------------------------
@@ -196,6 +212,68 @@ TEST(SnapshotTest, RoundTripAndCorruptionRejected) {
     std::string damaged = bytes;
     damaged[i] ^= 0x01;
     EXPECT_FALSE(DecodeSnapshot(damaged).ok()) << "flip at " << i;
+  }
+}
+
+// Kind and column type are enums on disk: a CRC-valid byte outside
+// either range is corruption, not a declaration (DESIGN.md §11).
+TEST(SnapshotTest, OutOfRangeDeclarationBytesAreRejected) {
+  SnapshotData snap;
+  snap.peer = "alice";
+  SnapshotData::RelationState rs;
+  rs.decl.relation = "data";
+  rs.decl.peer = "alice";
+  rs.decl.kind = RelationKind::kIntensional;
+  rs.decl.columns.resize(1);
+  rs.decl.columns[0].name = "x";
+  rs.decl.columns[0].type = ValueKind::kAny;
+  snap.relations.push_back(rs);
+  const std::string bytes = EncodeSnapshot(snap);
+  ASSERT_TRUE(DecodeSnapshot(bytes).ok());
+
+  // The declaration's kind byte follows its two names; its one column's
+  // type byte follows the column count and name. Patch one, then
+  // re-seal the CRC over the payload so only the range check can fail.
+  WireEncoder names;
+  names.PutString("data");
+  names.PutString("alice");
+  const size_t kind_at = bytes.find(names.buffer(), 14) + names.buffer().size();
+  ASSERT_EQ(bytes[kind_at], 1);
+  const size_t type_at = kind_at + 1 + 4 + 4 + 1;
+  ASSERT_EQ(bytes[type_at], 4);
+  auto patched = [&](size_t at, uint8_t value) {
+    std::string out = bytes;
+    out[at] = static_cast<char>(value);
+    WireEncoder crc;
+    crc.PutU32(Crc32(std::string_view(out).substr(14)));
+    return out.replace(6, 4, crc.buffer());
+  };
+  EXPECT_TRUE(DecodeSnapshot(patched(kind_at, 0)).ok());
+  EXPECT_TRUE(DecodeSnapshot(patched(type_at, 0)).ok());
+  Result<SnapshotData> bad_kind = DecodeSnapshot(patched(kind_at, 7));
+  ASSERT_FALSE(bad_kind.ok());
+  EXPECT_NE(bad_kind.status().message().find("relation kind 7"),
+            std::string::npos) << bad_kind.status();
+  Result<SnapshotData> bad_type = DecodeSnapshot(patched(type_at, 200));
+  ASSERT_FALSE(bad_type.ok());
+  EXPECT_NE(bad_type.status().message().find("column type 200"),
+            std::string::npos) << bad_type.status();
+}
+
+TEST(WalRecordTest, OutOfRangeDeclarationBytesAreRejected) {
+  for (uint8_t kind = 0; kind <= 1; ++kind) {
+    for (uint8_t type = 0; type <= 4; ++type) {
+      Result<WalRecord> decl = DecodeWalRecord(DeclRecord(kind, type));
+      ASSERT_TRUE(decl.ok()) << decl.status();
+      EXPECT_EQ(static_cast<uint8_t>(decl->decl.kind), kind);
+      EXPECT_EQ(static_cast<uint8_t>(decl->decl.columns[0].type), type);
+    }
+  }
+  for (uint8_t kind : {uint8_t{2}, uint8_t{7}, uint8_t{255}}) {
+    EXPECT_FALSE(DecodeWalRecord(DeclRecord(kind, 0)).ok()) << int{kind};
+  }
+  for (uint8_t type : {uint8_t{5}, uint8_t{200}, uint8_t{255}}) {
+    EXPECT_FALSE(DecodeWalRecord(DeclRecord(0, type)).ok()) << int{type};
   }
 }
 
@@ -602,6 +680,39 @@ TEST(DurabilityRecoveryTest, RetiredMessageRecordFailsRecovery) {
   Peer peer("alice", peer_options);
   EXPECT_FALSE(peer.durability_status().ok());
   EXPECT_EQ(*ReadEntireFile(wal), bytes);
+}
+
+TEST(DurabilityRecoveryTest, OutOfRangeDeclarationRecordFailsRecovery) {
+  auto frame = [](const std::string& payload) {  // length | CRC | payload
+    uint32_t header[2] = {static_cast<uint32_t>(payload.size()),
+                          Crc32(payload)};
+    return std::string(reinterpret_cast<const char*>(header),
+                       sizeof(header)) + payload;
+  };
+  WalRecord insert;
+  insert.type = WalRecordType::kLocalFactInsert;
+  insert.fact = Fact("data", "alice", {I(1)});
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {DeclRecord(7, 0), "relation kind 7"},
+      {DeclRecord(0, 200), "column type 200"},
+  };
+  for (const auto& [record, what] : bad) {
+    std::string root = MakeTempRoot();
+    std::string wal = root + "/wal-0.log";
+    const std::string bytes = frame(EncodeWalRecord(insert)) + frame(record);
+    ASSERT_TRUE(AtomicWriteFile(wal, bytes).ok());
+    ASSERT_EQ(ReadWalFile(wal)->payloads.size(), 2u);  // both CRCs match
+
+    DurabilityOptions options;
+    options.dir = root;
+    auto opened = PeerDurability::Open(options);
+    ASSERT_FALSE(opened.ok()) << what;
+    EXPECT_NE(opened.status().message().find("WAL record 1 "),
+              std::string::npos) << opened.status();
+    EXPECT_NE(opened.status().message().find(what), std::string::npos)
+        << opened.status();
+    EXPECT_EQ(*ReadEntireFile(wal), bytes);
+  }
 }
 
 // The headline recovery property: a receiver that missed deltas while

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "support/builders.h"
+#include "support/fixture.h"
 
 namespace wdl {
 namespace {
 
-using test::I;
+using test::ExpectQueryMatchesReference;
+using test::QueryPath;
 using test::S;
 
 class QueryTest : public ::testing::Test {
@@ -17,53 +19,53 @@ class QueryTest : public ::testing::Test {
     bob_ = system_.CreatePeer("bob");
     alice_->gate().TrustPeer("bob");
     bob_->gate().TrustPeer("alice");
-    ASSERT_TRUE(alice_->LoadProgramText(R"(
+    test::Load(alice_, &ref_, R"(
       collection ext likes@alice(who: string, what: string);
       fact likes@alice("alice", "jazz");
       fact likes@alice("alice", "rock");
-    )").ok());
-    ASSERT_TRUE(bob_->LoadProgramText(R"(
+    )");
+    test::Load(bob_, &ref_, R"(
       collection ext likes@bob(who: string, what: string);
       fact likes@bob("bob", "jazz");
-    )").ok());
+    )");
     ASSERT_TRUE(system_.RunUntilQuiescent().ok());
   }
 
+  /// Runs `body` at alice: answered by `path`, with the reference's rows.
+  QueryResult Query(const std::string& body, QueryPath path) {
+    return ExpectQueryMatchesReference(&system_, ref_, "alice", body, path);
+  }
+
   System system_;
+  test::ReferenceProgram ref_;
   Peer* alice_ = nullptr;
   Peer* bob_ = nullptr;
 };
 
 TEST_F(QueryTest, LocalSingleAtomQuery) {
-  Result<QueryResult> r =
-      RunQuery(&system_, "alice", "likes@alice($w, $x)");
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(r->columns, (std::vector<std::string>{"w", "x"}));
-  EXPECT_EQ(r->rows.size(), 2u);
+  QueryResult r = Query("likes@alice($w, $x)", QueryPath::kLocalRead);
+  EXPECT_EQ(r.columns, (std::vector<std::string>{"w", "x"}));
+  EXPECT_EQ(r.rows.size(), 2u);
 }
 
 TEST_F(QueryTest, ConstantsFilterRows) {
-  Result<QueryResult> r =
-      RunQuery(&system_, "alice", "likes@alice($w, \"jazz\")");
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(r->columns, (std::vector<std::string>{"w"}));
-  ASSERT_EQ(r->rows.size(), 1u);
-  EXPECT_EQ(r->rows[0][0], S("alice"));
+  QueryResult r = Query("likes@alice($w, \"jazz\")", QueryPath::kLocalRead);
+  EXPECT_EQ(r.columns, (std::vector<std::string>{"w"}));
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0], S("alice"));
 }
 
 TEST_F(QueryTest, DistributedJoinQuery) {
   // Who shares a taste with alice? Crosses to bob via delegation.
-  Result<QueryResult> r = RunQuery(
-      &system_, "alice", "likes@alice($me, $x), likes@bob($other, $x)");
-  ASSERT_TRUE(r.ok()) << r.status();
-  ASSERT_EQ(r->rows.size(), 1u);
-  EXPECT_EQ(r->rows[0], (Tuple{S("alice"), S("jazz"), S("bob")}));
+  QueryResult r = Query("likes@alice($me, $x), likes@bob($other, $x)",
+                        QueryPath::kScratchRule);
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0], (Tuple{S("alice"), S("jazz"), S("bob")}));
 }
 
 TEST_F(QueryTest, QueryCleansUpDelegations) {
-  Result<QueryResult> r = RunQuery(
-      &system_, "alice", "likes@alice($me, $x), likes@bob($other, $x)");
-  ASSERT_TRUE(r.ok());
+  Query("likes@alice($me, $x), likes@bob($other, $x)",
+        QueryPath::kScratchRule);
   // After teardown, bob has no leftover delegated rules.
   for (const InstalledRule* ir : bob_->engine().rules()) {
     EXPECT_EQ(ir->delegation_key, 0u)
@@ -73,18 +75,22 @@ TEST_F(QueryTest, QueryCleansUpDelegations) {
 
 TEST_F(QueryTest, RepeatedQueriesDoNotCollide) {
   for (int i = 0; i < 3; ++i) {
-    Result<QueryResult> r =
-        RunQuery(&system_, "alice", "likes@alice($w, $x)");
-    ASSERT_TRUE(r.ok()) << r.status();
-    EXPECT_EQ(r->rows.size(), 2u);
+    QueryResult r = Query("likes@alice($w, $x)", QueryPath::kLocalRead);
+    EXPECT_EQ(r.rows.size(), 2u);
   }
 }
 
 TEST_F(QueryTest, ScratchRelationsAreRecycled) {
-  // The first query may mint a fresh "__query_<n>" name (one interned
-  // symbol); every later sequential query must reuse a recycled name
-  // instead of growing the symbol table and the catalog.
-  ASSERT_TRUE(RunQuery(&system_, "alice", "likes@alice($w, $x)").ok());
+  // One query of each shape first: the local read interns its one
+  // placeholder head, and the first distributed query mints a fresh
+  // "__query_<n>" name (one interned symbol each). Every later
+  // sequential query must reuse them instead of growing the symbol
+  // table and the catalog.
+  const std::string wide = "likes@alice($w, $x)";
+  const std::string narrow = "likes@alice($w, \"jazz\")";
+  const std::string remote = "likes@alice($me, $x), likes@bob($other, $x)";
+  Query(wide, QueryPath::kLocalRead);
+  Query(remote, QueryPath::kScratchRule);
   size_t symbols_after_first = Symbol::TableSizeForTesting();
   std::vector<std::string> catalog_after_first =
       alice_->engine().catalog().RelationNames();
@@ -92,18 +98,10 @@ TEST_F(QueryTest, ScratchRelationsAreRecycled) {
   for (int i = 0; i < 10; ++i) {
     // Alternate shapes (different arity) to prove the recycled relation
     // is fully redeclared, not reused with a stale schema.
-    Result<QueryResult> wide =
-        RunQuery(&system_, "alice", "likes@alice($w, $x)");
-    ASSERT_TRUE(wide.ok()) << wide.status();
-    EXPECT_EQ(wide->rows.size(), 2u);
-    Result<QueryResult> narrow =
-        RunQuery(&system_, "alice", "likes@alice($w, \"jazz\")");
-    ASSERT_TRUE(narrow.ok()) << narrow.status();
-    EXPECT_EQ(narrow->rows.size(), 1u);
+    EXPECT_EQ(Query(wide, QueryPath::kLocalRead).rows.size(), 2u);
+    EXPECT_EQ(Query(narrow, QueryPath::kLocalRead).rows.size(), 1u);
     // Distributed flavor: delegations still tear down cleanly.
-    Result<QueryResult> remote = RunQuery(
-        &system_, "alice", "likes@alice($me, $x), likes@bob($other, $x)");
-    ASSERT_TRUE(remote.ok()) << remote.status();
+    EXPECT_EQ(Query(remote, QueryPath::kScratchRule).rows.size(), 1u);
   }
 
   EXPECT_EQ(Symbol::TableSizeForTesting(), symbols_after_first);
@@ -120,10 +118,9 @@ TEST_F(QueryTest, RecycledNamesTriggerNoResyncs) {
   // would detect a gap — one resync round trip per recycled
   // distributed query.
   for (int i = 0; i < 4; ++i) {
-    Result<QueryResult> r = RunQuery(
-        &system_, "alice", "likes@alice($me, $x), likes@bob($other, $x)");
-    ASSERT_TRUE(r.ok()) << r.status();
-    ASSERT_EQ(r->rows.size(), 1u);
+    QueryResult r = Query("likes@alice($me, $x), likes@bob($other, $x)",
+                          QueryPath::kScratchRule);
+    ASSERT_EQ(r.rows.size(), 1u);
   }
   EXPECT_EQ(alice_->engine().propagation_counters().resyncs_requested, 0u);
   EXPECT_EQ(bob_->engine().propagation_counters().resyncs_requested, 0u);
@@ -143,30 +140,44 @@ TEST_F(QueryTest, UnknownPeerRejected) {
 }
 
 TEST_F(QueryTest, EmptyResultIsOkNotError) {
-  Result<QueryResult> r =
-      RunQuery(&system_, "alice", "likes@alice($w, \"opera\")");
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_TRUE(r->rows.empty());
+  QueryResult r = Query("likes@alice($w, \"opera\")", QueryPath::kLocalRead);
+  EXPECT_TRUE(r.rows.empty());
 }
 
 TEST_F(QueryTest, VariablePeerQueryFansOut) {
-  ASSERT_TRUE(alice_->LoadProgramText(R"(
+  test::Load(alice_, &ref_, R"(
     collection ext friends@alice(p: string);
     fact friends@alice("bob");
-  )").ok());
+  )");
   ASSERT_TRUE(system_.RunUntilQuiescent().ok());
-  Result<QueryResult> r = RunQuery(
-      &system_, "alice", "friends@alice($p), likes@$p($who, $what)");
-  ASSERT_TRUE(r.ok()) << r.status();
-  ASSERT_EQ(r->rows.size(), 1u);
-  EXPECT_EQ(r->rows[0], (Tuple{S("bob"), S("bob"), S("jazz")}));
+  const std::string body = "friends@alice($p), likes@$p($who, $what)";
+  QueryResult r = Query(body, QueryPath::kScratchRule);
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0], (Tuple{S("bob"), S("bob"), S("jazz")}));
+
+  // With alice as the only friend, no binding leaves alice: the same
+  // body is a local read.
+  test::Remove(alice_, &ref_, Fact("friends", "alice", {S("bob")}));
+  test::Insert(alice_, &ref_, Fact("friends", "alice", {S("alice")}));
+  EXPECT_EQ(Query(body, QueryPath::kLocalRead).rows.size(), 2u);
+}
+
+TEST_F(QueryTest, LocalQueryLeavesAnIdlePeerIdle) {
+  // carol was never materialized: the peer holds nothing, so a local
+  // query there reads no rows and must not build its engine.
+  Peer* carol = system_.CreatePeer("carol");
+  ASSERT_FALSE(carol->has_engine());
+  const size_t materialized = system_.MaterializedPeerCount();
+  QueryResult r = ExpectQueryMatchesReference(
+      &system_, ref_, "carol", "likes@carol($w, $x)", QueryPath::kLocalRead);
+  EXPECT_TRUE(r.rows.empty());
+  EXPECT_EQ(system_.MaterializedPeerCount(), materialized);
+  EXPECT_FALSE(carol->has_engine());
 }
 
 TEST_F(QueryTest, ToStringRendersColumnsAndRows) {
-  Result<QueryResult> r =
-      RunQuery(&system_, "alice", "likes@alice($w, $x)");
-  ASSERT_TRUE(r.ok());
-  std::string rendered = r->ToString();
+  QueryResult r = Query("likes@alice($w, $x)", QueryPath::kLocalRead);
+  std::string rendered = r.ToString();
   EXPECT_NE(rendered.find("$w"), std::string::npos);
   EXPECT_NE(rendered.find("jazz"), std::string::npos);
 }

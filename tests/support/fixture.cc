@@ -1,5 +1,7 @@
 #include "support/fixture.h"
 
+#include "parser/parser.h"
+
 namespace wdl {
 namespace test {
 
@@ -49,6 +51,43 @@ void ExpectMatchesReference(const System& system,
   std::string want = RenderLogicalState(*expected);
   EXPECT_FALSE(want.empty());  // an empty match would prove nothing
   EXPECT_EQ(RenderLogicalState(LogicalStateOf(system)), want);
+}
+
+QueryResult ExpectQueryMatchesReference(System* system,
+                                        const ReferenceProgram& program,
+                                        const std::string& peer,
+                                        const std::string& body,
+                                        QueryPath path) {
+  Result<QueryResult> got = RunQuery(system, peer, body);
+  EXPECT_TRUE(got.ok()) << body << ": " << got.status();
+  if (!got.ok()) return QueryResult{};
+  EXPECT_EQ(got->demand_path, path == QueryPath::kLocalRead) << body;
+
+  // The query as a rule at `peer`, deriving into a view nothing reads.
+  ReferenceProgram with_query = program;
+  Program& at = with_query.peers[peer];
+  RelationDecl answer;
+  answer.relation = "answer__";
+  answer.peer = peer;
+  answer.kind = RelationKind::kIntensional;
+  std::string head = answer.relation + "@" + peer + "(";
+  for (const std::string& column : got->columns) {
+    head += (answer.columns.empty() ? "$" : ", $") + column;
+    answer.columns.push_back(ColumnSpec{column, ValueKind::kAny});
+  }
+  at.declarations.push_back(answer);
+  Result<Rule> rule = ParseRule(head + ") :- " + body);
+  EXPECT_TRUE(rule.ok()) << body << ": " << rule.status();
+  if (!rule.ok()) return std::move(got).value();
+  at.rules.push_back(std::move(rule).value());
+
+  Result<LogicalState> expected = ReferenceEvaluate(with_query);
+  EXPECT_TRUE(expected.ok()) << body << ": " << expected.status();
+  if (!expected.ok()) return std::move(got).value();
+  const std::set<Tuple>& rows =
+      expected->peers[peer].relations[answer.relation].tuples;
+  EXPECT_EQ(got->rows, std::vector<Tuple>(rows.begin(), rows.end())) << body;
+  return std::move(got).value();
 }
 
 void Load(Peer* peer, ReferenceProgram* ref, std::string_view text) {

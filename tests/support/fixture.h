@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "runtime/query.h"
 #include "runtime/system.h"
 #include "support/reference_eval.h"
 
@@ -24,6 +25,19 @@ std::string RenderLogicalState(const LogicalState& state);
 /// reference evaluator computes for `program`.
 void ExpectMatchesReference(const System& system,
                             const ReferenceProgram& program);
+
+/// Which way RunQuery answered (runtime/query.h).
+enum class QueryPath { kLocalRead, kScratchRule };
+
+/// Runs `body` at `peer` through RunQuery, expects it to be answered by
+/// `path`, and expects the rows the reference evaluator derives for the
+/// query added as a rule at `peer` over `program`. Returns the result
+/// (empty if the query failed) for further assertions.
+QueryResult ExpectQueryMatchesReference(System* system,
+                                        const ReferenceProgram& program,
+                                        const std::string& peer,
+                                        const std::string& body,
+                                        QueryPath path);
 
 // Scenario steps that are inputs go to the system and to the reference
 // program alike, so the reference sees the scenario's inputs, never the

@@ -509,15 +509,13 @@ TEST_F(SystemTest, ReadySetQuiescenceMatchesFullScan) {
           system.GetPeer(peer)->NoteLinkReset(remote);
           break;
         }
-        case 7: {  // queries: cross-peer (scratch drop) or demand path
-          QueryOptions options;
-          options.use_demand_evaluation = rng.NextBool(0.3);
-          std::string at = options.use_demand_evaluation ? "a" : "c";
-          std::string body = options.use_demand_evaluation
-                                 ? "view@a(3)"
-                                 : "data@" + pick(kData) + "($x)";
+        case 7: {  // queries: local read or cross-peer (scratch drop)
+          const bool local = rng.NextBool(0.3);
+          std::string at = local ? "a" : "c";
+          std::string body =
+              local ? "view@a(3)" : "data@" + pick(kData) + "($x)";
           what = "RunQuery " + body + " at " + at;
-          (void)RunQuery(&system, at, body, options);
+          (void)RunQuery(&system, at, body);
           break;
         }
         case 8: {  // wrapper sync writes through engine()

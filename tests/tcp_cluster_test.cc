@@ -250,6 +250,32 @@ class TcpClusterTest : public ::testing::Test {
         << ReadFileOrEmpty(dir_ + "/" + name + ".log");
   }
 
+  /// Spawns bob with `extra_args` plus each bad flag in turn: each must
+  /// exit 2 with usage and leave no address file, i.e. never listen.
+  void ExpectUsageBeforeListening(
+      const std::vector<std::pair<std::string, std::string>>& bad,
+      const std::vector<std::string>& extra_args = {}) {
+    const std::string addr = dir_ + "/bob.addr";
+    for (const auto& [flag, value] : bad) {
+      std::vector<std::string> args = extra_args;
+      args.push_back(flag);
+      args.push_back(value);
+      Spawn("bob", args);
+      std::optional<int> status = AwaitExit("bob", 5000);
+      ASSERT_TRUE(status.has_value())
+          << flag << " '" << value << "' accepted";
+      EXPECT_TRUE(WIFEXITED(*status) && WEXITSTATUS(*status) == 2)
+          << flag << " '" << value << "': wait status " << *status;
+      EXPECT_NE(ReadFileOrEmpty(dir_ + "/bob.log").find("usage:"),
+                std::string::npos)
+          << flag << " '" << value << "'";
+      EXPECT_NE(::access(addr.c_str(), F_OK), 0)
+          << flag << " '" << value << "' wrote an address file";
+      ::unlink(addr.c_str());
+      ::unlink((dir_ + "/bob.log").c_str());
+    }
+  }
+
   /// Waits until every peer's published fingerprint equals the oracle's.
   bool AwaitFingerprints(const std::map<std::string, std::string>& oracle,
                          int timeout_ms) {
@@ -389,21 +415,27 @@ TEST_F(TcpClusterTest, BadNumericFlagsExitWithUsageBeforeListening) {
       {"--snapshot-every", "-1"},     {"--snapshot-every", "4096x"},
       {"--peer", "carol=127.0.0.1:99999"}, {"--peer", "carol=127.0.0.1:x"},
   };
-  const std::string addr = dir_ + "/bob.addr";
-  for (const auto& [flag, value] : bad) {
-    Spawn("bob", {flag, value});
-    std::optional<int> status = AwaitExit("bob", 5000);
-    ASSERT_TRUE(status.has_value()) << flag << " '" << value << "' accepted";
-    EXPECT_TRUE(WIFEXITED(*status) && WEXITSTATUS(*status) == 2)
-        << flag << " '" << value << "': wait status " << *status;
-    EXPECT_NE(ReadFileOrEmpty(dir_ + "/bob.log").find("usage:"),
-              std::string::npos)
-        << flag << " '" << value << "'";
-    EXPECT_NE(::access(addr.c_str(), F_OK), 0)
-        << flag << " '" << value << "' wrote an address file";
-    ::unlink(addr.c_str());
-    ::unlink((dir_ + "/bob.log").c_str());
-  }
+  ExpectUsageBeforeListening(bad);
+}
+
+TEST_F(TcpClusterTest, BadFsyncPolicyExitsWithUsageBeforeListening) {
+  // Checked in the argument loop like the numeric flags, before the
+  // daemon listens, although only --data-dir makes the policy matter.
+  const std::vector<std::string> durable = {"--data-dir", dir_ + "/bob-data"};
+  ExpectUsageBeforeListening(
+      {{"--fsync", "sometimes"}, {"--fsync", ""}, {"--fsync", "Batch"}},
+      durable);
+  if (HasFatalFailure()) return;  // TearDown stops the daemon left running
+
+  // A valid policy still listens and publishes its address.
+  std::vector<std::string> good = durable;
+  good.insert(good.end(), {"--fsync", "never", "--max-runtime-ms", "200"});
+  Spawn("bob", good);
+  std::optional<int> status = AwaitExit("bob", 5000);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_TRUE(WIFEXITED(*status) && WEXITSTATUS(*status) == 0)
+      << ReadFileOrEmpty(dir_ + "/bob.log");
+  EXPECT_EQ(::access((dir_ + "/bob.addr").c_str(), F_OK), 0);
 }
 
 TEST_F(TcpClusterTest, ConvergedDaemonsIdleWithoutCpuOrThreads) {

@@ -70,7 +70,7 @@ struct PeerdArgs {
   bool trust_all = true;
   // Durability (OPERATIONS.md): empty --data-dir = memory-only peer.
   std::string data_dir;
-  std::string fsync = "batch";
+  wdl::FsyncPolicy fsync = wdl::FsyncPolicy::kBatch;
   uint64_t snapshot_every = 4096;
   std::vector<PeerAddress> peers;
 };
@@ -172,7 +172,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--data-dir" && (v = next())) {
       args.data_dir = v;
     } else if (arg == "--fsync" && (v = next())) {
-      args.fsync = v;
+      wdl::Result<wdl::FsyncPolicy> policy = wdl::ParseFsyncPolicy(v);
+      if (!policy.ok()) {
+        std::fprintf(stderr, "bad value for --fsync: %s\n", v);
+        return Usage(argv[0]);
+      }
+      args.fsync = *policy;
     } else if (arg == "--snapshot-every" && (v = next())) {
       if (!number(UINT64_MAX)) return Usage(argv[0]);
       args.snapshot_every = n;
@@ -255,13 +260,8 @@ int main(int argc, char** argv) {
   wdl::PeerOptions peer_options;
   peer_options.trust_all_delegations = args.trust_all;
   if (!args.data_dir.empty()) {
-    wdl::Result<wdl::FsyncPolicy> policy = wdl::ParseFsyncPolicy(args.fsync);
-    if (!policy.ok()) {
-      std::fprintf(stderr, "%s\n", policy.status().ToString().c_str());
-      return 1;
-    }
     peer_options.durability.dir = args.data_dir;
-    peer_options.durability.fsync_policy = *policy;
+    peer_options.durability.fsync_policy = args.fsync;
     peer_options.durability.snapshot_interval_records = args.snapshot_every;
   }
   wdl::Peer* peer = system.CreatePeer(args.name, peer_options);
