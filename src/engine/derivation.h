@@ -1,72 +1,18 @@
 #ifndef WDL_ENGINE_DERIVATION_H_
 #define WDL_ENGINE_DERIVATION_H_
 
-#include <cstdint>
+// The input side of incremental view maintenance (DESIGN.md §6): the
+// net changes a stage derives from. Support needs no record of its own:
+// remote support is the slice store's per-tuple count, and local
+// support is what DRed re-derivation finds.
+
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "storage/tuple.h"
 
 namespace wdl {
-
-/// Per-tuple support record of one resident derived tuple (DESIGN.md
-/// §6). Support is counted at *source* granularity:
-///
-///  - `external`: at least one remote sender currently contributes the
-///    tuple through the slice store (whose per-sender counts make this
-///    bit exact);
-///  - `derived`: at least one local rule derivation currently exists.
-///
-/// The count is the number of live sources. Retraction cascades only
-/// when it reaches zero: a view tuple that loses its last remote
-/// contribution but is still rule-derivable (or vice versa) stays put
-/// and its consumers are never disturbed. The `derived` bit is kept
-/// honest by the DRed-style over-delete/re-derive pass — counting
-/// individual rule derivations exactly is unsound under multi-Δ
-/// semi-naive evaluation (one new derivation joining two Δ tuples fires
-/// once per Δ position), so the engine counts sources and re-checks
-/// derivability only for tuples the deletion cascade actually reaches.
-struct TupleSupport {
-  bool derived = false;
-  bool external = false;
-};
-
-/// Support records for every resident derived tuple, per relation —
-/// the persistent state that lets intensional relations survive across
-/// stages. Owned by the engine; rebuilt wholesale on full (init or
-/// fallback) stages, maintained tuple-by-tuple on incremental ones.
-class DerivationTracker {
- public:
-  using SupportMap = std::unordered_map<Tuple, TupleSupport, TupleHasher>;
-
-  TupleSupport& Ensure(const std::string& relation, const Tuple& tuple) {
-    return by_relation_[relation][tuple];
-  }
-
-  /// nullptr when the tuple has no record.
-  TupleSupport* Find(const std::string& relation, const Tuple& tuple) {
-    auto rel_it = by_relation_.find(relation);
-    if (rel_it == by_relation_.end()) return nullptr;
-    auto it = rel_it->second.find(tuple);
-    return it == rel_it->second.end() ? nullptr : &it->second;
-  }
-
-  void Erase(const std::string& relation, const Tuple& tuple) {
-    auto rel_it = by_relation_.find(relation);
-    if (rel_it == by_relation_.end()) return;
-    rel_it->second.erase(tuple);
-  }
-
-  void Clear() { by_relation_.clear(); }
-  void DropRelation(const std::string& relation) {
-    by_relation_.erase(relation);
-  }
-
- private:
-  std::map<std::string, SupportMap> by_relation_;
-};
 
 /// The net state changes one stage must react to: extensional tuples
 /// that actually entered/left relations (queued inserts and deletes,

@@ -170,7 +170,6 @@ Status Engine::InstallDelegatedRule(const Delegation& delegation) {
 }
 
 void Engine::RetractDelegatedRule(uint64_t delegation_key) {
-  NoteWork();
   size_t before = rules_.size();
   rules_.erase(std::remove_if(rules_.begin(), rules_.end(),
                               [&](const InstalledRule& ir) {
@@ -341,15 +340,6 @@ void Engine::NoteLinkReset(const std::string& peer) {
   }
   slice_store_.ResetStreamVersions(peer);
   NoteWork();  // the re-ships and requests must go out in a stage
-}
-
-bool Engine::HasPendingWork() const {
-  return dirty_ || !inbound_inserts_.empty() || !inbound_deletes_.empty() ||
-         !inbound_derived_.empty() || !pending_resync_serves_.empty() ||
-         !pending_delegation_reships_.empty() ||
-         !pending_stream_forgets_.empty() ||
-         !pending_self_updates_.empty() || !pending_self_deletes_.empty() ||
-         !pending_delete_rechecks_.empty() || !ran_any_stage_;
 }
 
 void Engine::ApplyInputs(StageChangeLog* log) {
@@ -543,35 +533,26 @@ void Engine::SeedIntensionalFromContributions() {
       Result<bool> r = rel->Insert(t);
       if (!r.ok()) {
         WDL_LOG(Warning) << "contribution tuple rejected: " << r.status();
-        return;
       }
-      tracker_.Ensure(name, t).external = true;
     });
   });
 }
 
 /// One stage's forward evaluation (DESIGN.md §2, §6): the sinks rule
 /// heads derive through, and everything they collect. Full and Δ stages
-/// share it. Only a Δ stage records per-key contribution changes
-/// (`record_changes`), for its O(change) emission; a full stage diffs
-/// whole contributions against what was sent instead.
+/// share it. A recompute stage (`fresh`) collects contributions and
+/// delegations into fresh sets that emission diffs against the sent
+/// state; a Δ stage writes them into the sent state and records the net
+/// per-key changes, for its O(change) emission.
 struct Engine::StagePass {
-  StagePass(Engine* engine, StageStats* stage_stats,
-            std::map<ContributionKey, TupleSet>* contribution_sink,
-            std::map<uint64_t, Delegation>* delegation_sink, bool record)
-      : stats(stage_stats),
-        contributions(contribution_sink),
-        delegations(delegation_sink),
-        record_changes(record),
-        tuples_before(engine->evaluator_.counters().tuples_examined) {
-    derive.on_local_fact = [this, engine](const Fact& f) {
+  StagePass(Engine* owner, StageStats* stage_stats, bool fresh_sets)
+      : engine(owner),
+        stats(stage_stats),
+        fresh(fresh_sets),
+        tuples_before(owner->evaluator_.counters().tuples_examined) {
+    derive.on_local_fact = [this](const Fact& f) {
       Relation* rel = engine->catalog_.Get(f.relation);
       if (rel != nullptr && rel->kind() == RelationKind::kIntensional) {
-        // Every derivation event marks rule support, including events
-        // for tuples already resident (slice-seeded or re-derived):
-        // semi-naive evaluation fires each valid derivation at least
-        // once, so after the fixpoint the derived bit is exact.
-        engine->tracker_.Ensure(f.relation, f.args).derived = true;
         Result<bool> r = rel->Insert(f.args);
         if (r.ok() && *r) {
           next_delta[rel->symbol()].Insert(f.args);
@@ -583,14 +564,20 @@ struct Engine::StagePass {
     };
     derive.on_remote_fact = [this](const Fact& f) {
       ContributionKey key{f.peer, f.relation};
-      if ((*contributions)[key].insert(f.args).second && record_changes) {
-        RecordContribAdd(key, f.args);
+      if (fresh) {
+        fresh_contributions[std::move(key)].insert(f.args);
+      } else {
+        AddContribution(key, f.args);
       }
     };
     derive.on_delegation = [this](const Delegation& d) {
-      delegations_changed |= delegations->try_emplace(d.Key(), d).second;
+      if (fresh) {
+        fresh_delegations.try_emplace(d.Key(), d);
+      } else {
+        AddDelegation(d.Key(), d);
+      }
     };
-    remove.on_local_fact = [this, engine](const Fact& f) {
+    remove.on_local_fact = [this](const Fact& f) {
       Relation* rel = engine->catalog_.Get(f.relation);
       if (rel != nullptr && rel->kind() == RelationKind::kIntensional) {
         WDL_LOG(Warning) << "deletion rule derived into view "
@@ -612,36 +599,57 @@ struct Engine::StagePass {
     return plan.rule.head_deletes ? remove : derive;
   }
 
-  // Per-stage contribution changes, netted: a tuple removed by the
-  // deletion cascade and restored by re-derivation or the forward pass
-  // must not ship at all.
-  void RecordContribAdd(const ContributionKey& key, const Tuple& t) {
-    auto it = contrib_removed.find(key);
-    if (it != contrib_removed.end() && it->second.erase(t) > 0) return;
-    contrib_added[key].insert(t);
+  // Δ stage: sent-state edits, netted per key against the state at the
+  // start of the stage. A tuple or residual the deletion phase removed
+  // and the forward pass derived again ships nothing.
+  void AddContribution(const ContributionKey& key, const Tuple& t) {
+    if (!engine->sent_contributions_[key].tuples.insert(t).second) return;
+    ContributionChange& c = contribution_changes[key];
+    if (c.removed.erase(t) == 0) c.added.insert(t);
   }
-  void RecordContribRemove(const ContributionKey& key, const Tuple& t) {
-    auto it = contrib_added.find(key);
-    if (it != contrib_added.end() && it->second.erase(t) > 0) return;
-    contrib_removed[key].insert(t);
+  void RemoveContribution(SentContribution* sent, const ContributionKey& key,
+                          const Tuple& t) {
+    sent->tuples.erase(t);
+    ContributionChange& c = contribution_changes[key];
+    if (c.added.erase(t) == 0) c.removed.insert(t);
+  }
+  void AddDelegation(uint64_t key, const Delegation& d) {
+    if (!engine->sent_delegations_.try_emplace(key, d).second) return;
+    if (delegations_retracted.erase(key) == 0) {
+      delegations_installed.insert(key);
+    }
+  }
+  void RemoveDelegation(uint64_t key) {
+    auto it = engine->sent_delegations_.find(key);
+    if (it == engine->sent_delegations_.end()) return;
+    if (delegations_installed.erase(key) == 0) {
+      delegations_retracted.emplace(key, it->second.target_peer);
+    }
+    engine->sent_delegations_.erase(it);
   }
 
+  struct ContributionChange {
+    TupleSet added;
+    TupleSet removed;
+  };
+
+  Engine* const engine;
   StageStats* stats;
-  // Where derived contributions and delegations land: the engine's
-  // current maps in a Δ stage, fresh ones in a recompute stage.
-  std::map<ContributionKey, TupleSet>* contributions;
-  std::map<uint64_t, Delegation>* delegations;
-  const bool record_changes;
+  const bool fresh;
   const uint64_t tuples_before;
   RuleEvaluator::Sinks derive;
   RuleEvaluator::Sinks remove;
   DeltaMap next_delta;  // local tuples new in the current round
-  bool delegations_changed = false;
   std::unordered_set<Fact, FactHasher> self_updates;
   std::unordered_set<Fact, FactHasher> self_deletes;
   std::unordered_set<Fact, FactHasher> remote_deletes;
-  std::map<ContributionKey, TupleSet> contrib_added;
-  std::map<ContributionKey, TupleSet> contrib_removed;
+  // Recompute stage.
+  std::map<ContributionKey, TupleSet> fresh_contributions;
+  std::map<uint64_t, Delegation> fresh_delegations;
+  // Δ stage.
+  std::map<ContributionKey, ContributionChange> contribution_changes;
+  std::set<uint64_t> delegations_installed;
+  std::map<uint64_t, std::string> delegations_retracted;  // -> target peer
 };
 
 int Engine::RunRounds(const std::vector<const RulePlan*>& rules,
@@ -748,24 +756,37 @@ void Engine::ShipDelta(const ContributionKey& key, SentContribution* sent,
   result->outbound[key.target_peer].derived_deltas.push_back(std::move(dd));
 }
 
-/// Contributions ship only when they changed — decided by direct set
-/// comparison against what was last sent (hash-collision-proof) — as a
-/// delta of the inserts/deletes against the last-sent state. An
-/// emptied contribution ships once, as a delta deleting the remainder,
-/// so the receiver clears its slice.
-void Engine::EmitContributions(StageResult* result) {
-  // Vanished contributions first: keys we shipped before that this
-  // stage derived nothing for.
+/// Contributions ship only when they changed, as a delta of the inserts
+/// and deletes against what was last sent. An emptied contribution ships
+/// once, as a delta deleting the remainder, so the receiver clears its
+/// slice.
+void Engine::EmitContributions(StagePass* pass, StageResult* result) {
+  if (!pass->fresh) {
+    // Δ stage: the sent state already moved; ship the net changes.
+    for (auto& [key, change] : pass->contribution_changes) {
+      if (change.added.empty() && change.removed.empty()) continue;
+      DerivedDelta dd;
+      dd.inserts.assign(change.added.begin(), change.added.end());
+      dd.deletes.assign(change.removed.begin(), change.removed.end());
+      ShipDelta(key, &sent_contributions_[key], std::move(dd), result);
+    }
+    return;
+  }
+  // Recompute stage: diff the fresh sets against the sent state, by
+  // direct set comparison (hash-collision-proof). Vanished contributions
+  // first: keys we shipped before that this stage derived nothing for.
   for (auto& [key, sent] : sent_contributions_) {
-    if (current_contributions_.count(key) || sent.tuples.empty()) continue;
+    if (pass->fresh_contributions.count(key) || sent.tuples.empty()) continue;
     DerivedDelta dd;
     dd.deletes.assign(sent.tuples.begin(), sent.tuples.end());
     sent.tuples.clear();
     ShipDelta(key, &sent, std::move(dd), result);
   }
-
-  // Changed contributions.
-  for (const auto& [key, set] : current_contributions_) {
+  // Changed contributions. The fresh set is swapped in, and the old one
+  // is freed with the pass. Freeing it before the rebuild made malloc
+  // serve the rebuild from just-freed chunks, ~20% more CPU per op on
+  // the social_churn benchmark.
+  for (auto& [key, set] : pass->fresh_contributions) {
     SentContribution& sent = sent_contributions_[key];
     if (sent.tuples == set) continue;  // unchanged, stay silent
     DerivedDelta dd;
@@ -775,49 +796,9 @@ void Engine::EmitContributions(StageResult* result) {
     for (const Tuple& t : sent.tuples) {
       if (!set.count(t)) dd.deletes.push_back(t);
     }
-    for (const Tuple& t : dd.deletes) sent.tuples.erase(t);
-    for (const Tuple& t : dd.inserts) sent.tuples.insert(t);
+    sent.tuples.swap(set);
     ShipDelta(key, &sent, std::move(dd), result);
   }
-
-  ServeResyncs(result);
-}
-
-/// The O(change) emission path of incremental stages: only keys whose
-/// contribution actually changed this stage are visited, and the delta
-/// payload comes straight from the recorded per-stage changes instead
-/// of a full set diff.
-void Engine::EmitContributionsIncremental(
-    std::map<ContributionKey, TupleSet>* contrib_added,
-    std::map<ContributionKey, TupleSet>* contrib_removed,
-    StageResult* result) {
-  std::set<ContributionKey> dirty;
-  for (const auto& [key, tuples] : *contrib_added) {
-    if (!tuples.empty()) dirty.insert(key);
-  }
-  for (const auto& [key, tuples] : *contrib_removed) {
-    if (!tuples.empty()) dirty.insert(key);
-  }
-
-  for (const ContributionKey& key : dirty) {
-    SentContribution& sent = sent_contributions_[key];
-    DerivedDelta dd;
-    TupleSet& adds = (*contrib_added)[key];
-    TupleSet& rems = (*contrib_removed)[key];
-    dd.inserts.assign(adds.begin(), adds.end());
-    dd.deletes.assign(rems.begin(), rems.end());
-    for (const Tuple& t : dd.inserts) sent.tuples.insert(t);
-    for (const Tuple& t : dd.deletes) sent.tuples.erase(t);
-    ShipDelta(key, &sent, std::move(dd), result);
-    // Emptied contributions leave the current map (as in a recompute
-    // stage, where an underived key simply stops appearing).
-    auto cur = current_contributions_.find(key);
-    if (cur != current_contributions_.end() && cur->second.empty()) {
-      current_contributions_.erase(cur);
-    }
-  }
-
-  ServeResyncs(result);
 }
 
 void Engine::ServeResyncs(StageResult* result) {
@@ -848,18 +829,6 @@ void Engine::ServeResyncs(StageResult* result) {
   }
   pending_resync_serves_.clear();
 
-  // Re-ship delegations whose target's link was reset: the target may
-  // have restarted and lost the installed rule. Installs are
-  // idempotent by delegation key, so a target that kept the rule is
-  // unaffected.
-  for (uint64_t key : pending_delegation_reships_) {
-    auto it = sent_delegations_.find(key);
-    if (it == sent_delegations_.end()) continue;  // retracted since
-    result->outbound[it->second.target_peer].delegation_installs.push_back(
-        it->second);
-  }
-  pending_delegation_reships_.clear();
-
   // Tell former senders to forget streams for relations dropped here,
   // so a recycled scratch name starts from version 0 on both ends
   // instead of eating a gap->resync round trip on first reuse.
@@ -883,25 +852,44 @@ void Engine::ServeResyncs(StageResult* result) {
   resync_needed_.clear();
 }
 
-void Engine::EmitDelegationDiff(
-    const std::map<uint64_t, Delegation>& delegations, StageResult* result) {
-  for (const auto& [key, d] : delegations) {
-    if (!sent_delegations_.count(key)) {
+void Engine::ReshipDelegations(StageResult* result) {
+  // The target may have restarted and lost the installed rule. Installs
+  // are idempotent by delegation key, so a target that kept the rule is
+  // unaffected.
+  for (uint64_t key : pending_delegation_reships_) {
+    auto it = sent_delegations_.find(key);
+    if (it == sent_delegations_.end()) continue;  // retracted since
+    result->outbound[it->second.target_peer].delegation_installs.push_back(
+        it->second);
+  }
+  pending_delegation_reships_.clear();
+}
+
+void Engine::EmitDelegations(StagePass* pass, StageResult* result) {
+  if (!pass->fresh) {
+    // Δ stage: the sent set already moved; ship the net changes.
+    for (uint64_t key : pass->delegations_installed) {
+      const Delegation& d = sent_delegations_.at(key);
       result->outbound[d.target_peer].delegation_installs.push_back(d);
     }
-  }
-  // sent_delegations_ becomes a copy of `delegations`, copying only the
-  // entries it lacks (equal keys are equal delegations).
-  for (auto it = sent_delegations_.begin(); it != sent_delegations_.end();) {
-    if (!delegations.count(it->first)) {
-      result->outbound[it->second.target_peer].delegation_retracts.push_back(
-          it->first);
-      it = sent_delegations_.erase(it);
-    } else {
-      ++it;
+    for (const auto& [key, target] : pass->delegations_retracted) {
+      result->outbound[target].delegation_retracts.push_back(key);
     }
+  } else {
+    // Recompute stage: diff the fresh set against the sent one, then
+    // swap it in (equal keys are equal delegations).
+    for (const auto& [key, d] : pass->fresh_delegations) {
+      if (!sent_delegations_.count(key)) {
+        result->outbound[d.target_peer].delegation_installs.push_back(d);
+      }
+    }
+    for (const auto& [key, d] : sent_delegations_) {
+      if (!pass->fresh_delegations.count(key)) {
+        result->outbound[d.target_peer].delegation_retracts.push_back(key);
+      }
+    }
+    sent_delegations_.swap(pass->fresh_delegations);
   }
-  for (const auto& [key, d] : delegations) sent_delegations_.try_emplace(key, d);
   result->stats.delegations_active = sent_delegations_.size();
 }
 
@@ -968,7 +956,6 @@ bool Engine::HasLocalDerivation(const Fact& target) {
 StageResult Engine::RunStage() {
   StageResult result;
   result.stats.active_rules = rules_.size();
-  ran_any_stage_ = true;
   dirty_ = false;
 
   const bool rule_set_changed = rules_changed_;
@@ -981,10 +968,11 @@ StageResult Engine::RunStage() {
   StageChangeLog log = std::move(direct_changes_);
   direct_changes_ = StageChangeLog();
   ApplyInputs(&log);
+  ReshipDelegations(&result);
 
   // Steps 2 and 3: Δ-driven from the change, unless the change is one a
   // Δ pass cannot serve soundly (DESIGN.md §6).
-  if (!derived_state_ready_ || rule_set_changed || !ChangesEligible(log)) {
+  if (rule_set_changed || !ChangesEligible(log)) {
     RunStageRecompute(&result);
   } else {
     RunStageIncremental(&result, &log);
@@ -997,33 +985,20 @@ void Engine::RunStageRecompute(StageResult* result) {
   // A full fixpoint re-derives every deletion-rule verdict, so the
   // queued per-fact rechecks are subsumed.
   pending_delete_rechecks_.clear();
-  tracker_.Clear();
 
   // Step 2: local fixpoint. Intensional relations are views: reset, then
   // re-seed with remote contributions, then derive.
   ClearIntensionalRelations();
   SeedIntensionalFromContributions();
-  std::map<ContributionKey, TupleSet> contributions;
-  std::map<uint64_t, Delegation> delegations;
-  StagePass pass(this, &result->stats, &contributions, &delegations,
-                 /*record=*/false);
+  StagePass pass(this, &result->stats, /*fresh_sets=*/true);
   RunFixpoint(&pass);
-  // Swap the rebuilt outputs in; the old ones are freed only now.
-  // Clearing them before the rebuild made malloc serve it from just-freed
-  // chunks, ~20% more CPU per op on the social_churn benchmark. The
-  // delegation set was rebuilt from nothing, so it is always diffed.
-  current_contributions_.swap(contributions);
-  current_delegations_.swap(delegations);
-  pass.delegations_changed = true;
-  derived_state_ready_ = true;
   FinishStage(&pass, result);
 }
 
 void Engine::RunStageIncremental(StageResult* result, StageChangeLog* log) {
   EvalCounters* counters = evaluator_.mutable_counters();
   ++counters->stages_incremental;
-  StagePass pass(this, &result->stats, &current_contributions_,
-                 &current_delegations_, /*record=*/true);
+  StagePass pass(this, &result->stats, /*fresh_sets=*/false);
 
   // ---- Deletion-verdict rechecks queued by insert re-ships ----------
   for (const Fact& f : pending_delete_rechecks_) {
@@ -1053,9 +1028,9 @@ void Engine::RunStageIncremental(StageResult* result, StageChangeLog* log) {
       frontier[rel->symbol()].Insert(t);
     }
   }
-  // View tuples whose slice support withdrew: external bit drops; the
-  // tuple dies — and cascades — only when no rule derivation holds it
-  // either (the support count hitting zero).
+  // View tuples that lost their last remote contribution are
+  // over-deleted like any other candidate: re-derivation returns the
+  // ones a local rule still derives.
   std::map<std::string, TupleSet> marked;
   for (const auto& [rel_name, tuples] : log->slice_lost()) {
     Relation* rel = catalog_.Get(rel_name);
@@ -1063,31 +1038,15 @@ void Engine::RunStageIncremental(StageResult* result, StageChangeLog* log) {
       continue;
     }
     for (const Tuple& t : tuples) {
-      TupleSupport* s = tracker_.Find(rel_name, t);
-      if (s != nullptr) s->external = false;
-      if (s != nullptr && s->derived) continue;  // count still positive
       if (rel->Contains(t)) {
         frontier[rel->symbol()].Insert(t);
         marked[rel_name].insert(t);
       }
     }
   }
-  // Slice support gained: the external bit rises immediately (so the
-  // cascade below never retracts through these tuples); the physical
-  // insert seeds the forward pass after deletions settle.
-  for (const auto& [rel_name, tuples] : log->slice_gained()) {
-    Relation* rel = catalog_.Get(rel_name);
-    if (rel == nullptr || rel->kind() != RelationKind::kIntensional) {
-      continue;
-    }
-    for (const Tuple& t : tuples) {
-      tracker_.Ensure(rel_name, t).external = true;
-    }
-  }
 
   // ---- Over-delete closure (marking; nothing removed yet) -----------
   std::map<ContributionKey, TupleSet> marked_contrib;
-  std::unordered_set<Fact, FactHasher> recheck_derived;
   const bool any_deletions = !frontier.empty();
 
   DeltaMap next_frontier;
@@ -1100,21 +1059,17 @@ void Engine::RunStageIncremental(StageResult* result, StageChangeLog* log) {
     if (!rel->Contains(f.args)) return;
     TupleSet& m = marked[f.relation];
     if (m.count(f.args) > 0) return;
-    TupleSupport* s = tracker_.Find(f.relation, f.args);
-    if (s != nullptr && s->external) {
-      // Remote support keeps the count positive: no cascade. The
-      // derived bit may have just gone stale, though — re-check it once
-      // the deletions have settled.
-      recheck_derived.insert(f);
-      return;
-    }
+    // A tuple another peer still contributes stays, and shields what it
+    // supports: the cascade stops here.
+    if (slice_store_.SupportCount(f.relation, f.args) > 0) return;
     m.insert(f.args);
     next_frontier[rel->symbol()].Insert(f.args);
   };
   del_sinks.on_remote_fact = [&](const Fact& f) {
     ContributionKey key{f.peer, f.relation};
-    auto it = current_contributions_.find(key);
-    if (it == current_contributions_.end() || it->second.count(f.args) == 0) {
+    auto it = sent_contributions_.find(key);
+    if (it == sent_contributions_.end() ||
+        it->second.tuples.count(f.args) == 0) {
       return;
     }
     marked_contrib[key].insert(f.args);  // leaf: nothing local reads it
@@ -1146,7 +1101,6 @@ void Engine::RunStageIncremental(StageResult* result, StageChangeLog* log) {
     for (const Tuple& t : tuples) {
       Result<bool> r = rel->Remove(t);
       if (!r.ok() || !*r) continue;
-      tracker_.Erase(rel_name, t);
       candidates.push_back(Candidate{&rel_name, rel, &t});
     }
   }
@@ -1162,7 +1116,6 @@ void Engine::RunStageIncremental(StageResult* result, StageChangeLog* log) {
       Fact f(*it->relation, self_peer_, *it->tuple);
       if (HasLocalDerivation(f)) {
         (void)it->rel->Insert(*it->tuple);
-        tracker_.Ensure(*it->relation, *it->tuple).derived = true;
         ++counters->tuples_rederived;
         it = candidates.erase(it);
         progress = true;
@@ -1175,27 +1128,16 @@ void Engine::RunStageIncremental(StageResult* result, StageChangeLog* log) {
 
   // Contribution candidates re-derive against the settled local state.
   for (const auto& [key, tuples] : marked_contrib) {
-    auto cur = current_contributions_.find(key);
-    if (cur == current_contributions_.end()) continue;
+    SentContribution& sent = sent_contributions_.at(key);
     for (const Tuple& t : tuples) {
       Fact f(key.relation, key.target_peer, t);
       if (HasLocalDerivation(f)) {
         ++counters->tuples_rederived;
         continue;
       }
-      cur->second.erase(t);
-      pass.RecordContribRemove(key, t);
+      pass.RemoveContribution(&sent, key, t);
       ++counters->tuples_retracted;
     }
-  }
-
-  // Externally-supported tuples the cascade reached: their rule-support
-  // bit must reflect the post-deletion database, or a later slice
-  // withdrawal would trust a stale count and fail to cascade.
-  for (const Fact& f : recheck_derived) {
-    TupleSupport* s = tracker_.Find(f.relation, f.args);
-    if (s == nullptr || !s->derived) continue;
-    if (!HasLocalDerivation(f)) s->derived = false;
   }
 
   // ---- Delegation rebuild -------------------------------------------
@@ -1223,8 +1165,7 @@ void Engine::RunStageIncremental(StageResult* result, StageChangeLog* log) {
     rebuild.on_delegation = [&](const Delegation& d) {
       const uint64_t key = d.Key();
       stale.erase(key);
-      pass.delegations_changed |=
-          current_delegations_.try_emplace(key, d).second;
+      pass.AddDelegation(key, d);
     };
     for (const InstalledRule& ir : rules_) {
       const RulePlan& plan = *ir.plan;
@@ -1233,12 +1174,11 @@ void Engine::RunStageIncremental(StageResult* result, StageChangeLog* log) {
       // Residuals carry the hash of the plan they were substituted from,
       // which every α-variant of the rule at this peer shares.
       stale.clear();
-      for (const auto& [key, d] : current_delegations_) {
+      for (const auto& [key, d] : sent_delegations_) {
         if (d.origin_rule_hash == plan.rule_hash) stale.insert(key);
       }
       evaluator_.Evaluate(plan, nullptr, -1, rebuild);
-      for (uint64_t key : stale) current_delegations_.erase(key);
-      pass.delegations_changed |= !stale.empty();
+      for (uint64_t key : stale) pass.RemoveDelegation(key);
     }
   }
 
@@ -1326,19 +1266,9 @@ void Engine::FinishStage(StagePass* pass, StageResult* result) {
       result->outbound[f.peer].fact_deletes.push_back(f);
     }
   }
-  if (pass->record_changes) {
-    EmitContributionsIncremental(&pass->contrib_added,
-                                 &pass->contrib_removed, result);
-  } else {
-    EmitContributions(result);
-  }
-  if (pass->delegations_changed) {
-    EmitDelegationDiff(current_delegations_, result);
-  } else {
-    // Nothing touched the delegation set: skip the copy + full-map diff
-    // so stage cost stays proportional to the change.
-    result->stats.delegations_active = sent_delegations_.size();
-  }
+  EmitContributions(pass, result);
+  ServeResyncs(result);
+  EmitDelegations(pass, result);
   FinalizeOutbound(result);
 
   result->stats.tuples_examined =
@@ -1389,7 +1319,6 @@ Status Engine::DropScratchRelation(const std::string& relation) {
     NoteWork();  // the notices must go out in a stage
   }
   slice_store_.DropRelation(relation);
-  tracker_.DropRelation(relation);
   if (!catalog_.Undeclare(relation)) {
     return Status::NotFound("relation " + relation + " is not declared");
   }

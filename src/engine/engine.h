@@ -145,9 +145,15 @@ struct InstalledRule {
 /// (DESIGN.md §6): views persist, per-stage Δ-sets (local EDB changes
 /// plus slice-store support transitions) drive semi-naive evaluation
 /// forward from the changed tuples only, and deletions retract by
-/// support-counted DRed-style over-delete/re-derive. Stages a Δ pass
+/// DRed-style over-delete/re-derive. The cascade stops at a view tuple
+/// another peer still contributes (its slice-store support count);
+/// local support is whatever re-derivation finds. Stages a Δ pass
 /// cannot serve soundly — the first, rule-set changes, changes touching
 /// negated relations — clear the views and recompute the fixpoint.
+///
+/// Derived state is kept once: the views in the catalog, remote
+/// contributions in the slice store, and what this peer derives for
+/// others in the sent state that diffs its next emission.
 ///
 /// Not thread-safe; one Engine per peer, driven by the runtime.
 class Engine {
@@ -233,15 +239,15 @@ class Engine {
   /// the engine dirty; the runtime schedules them periodically.
   std::vector<DerivedDelta> CollectHeartbeats();
 
-  /// True when queued inputs or deferred self-updates exist, i.e. the
-  /// next stage has guaranteed work.
-  bool HasPendingWork() const;
+  /// True when the next stage has work: the work notice (below) has
+  /// been raised since the last stage began.
+  bool HasPendingWork() const { return dirty_; }
 
   /// Installs the callback told whenever the next stage has work: by
   /// every public entry point that creates some (fact and rule edits,
-  /// delegation install and retract, the Enqueue* inputs,
-  /// NoteLinkReset, DropScratchRelation), and by a stage that leaves
-  /// some behind (deferred self-updates and self-deletes, delete
+  /// delegation install, a retract that removes a rule, the Enqueue*
+  /// inputs, NoteLinkReset, DropScratchRelation), and by a stage that
+  /// leaves some behind (deferred self-updates and self-deletes, delete
   /// rechecks). After it fires HasPendingWork() is true. The owning
   /// Peer forwards it to the System's ready set (DESIGN.md §2).
   void set_work_listener(std::function<void()> listener) {
@@ -404,14 +410,13 @@ class Engine {
                               const std::string& peer, const Tuple& tuple);
   void ShipDelta(const ContributionKey& key, SentContribution* sent,
                  DerivedDelta dd, StageResult* result);
-  void EmitContributions(StageResult* result);
-  void EmitContributionsIncremental(
-      std::map<ContributionKey, TupleSet>* contrib_added,
-      std::map<ContributionKey, TupleSet>* contrib_removed,
-      StageResult* result);
+  void EmitContributions(StagePass* pass, StageResult* result);
   void ServeResyncs(StageResult* result);
-  void EmitDelegationDiff(const std::map<uint64_t, Delegation>& delegations,
-                          StageResult* result);
+  /// Re-ships the delegations queued by link resets, as the sent state
+  /// holds them when the stage starts; the stage's own installs and
+  /// retracts follow them.
+  void ReshipDelegations(StageResult* result);
+  void EmitDelegations(StagePass* pass, StageResult* result);
   void FinalizeOutbound(StageResult* result);
   /// Semi-naive rounds from `delta` until no rule derives a new local
   /// tuple: the one round loop of full and Δ stages (DESIGN.md §6).
@@ -477,7 +482,9 @@ class Engine {
   // them only the support transitions.
   SliceStore slice_store_;
 
-  // What we already shipped, for change detection and delta diffing.
+  // What we already shipped: the diff base of the next emission. A Δ
+  // stage updates it in place and ships the net changes; a recompute
+  // stage diffs fresh sets against it and swaps them in.
   std::map<ContributionKey, SentContribution> sent_contributions_;
   std::map<uint64_t, Delegation> sent_delegations_;
   // Remote deletions already shipped (deletion is idempotent; ship once
@@ -486,31 +493,22 @@ class Engine {
   std::unordered_set<Fact, FactHasher> sent_remote_deletes_;
 
   // --- incremental-maintenance state (DESIGN.md §6) -------------------
-  // Per-tuple support records of resident derived tuples.
-  DerivationTracker tracker_;
   // Net direct InsertFact/RemoveFact changes since the last stage.
   StageChangeLog direct_changes_;
-  // The current derived contribution per (target peer, relation) and
-  // the current delegation set — maintained across stages so emission
-  // diffs are O(change); a recompute stage rebuilds them.
-  std::map<ContributionKey, TupleSet> current_contributions_;
-  std::map<uint64_t, Delegation> current_delegations_;
   // Facts whose delete-suppression entry was cleared by an insert
   // re-ship: next stage re-checks active deletion rules against them.
   std::unordered_set<Fact, FactHasher> pending_delete_rechecks_;
-  // True once a full stage has populated tracker_ and the current_*
-  // maps; until then every stage recomputes.
-  bool derived_state_ready_ = false;
   // Rule set changed since the last stage: the next stage recomputes
-  // (and refreshes program_info_).
+  // (and refreshes program_info_). Starts true, so the first stage
+  // builds the views.
   bool rules_changed_ = true;
   ProgramInfo program_info_;
 
   PropagationCounters prop_counters_;
 
-  bool ran_any_stage_ = false;
   // Set by NoteWork wherever work for the next stage is created, so
-  // the runtime knows a stage is needed; cleared by RunStage.
+  // the runtime knows a stage is needed; cleared by RunStage. Starts
+  // true: the first stage builds the views.
   bool dirty_ = true;
   std::function<void()> work_listener_;
 };

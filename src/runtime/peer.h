@@ -37,7 +37,7 @@ struct PeerOptions {
 /// envelopes into engine inputs. Peers are driven by a System but can
 /// also be used standalone in tests.
 ///
-/// The Engine (catalog, evaluator, slice store, trackers) is not built
+/// The Engine (catalog, evaluator, slice store, sent state) is not built
 /// until the peer first needs it: first fact, first rule, or first
 /// inbound frame that carries engine work. An idle peer is a name plus
 /// a few empty containers — the property that lets one process host

@@ -163,7 +163,9 @@ class SliceStore {
                          const std::string& sender) const;
   /// Senders currently contributing at least one tuple to `relation`.
   size_t ContributorCount(const std::string& relation) const;
-  /// How many senders currently contribute `tuple` to `relation`.
+  /// How many senders currently contribute `tuple` to `relation`. Not
+  /// only observability: the engine's deletion cascade stops at a tuple
+  /// whose count is positive (DESIGN.md §6).
   uint32_t SupportCount(const std::string& relation,
                         const Tuple& tuple) const;
   /// nullptr when the sender has no stream for `relation`.

@@ -193,6 +193,27 @@ TEST(EngineTest, DelegationInstallIsIdempotent) {
   EXPECT_EQ(e.rules().size(), 1u);
 }
 
+// A retract that removes nothing — a duplicated retract frame, or one
+// for a delegation the gate still holds — leaves no work behind.
+TEST(EngineTest, RetractOfUnknownDelegationLeavesEngineIdle) {
+  Engine e("p");
+  Delegation d;
+  d.origin_peer = "q";
+  d.target_peer = "p";
+  d.rule = R("h@q($x) :- data@p($x)");
+  ASSERT_TRUE(e.InstallDelegatedRule(d).ok());
+  (void)e.RunStage();
+  e.RetractDelegatedRule(d.Key());
+  EXPECT_TRUE(e.HasPendingWork());
+  (void)e.RunStage();
+  ASSERT_FALSE(e.HasPendingWork());
+
+  e.RetractDelegatedRule(d.Key());
+  EXPECT_FALSE(e.HasPendingWork());
+  e.RetractDelegatedRule(d.Key() + 1);
+  EXPECT_FALSE(e.HasPendingWork());
+}
+
 TEST(EngineTest, DelegationForWrongTargetRejected) {
   Engine e("p");
   Delegation d;

@@ -342,6 +342,133 @@ TEST(IncrementalOracleTest, AlphaVariantSurvivorRetractsResidual) {
   test::ExpectMatchesReference(system, ref);
 }
 
+// One stage drops a residual and derives it again. Removing root@a("b")
+// over-deletes reach@a("b"), so the delegation rebuild drops b's
+// residual; the forward pass then derives reach@a("b") again through
+// the new root c and emits the same residual. The net change at b is
+// nothing: the residual stays installed under the id it had.
+TEST(IncrementalOracleTest, DelegationLostAndRegainedInOneStageStays) {
+  System system;
+  ReferenceProgram ref;
+  Peer* a = system.CreatePeer("a", Trusting());
+  Peer* b = system.CreatePeer("b", Trusting());
+  Peer* c = system.CreatePeer("c", Trusting());
+  Load(a, &ref, R"(
+    collection ext root@a(p: string);
+    collection ext link@a(p: string, q: string);
+    collection int reach@a(p: string);
+    collection int got@a(x: int);
+    rule reach@a($p) :- root@a($p);
+    rule reach@a($q) :- reach@a($p), link@a($p, $q);
+    rule got@a($x) :- reach@a($p), data@$p($x);
+  )");
+  Load(b, &ref, "collection ext data@b(x: int); fact data@b(1);");
+  Load(c, &ref, "collection ext data@c(x: int); fact data@c(2);");
+  Insert(a, &ref, F("root", "a", {test::S("b")}));
+  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  test::ExpectMatchesReference(system, ref);
+  auto delegated_ids = [](const Peer* peer) {
+    std::vector<uint64_t> ids;
+    for (const InstalledRule* ir : peer->engine().rules()) {
+      if (ir->delegation_key != 0) ids.push_back(ir->id);
+    }
+    return ids;
+  };
+  const std::vector<uint64_t> ids_before = delegated_ids(b);
+  ASSERT_EQ(ids_before.size(), 1u);
+  const uint64_t incremental_before =
+      a->engine().eval_counters().stages_incremental;
+
+  Remove(a, &ref, F("root", "a", {test::S("b")}));
+  Insert(a, &ref, F("root", "a", {test::S("c")}));
+  Insert(a, &ref, F("link", "a", {test::S("c"), test::S("b")}));
+  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  test::ExpectMatchesReference(system, ref);
+  EXPECT_EQ(delegated_ids(b), ids_before);
+  EXPECT_EQ(delegated_ids(c).size(), 1u);
+  EXPECT_GT(a->engine().eval_counters().stages_incremental,
+            incremental_before);
+}
+
+// board@hub(1) has mixed support: own@hub(1) derives it locally and a
+// contributes it. Withdrawing either support must leave it, its
+// downstream view and the contribution fed from that view in place;
+// withdrawing the other must retract all three. Both orders.
+TEST(IncrementalOracleTest, MixedSupportSurvivesEitherWithdrawal) {
+  for (bool remote_first : {true, false}) {
+    SCOPED_TRACE(remote_first ? "remote support withdrawn first"
+                              : "local support withdrawn first");
+    System system;
+    ReferenceProgram ref;
+    Peer* hub = system.CreatePeer("hub");
+    Peer* a = system.CreatePeer("a");
+    Peer* out = system.CreatePeer("out");
+    Load(hub, &ref, R"(
+      collection ext own@hub(x: int);
+      collection int board@hub(x: int);
+      collection int top@hub(x: int);
+      rule board@hub($x) :- own@hub($x);
+      rule top@hub($x) :- board@hub($x);
+      rule mirror@out($x) :- top@hub($x);
+    )");
+    Load(a, &ref, R"(
+      collection ext data@a(x: int);
+      rule board@hub($x) :- data@a($x);
+    )");
+    Load(out, &ref, "collection int mirror@out(x: int);");
+    Insert(hub, &ref, F("own", "hub", {I(1)}));
+    Insert(a, &ref, F("data", "a", {I(1)}));
+    ASSERT_TRUE(system.RunUntilQuiescent().ok());
+    test::ExpectMatchesReference(system, ref);
+
+    auto withdraw = [&](bool remote) {
+      if (remote) {
+        Remove(a, &ref, F("data", "a", {I(1)}));
+      } else {
+        Remove(hub, &ref, F("own", "hub", {I(1)}));
+      }
+      ASSERT_TRUE(system.RunUntilQuiescent().ok());
+      test::ExpectMatchesReference(system, ref);
+    };
+    withdraw(remote_first);
+    EXPECT_TRUE(out->engine().catalog().Get("mirror")->Contains({I(1)}));
+    withdraw(!remote_first);
+    EXPECT_FALSE(out->engine().catalog().Get("mirror")->Contains({I(1)}));
+  }
+}
+
+// a contributes reach@hub(1), and the link cycle 1 -> 2 -> 1 derives
+// reach@hub(1) again from reach@hub(2). That derivation exists only
+// through the contributed tuple itself, so withdrawing the contribution
+// must retract the whole cycle.
+TEST(IncrementalOracleTest, SliceLossRetractsSelfSupportingCycle) {
+  System system;
+  ReferenceProgram ref;
+  Peer* hub = system.CreatePeer("hub");
+  Peer* a = system.CreatePeer("a");
+  Load(hub, &ref, R"(
+    collection ext link@hub(x: int, y: int);
+    collection int reach@hub(x: int);
+    rule reach@hub($y) :- reach@hub($x), link@hub($x, $y);
+  )");
+  Load(a, &ref, R"(
+    collection ext data@a(x: int);
+    rule reach@hub($x) :- data@a($x);
+  )");
+  Insert(hub, &ref, F("link", "hub", {I(1), I(2)}));
+  Insert(hub, &ref, F("link", "hub", {I(2), I(1)}));
+  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  Insert(a, &ref, F("data", "a", {I(1)}));
+  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  test::ExpectMatchesReference(system, ref);
+  ASSERT_EQ(hub->engine().catalog().Get("reach")->size(), 2u);
+
+  Remove(a, &ref, F("data", "a", {I(1)}));
+  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  test::ExpectMatchesReference(system, ref);
+  EXPECT_EQ(hub->engine().catalog().Get("reach")->size(), 0u);
+}
+
 // A deletion rule with a remote head is outside the reference fragment,
 // and its effect is history: the deleted fact stays deleted at b after
 // the verdict lapses, because the contribution that carried it never
@@ -478,6 +605,74 @@ TEST(IncrementalOracleTest, RandomizedWorkloadsConvergeIdentically) {
           system.GetPeer(name)->engine().eval_counters().stages_incremental;
     }
     EXPECT_GT(incr_stages, 0u);
+  }
+}
+
+// Randomized churn where support is mixed: reach@hub is recursive over
+// links that form cycles, derived locally from own@hub and contributed
+// by a and b; a view and a contribution to b read it, and b's
+// variable-peer rule delegates to a or reads locally. Batches of 1-6
+// ops land in one stage and are checked against the reference.
+TEST(IncrementalOracleTest, RandomizedCyclesWithMixedSupport) {
+  for (uint64_t seed = 1; seed <= 100; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    System system;
+    ReferenceProgram ref;
+    Peer* hub = system.CreatePeer("hub", Trusting());
+    Peer* a = system.CreatePeer("a", Trusting());
+    Peer* b = system.CreatePeer("b", Trusting());
+    Load(hub, &ref, R"(
+      collection ext own@hub(x: int);
+      collection ext links@hub(x: int, y: int);
+      collection int reach@hub(x: int);
+      collection int top@hub(x: int);
+      rule reach@hub($x) :- own@hub($x);
+      rule reach@hub($y) :- reach@hub($x), links@hub($x, $y);
+      rule top@hub($x) :- reach@hub($x), links@hub($x, $x);
+      rule mirror@b($x) :- top@hub($x);
+      rule mirror@b($x) :- reach@hub($x), own@hub($x);
+    )");
+    Load(a, &ref, R"(
+      collection ext data@a(x: int);
+      rule reach@hub($x) :- data@a($x);
+    )");
+    Load(b, &ref, R"(
+      collection ext data@b(x: int);
+      collection ext sel@b(p: string);
+      collection int mirror@b(x: int);
+      collection int got@b(x: int);
+      rule reach@hub($x) :- data@b($x);
+      rule got@b($x) :- sel@b($p), data@$p($x);
+    )");
+    Rng rng(seed);
+    for (int batch = 0; batch < 16; ++batch) {
+      const int ops = 1 + static_cast<int>(rng.NextBelow(6));
+      for (int op = 0; op < ops; ++op) {
+        const int v = static_cast<int>(rng.NextBelow(5));
+        const int w = static_cast<int>(rng.NextBelow(5));
+        auto apply = rng.NextBelow(3) != 0 ? Insert : Remove;
+        switch (rng.NextBelow(5)) {
+          case 0:
+            apply(hub, &ref, F("own", "hub", {I(v)}));
+            break;
+          case 1:
+            apply(hub, &ref, F("links", "hub", {I(v), I(w)}));
+            break;
+          case 2:
+            apply(a, &ref, F("data", "a", {I(v)}));
+            break;
+          case 3:
+            apply(b, &ref, F("data", "b", {I(v)}));
+            break;
+          case 4:
+            apply(b, &ref, F("sel", "b", {test::S(v % 2 ? "a" : "b")}));
+            break;
+        }
+      }
+      ASSERT_TRUE(system.RunUntilQuiescent(5000).ok());
+      test::ExpectMatchesReference(system, ref);
+      if (HasFailure()) return;
+    }
   }
 }
 
