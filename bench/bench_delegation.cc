@@ -8,13 +8,17 @@
 //       the same as locally authored rules (the paper's design intent —
 //       delegation is a setup cost, not a per-stage tax);
 //   (c) churn: flipping the prefix on and off installs and retracts
-//       delegations every stage.
+//       delegations every stage;
+//   (d) a rule-set change at a hub: one residual installed and then
+//       retracted next to N others.
 //
 // Expected shape: (a) grows linearly in N; (b) delegated ≈ local;
-// (c) two messages (install + retract) per flip, constant per cycle.
+// (c) two messages (install + retract) per flip, constant per cycle;
+// (d) flat in N.
 
 #include <benchmark/benchmark.h>
 
+#include "parser/parser.h"
 #include "runtime/system.h"
 
 namespace wdl {
@@ -124,6 +128,51 @@ void BM_DelegationChurn(benchmark::State& state) {
       benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_DelegationChurn);
+
+// (d) The social workload's follow and unfollow at a hub: the hub holds
+// N residuals `feed@fI($id, "hub") :- post@hub($id)` over 20 posts, one
+// per follower, and each iteration installs one more residual and
+// retracts it again. A change evaluates the one residual it touches:
+// `tuples_examined` per change stays at the 20 posts at every N.
+void BM_RuleSetChange(benchmark::State& state) {
+  const int residuals = static_cast<int>(state.range(0));
+  Engine hub("hub");
+  std::string posts = "collection ext post@hub(id: int);";
+  for (int id = 0; id < 20; ++id) {
+    posts += " fact post@hub(" + std::to_string(id) + ");";
+  }
+  (void)hub.LoadProgram(*ParseProgram(posts));
+  auto residual = [](int follower) {
+    const std::string name = "f" + std::to_string(follower);
+    Delegation d;
+    d.origin_peer = name;
+    d.target_peer = "hub";
+    d.rule = *ParseRule("feed@" + name + "($id, \"hub\") :- post@hub($id)");
+    return d;
+  };
+  for (int i = 0; i < residuals; ++i) {
+    (void)hub.InstallDelegatedRule(residual(i));
+  }
+  while (hub.HasPendingWork()) (void)hub.RunStage();
+
+  const Delegation extra = residual(residuals);
+  const EvalCounters& ec = hub.eval_counters();
+  const uint64_t examined_before = ec.tuples_examined;
+  const uint64_t full_before = ec.stages_full;
+  for (auto _ : state) {
+    (void)hub.InstallDelegatedRule(extra);
+    while (hub.HasPendingWork()) benchmark::DoNotOptimize(hub.RunStage());
+    hub.RetractDelegatedRule(extra.Key());
+    while (hub.HasPendingWork()) benchmark::DoNotOptimize(hub.RunStage());
+  }
+  const double changes = 2.0 * static_cast<double>(state.iterations());
+  state.counters["tuples_examined"] =
+      static_cast<double>(ec.tuples_examined - examined_before) / changes;
+  state.counters["stages_full"] =
+      static_cast<double>(ec.stages_full - full_before);
+}
+BENCHMARK(BM_RuleSetChange)->Arg(100)->Arg(1000)->Arg(4000)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace wdl

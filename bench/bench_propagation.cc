@@ -231,6 +231,55 @@ void BM_IncrementalStage(benchmark::State& state) {
 BENCHMARK(BM_IncrementalStage)->Arg(142)->Arg(448)
     ->Unit(benchmark::kMicrosecond);
 
+// P5 — an edit of a relation read under negation: a view of N items
+// minus a blocklist (`visible(x) :- item(x), not banned(x)`) absorbs
+// one blocklist insert and its removal per iteration. Expected shape:
+// flat in N; `examined_per_change` is the change, not the view.
+void BM_NegatedEdit(benchmark::State& state) {
+  const int items = static_cast<int>(state.range(0));
+
+  Engine engine("a");
+  Result<Program> program = ParseProgram(R"(
+    collection ext item@a(x: int);
+    collection ext banned@a(x: int);
+    collection int visible@a(x: int);
+    rule visible@a($x) :- item@a($x), not banned@a($x);
+  )");
+  if (!program.ok() || !engine.LoadProgram(*program).ok()) {
+    state.SkipWithError("program load failed");
+    return;
+  }
+  for (int i = 0; i < items; ++i) {
+    (void)engine.InsertFact(Fact("item", "a", {I(i)}));
+  }
+  while (engine.HasPendingWork()) (void)engine.RunStage();
+
+  const EvalCounters& ec = engine.eval_counters();
+  const uint64_t examined_before = ec.tuples_examined;
+  const uint64_t full_before = ec.stages_full;
+  const Fact edit("banned", "a", {I(items / 2)});
+  for (auto _ : state) {
+    (void)engine.InsertFact(edit);
+    while (engine.HasPendingWork()) {
+      benchmark::DoNotOptimize(engine.RunStage());
+    }
+    (void)engine.RemoveFact(edit);
+    while (engine.HasPendingWork()) {
+      benchmark::DoNotOptimize(engine.RunStage());
+    }
+  }
+
+  const double changes = 2.0 * static_cast<double>(state.iterations());
+  state.counters["view_size"] = static_cast<double>(
+      engine.catalog().Get("visible")->size());
+  state.counters["examined_per_change"] =
+      static_cast<double>(ec.tuples_examined - examined_before) / changes;
+  state.counters["stages_full"] =
+      static_cast<double>(ec.stages_full - full_before);
+}
+BENCHMARK(BM_NegatedEdit)->Arg(1000)->Arg(10000)->Arg(100000)
+    ->Unit(benchmark::kMicrosecond);
+
 // Incremental propagation: with the pipeline warm, one more upload.
 void BM_SingleIncrementalUpload(benchmark::State& state) {
   WepicApp app;

@@ -20,7 +20,8 @@ namespace wdl {
 /// the peer exactly:
 ///
 ///  - catalog declarations, plus tuples for extensional relations
-///    (intensional views rebuild from slices on the first stage);
+///    (intensional views are seeded from the slices on the first
+///    stage);
 ///  - installed rules with their engine-local ids, origin peers, and
 ///    delegation keys;
 ///  - `SliceStore` streams: per-(relation, sender) slices with their

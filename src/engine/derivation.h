@@ -49,24 +49,6 @@ class StageChangeLog {
            Empty(slice_lost_);
   }
 
-  /// Invokes `fn` once per relation name with a recorded net change.
-  template <typename Fn>
-  void ForEachChangedRelation(Fn&& fn) const {
-    for (const PerRelation* m :
-         {&added_, &removed_, &slice_gained_, &slice_lost_}) {
-      for (const auto& [relation, tuples] : *m) {
-        if (!tuples.empty()) fn(relation);
-      }
-    }
-  }
-
-  void Clear() {
-    added_.clear();
-    removed_.clear();
-    slice_gained_.clear();
-    slice_lost_.clear();
-  }
-
  private:
   static bool Empty(const PerRelation& m) {
     for (const auto& [relation, tuples] : m) {

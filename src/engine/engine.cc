@@ -12,28 +12,89 @@ namespace {
 // Safety net for the semi-naive round loop; datalog terminates.
 constexpr int kMaxFixpointRounds = 1 << 20;
 
-/// Evaluates `plan` once per positive body position, each time with
-/// that position restricted to `delta`: one semi-naive round of one
-/// rule.
+/// Evaluates `plan` once per positive (or, with `negated`, negated)
+/// body position, each time with that position restricted to `delta`:
+/// one semi-naive round of one rule. A negated atom restricted to a Δ
+/// holds for the Δ's tuples instead of for those absent from its
+/// relation.
 void EvaluateDeltaPositions(RuleEvaluator* evaluator, const RulePlan& plan,
                             const DeltaMap& delta,
-                            const RuleEvaluator::Sinks& sinks) {
+                            const RuleEvaluator::Sinks& sinks,
+                            bool negated = false) {
   const std::vector<Atom>& body = plan.rule.body;
   for (size_t pos = 0; pos < body.size(); ++pos) {
-    if (!body[pos].negated) {
+    if (body[pos].negated == negated) {
       evaluator->Evaluate(plan, &delta, static_cast<int>(pos), sinks);
     }
   }
 }
 
-/// False when no body atom of `plan` can read a relation of `delta`:
-/// every Δ-restricted evaluation of the rule would find nothing new.
-bool BodyReadsDelta(const RulePlan& plan, const DeltaMap& delta) {
+/// True when `delta` holds tuples of a relation `touches` (a
+/// PlanStaticInfo predicate: BodyReads, Negates, HeadCanWrite) accepts.
+/// A rule none of whose body atoms reads the Δ finds nothing new in it.
+bool Touches(const DeltaMap& delta, const PlanStaticInfo& info,
+             bool (PlanStaticInfo::*touches)(Symbol) const) {
   for (const auto& [sym, ds] : delta) {
-    if (!ds.empty() && plan.info.BodyReads(sym)) return true;
+    if (!ds.empty() && (info.*touches)(sym)) return true;
   }
   return false;
 }
+
+/// The tuples of `changes` (one side of a StageChangeLog) whose
+/// relation `keep` accepts, if given, as a Δ; relations the catalog
+/// does not know are skipped.
+DeltaMap ToDelta(Catalog& catalog, const StageChangeLog::PerRelation& changes,
+                 const std::function<bool(const Relation&)>& keep = nullptr) {
+  DeltaMap delta;
+  for (const auto& [name, tuples] : changes) {
+    Relation* rel = catalog.Get(name);
+    if (rel == nullptr || tuples.empty() || (keep && !keep(*rel))) continue;
+    DeltaSet& ds = delta[rel->symbol()];
+    for (const Tuple& t : tuples) ds.Insert(t);
+  }
+  return delta;
+}
+
+/// Puts back, for its lifetime, the state before the changes in `log`
+/// that over-delete marking must not see: removed tuples are
+/// ghost-reinserted (a derivation joining two removed tuples is still
+/// found from either Δ⁻ position), and added tuples of the relations
+/// `hide` accepts are taken out (a rule negating two relations that
+/// both gained a binding still finds the derivation they ended).
+/// Positive atoms read a superset of the earlier state; negated atoms
+/// of hidden relations read it exactly.
+class EarlierState {
+ public:
+  EarlierState(Catalog* catalog, const StageChangeLog& log,
+               const std::function<bool(const Relation&)>& hide) {
+    for (const auto& [name, tuples] : log.removed()) {
+      Relation* rel = catalog->Get(name);
+      if (rel == nullptr) continue;
+      for (const Tuple& t : tuples) {
+        Result<bool> r = rel->Insert(t);
+        if (r.ok() && *r) ghosts_.emplace_back(rel, &t);
+      }
+    }
+    for (const auto& [name, tuples] : log.added()) {
+      Relation* rel = catalog->Get(name);
+      if (rel == nullptr || !hide(*rel)) continue;
+      for (const Tuple& t : tuples) {
+        Result<bool> r = rel->Remove(t);
+        if (r.ok() && *r) hidden_.emplace_back(rel, &t);
+      }
+    }
+  }
+  ~EarlierState() {
+    for (auto& [rel, tuple] : ghosts_) (void)rel->Remove(*tuple);
+    for (auto& [rel, tuple] : hidden_) (void)rel->Insert(*tuple);
+  }
+  EarlierState(const EarlierState&) = delete;
+  EarlierState& operator=(const EarlierState&) = delete;
+
+ private:
+  std::vector<std::pair<Relation*, const Tuple*>> ghosts_;
+  std::vector<std::pair<Relation*, const Tuple*>> hidden_;
+};
 
 /// The head-bound plan of `ir`, acquired on first use.
 const RulePlan& HeadBoundPlan(InstalledRule* ir) {
@@ -120,9 +181,40 @@ uint64_t Engine::InstallRule(uint64_t id, const Rule& rule,
   ir.delegation_key = delegation_key;
   ir.plan = std::move(plan);
   rules_.push_back(std::move(ir));
+  ++new_rules_;
   if (id >= next_rule_id_) next_rule_id_ = id + 1;
   NoteRuleSetChanged();
   return id;
+}
+
+void Engine::EraseRule(std::vector<InstalledRule>::iterator it) {
+  const bool derived = static_cast<size_t>(it - rules_.begin()) <
+                       rules_.size() - new_rules_;
+  std::shared_ptr<const RulePlan> plan = std::move(it->plan);
+  rules_.erase(it);
+  NoteRuleSetChanged();
+  if (!derived) {
+    --new_rules_;
+    return;
+  }
+  // An α-variant that the last stage also ran shares the plan and
+  // derives the same. (One installed since may yet go before the stage.)
+  if (std::any_of(rules_.begin(), rules_.end() - new_rules_,
+                  [&](const InstalledRule& ir) { return ir.plan == plan; })) {
+    return;
+  }
+  if (plan->info.CanDelegate(self_sym_)) {
+    removed_plan_hashes_.push_back(plan->rule_hash);
+  }
+  // What it derives in the state the last stage left: the direct edits
+  // since are undone for the evaluation.
+  RuleEvaluator::Sinks sinks;
+  sinks.on_local_fact = [&](const Fact& f) { removed_facts_.insert(f); };
+  sinks.on_remote_fact = sinks.on_local_fact;
+  EarlierState earlier(&catalog_, direct_changes_, [&](const Relation& rel) {
+    return plan->info.Negates(rel.symbol());
+  });
+  evaluator_.Evaluate(*plan, nullptr, -1, sinks);
 }
 
 void Engine::NoteWork() {
@@ -142,14 +234,13 @@ Result<uint64_t> Engine::AddRule(const Rule& rule) {
 }
 
 Status Engine::RemoveRule(uint64_t id) {
-  for (auto it = rules_.begin(); it != rules_.end(); ++it) {
-    if (it->id == id) {
-      rules_.erase(it);
-      NoteRuleSetChanged();
-      return Status::OK();
-    }
+  auto it = std::find_if(rules_.begin(), rules_.end(),
+                         [&](const InstalledRule& ir) { return ir.id == id; });
+  if (it == rules_.end()) {
+    return Status::NotFound("no rule with id " + std::to_string(id));
   }
-  return Status::NotFound("no rule with id " + std::to_string(id));
+  EraseRule(it);
+  return Status::OK();
 }
 
 Status Engine::InstallDelegatedRule(const Delegation& delegation) {
@@ -170,13 +261,12 @@ Status Engine::InstallDelegatedRule(const Delegation& delegation) {
 }
 
 void Engine::RetractDelegatedRule(uint64_t delegation_key) {
-  size_t before = rules_.size();
-  rules_.erase(std::remove_if(rules_.begin(), rules_.end(),
-                              [&](const InstalledRule& ir) {
-                                return ir.delegation_key == delegation_key;
-                              }),
-               rules_.end());
-  if (rules_.size() != before) NoteRuleSetChanged();
+  // Installs are idempotent by key, so at most one rule matches.
+  auto it = std::find_if(rules_.begin(), rules_.end(),
+                         [&](const InstalledRule& ir) {
+                           return ir.delegation_key == delegation_key;
+                         });
+  if (it != rules_.end()) EraseRule(it);
 }
 
 Status Engine::RestoreInstalledRule(uint64_t id, const Rule& rule,
@@ -253,10 +343,10 @@ Result<bool> Engine::InsertFact(const Fact& fact) {
         "relation " + fact.PredicateId() +
         " is intensional (a view); base updates are not allowed");
   }
-  NoteWork();
   Result<bool> r = catalog_.InsertFact(fact);
   if (r.ok() && *r) {
     direct_changes_.RecordInsert(fact.relation, fact.args);
+    NoteWork();
   }
   return r;
 }
@@ -272,10 +362,10 @@ Result<bool> Engine::RemoveFact(const Fact& fact) {
         "relation " + fact.PredicateId() +
         " is intensional (a view); base updates are not allowed");
   }
-  NoteWork();
   Result<bool> r = catalog_.RemoveFact(fact);
   if (r.ok() && *r) {
     direct_changes_.RecordRemove(fact.relation, fact.args);
+    NoteWork();
   }
   return r;
 }
@@ -519,12 +609,6 @@ void Engine::ApplyInboundDerived(InboundDerived& in, StageChangeLog* log) {
   for (const Tuple& t : lost) log->RecordSliceLoss(d.relation, t);
 }
 
-void Engine::ClearIntensionalRelations() {
-  catalog_.ForEachRelation([](Relation& rel) {
-    if (rel.kind() == RelationKind::kIntensional) rel.Clear();
-  });
-}
-
 void Engine::SeedIntensionalFromContributions() {
   slice_store_.ForEachContributedRelation([&](const std::string& name) {
     Relation* rel = catalog_.Get(name);
@@ -538,17 +622,16 @@ void Engine::SeedIntensionalFromContributions() {
   });
 }
 
-/// One stage's forward evaluation (DESIGN.md §2, §6): the sinks rule
-/// heads derive through, and everything they collect. Full and Δ stages
-/// share it. A recompute stage (`fresh`) collects contributions and
-/// delegations into fresh sets that emission diffs against the sent
-/// state; a Δ stage writes them into the sent state and records the net
-/// per-key changes, for its O(change) emission.
+/// One stage's evaluation (DESIGN.md §2, §6): the sinks rule heads
+/// derive through, and everything they collect. Contributions and
+/// delegations go straight into the sent state, and the pass records
+/// the net per-key changes against the start of the stage for its
+/// O(change) emission: a tuple or residual the deletion phase removed
+/// and the forward phase derived again ships nothing.
 struct Engine::StagePass {
-  StagePass(Engine* owner, StageStats* stage_stats, bool fresh_sets)
+  StagePass(Engine* owner, StageStats* stage_stats)
       : engine(owner),
         stats(stage_stats),
-        fresh(fresh_sets),
         tuples_before(owner->evaluator_.counters().tuples_examined) {
     derive.on_local_fact = [this](const Fact& f) {
       Relation* rel = engine->catalog_.Get(f.relation);
@@ -556,6 +639,7 @@ struct Engine::StagePass {
         Result<bool> r = rel->Insert(f.args);
         if (r.ok() && *r) {
           next_delta[rel->symbol()].Insert(f.args);
+          if (changes != nullptr) changes->RecordInsert(f.relation, f.args);
           ++stats->local_derivations;
         }
       } else if (rel == nullptr || !rel->Contains(f.args)) {
@@ -563,19 +647,10 @@ struct Engine::StagePass {
       }
     };
     derive.on_remote_fact = [this](const Fact& f) {
-      ContributionKey key{f.peer, f.relation};
-      if (fresh) {
-        fresh_contributions[std::move(key)].insert(f.args);
-      } else {
-        AddContribution(key, f.args);
-      }
+      AddContribution(ContributionKey{f.peer, f.relation}, f.args);
     };
     derive.on_delegation = [this](const Delegation& d) {
-      if (fresh) {
-        fresh_delegations.try_emplace(d.Key(), d);
-      } else {
-        AddDelegation(d.Key(), d);
-      }
+      AddDelegation(d.Key(), d);
     };
     remove.on_local_fact = [this](const Fact& f) {
       Relation* rel = engine->catalog_.Get(f.relation);
@@ -599,9 +674,8 @@ struct Engine::StagePass {
     return plan.rule.head_deletes ? remove : derive;
   }
 
-  // Δ stage: sent-state edits, netted per key against the state at the
-  // start of the stage. A tuple or residual the deletion phase removed
-  // and the forward pass derived again ships nothing.
+  // Sent-state edits, netted per key against the state at the start of
+  // the stage.
   void AddContribution(const ContributionKey& key, const Tuple& t) {
     if (!engine->sent_contributions_[key].tuples.insert(t).second) return;
     ContributionChange& c = contribution_changes[key];
@@ -635,18 +709,18 @@ struct Engine::StagePass {
 
   Engine* const engine;
   StageStats* stats;
-  const bool fresh;
   const uint64_t tuples_before;
   RuleEvaluator::Sinks derive;
   RuleEvaluator::Sinks remove;
   DeltaMap next_delta;  // local tuples new in the current round
+  // Where the view tuples a stratum derives are recorded for the strata
+  // above it; null when no stratum above reads them.
+  StageChangeLog* changes = nullptr;
   std::unordered_set<Fact, FactHasher> self_updates;
   std::unordered_set<Fact, FactHasher> self_deletes;
   std::unordered_set<Fact, FactHasher> remote_deletes;
-  // Recompute stage.
-  std::map<ContributionKey, TupleSet> fresh_contributions;
-  std::map<uint64_t, Delegation> fresh_delegations;
-  // Δ stage.
+  // Shipped remote deletions whose verdict a removal may have ended.
+  std::unordered_set<Fact, FactHasher> lapsed_deletes;
   std::map<ContributionKey, ContributionChange> contribution_changes;
   std::set<uint64_t> delegations_installed;
   std::map<uint64_t, std::string> delegations_retracted;  // -> target peer
@@ -659,7 +733,7 @@ int Engine::RunRounds(const std::vector<const RulePlan*>& rules,
     ++rounds;
     // A rule whose body reads nothing in the Δ has nothing new to find.
     for (const RulePlan* plan : rules) {
-      if (BodyReadsDelta(*plan, delta)) {
+      if (Touches(delta, plan->info, &PlanStaticInfo::BodyReads)) {
         EvaluateDeltaPositions(&evaluator_, *plan, delta,
                                pass->SinksFor(*plan));
       }
@@ -671,44 +745,6 @@ int Engine::RunRounds(const std::vector<const RulePlan*>& rules,
     WDL_LOG(Error) << "fixpoint round limit reached at peer " << self_peer_;
   }
   return rounds;
-}
-
-void Engine::RunFixpoint(StagePass* pass) {
-  // Stratify the active rule set. Installs keep it stratifiable
-  // (PrepareRule), and a negation-free program is one stratum.
-  Stratification strat;
-  strat.rule_stratum.assign(rules_.size(), 0);
-  if (program_info_.has_negation) {
-    std::vector<Rule> rule_bodies;
-    rule_bodies.reserve(rules_.size());
-    for (const InstalledRule& ir : rules_) rule_bodies.push_back(ir.rule);
-    Result<Stratification> stratified = Stratify(rule_bodies);
-    if (stratified.ok()) {
-      strat = std::move(stratified).value();
-    } else {
-      WDL_LOG(Error) << "stratification failed; evaluating in one stratum: "
-                     << stratified.status();
-    }
-  }
-  pass->stats->strata = strat.num_strata;
-
-  for (int stratum = 0; stratum < strat.num_strata; ++stratum) {
-    std::vector<const RulePlan*> active;
-    for (size_t i = 0; i < rules_.size(); ++i) {
-      if (strat.rule_stratum[i] == stratum) {
-        active.push_back(rules_[i].plan.get());
-      }
-    }
-    if (active.empty()) continue;
-    // Round 1 evaluates every rule in full; the semi-naive rounds
-    // continue from what it derived.
-    for (const RulePlan* plan : active) {
-      evaluator_.Evaluate(*plan, nullptr, -1, pass->SinksFor(*plan));
-    }
-    DeltaMap delta = std::move(pass->next_delta);
-    pass->next_delta = DeltaMap();
-    pass->stats->iterations += 1 + RunRounds(active, std::move(delta), pass);
-  }
 }
 
 namespace {
@@ -727,10 +763,8 @@ void Engine::ClearDeleteSuppression(const std::string& relation,
   if (sent_remote_deletes_.erase(f) == 0) return;
   // The fact went out as an insert after we had shipped its deletion:
   // if a deletion rule still derives it, the deletion must ship again.
-  // The next stage settles the verdict — a recompute stage re-fires
-  // every deletion rule anyway; a Δ stage re-checks exactly the queued
-  // facts. (This runs inside a stage, whose FinishStage raises the work
-  // notice.)
+  // The next stage re-checks exactly the queued facts. (This runs
+  // inside a stage, whose FinishStage raises the work notice.)
   pending_delete_rechecks_.insert(std::move(f));
 }
 
@@ -756,48 +790,17 @@ void Engine::ShipDelta(const ContributionKey& key, SentContribution* sent,
   result->outbound[key.target_peer].derived_deltas.push_back(std::move(dd));
 }
 
-/// Contributions ship only when they changed, as a delta of the inserts
-/// and deletes against what was last sent. An emptied contribution ships
-/// once, as a delta deleting the remainder, so the receiver clears its
-/// slice.
+/// Contributions ship only when they changed, as a delta of the net
+/// inserts and deletes the stage recorded against what was last sent.
+/// An emptied contribution ships its remainder as deletes, so the
+/// receiver clears its slice.
 void Engine::EmitContributions(StagePass* pass, StageResult* result) {
-  if (!pass->fresh) {
-    // Δ stage: the sent state already moved; ship the net changes.
-    for (auto& [key, change] : pass->contribution_changes) {
-      if (change.added.empty() && change.removed.empty()) continue;
-      DerivedDelta dd;
-      dd.inserts.assign(change.added.begin(), change.added.end());
-      dd.deletes.assign(change.removed.begin(), change.removed.end());
-      ShipDelta(key, &sent_contributions_[key], std::move(dd), result);
-    }
-    return;
-  }
-  // Recompute stage: diff the fresh sets against the sent state, by
-  // direct set comparison (hash-collision-proof). Vanished contributions
-  // first: keys we shipped before that this stage derived nothing for.
-  for (auto& [key, sent] : sent_contributions_) {
-    if (pass->fresh_contributions.count(key) || sent.tuples.empty()) continue;
+  for (auto& [key, change] : pass->contribution_changes) {
+    if (change.added.empty() && change.removed.empty()) continue;
     DerivedDelta dd;
-    dd.deletes.assign(sent.tuples.begin(), sent.tuples.end());
-    sent.tuples.clear();
-    ShipDelta(key, &sent, std::move(dd), result);
-  }
-  // Changed contributions. The fresh set is swapped in, and the old one
-  // is freed with the pass. Freeing it before the rebuild made malloc
-  // serve the rebuild from just-freed chunks, ~20% more CPU per op on
-  // the social_churn benchmark.
-  for (auto& [key, set] : pass->fresh_contributions) {
-    SentContribution& sent = sent_contributions_[key];
-    if (sent.tuples == set) continue;  // unchanged, stay silent
-    DerivedDelta dd;
-    for (const Tuple& t : set) {
-      if (!sent.tuples.count(t)) dd.inserts.push_back(t);
-    }
-    for (const Tuple& t : sent.tuples) {
-      if (!set.count(t)) dd.deletes.push_back(t);
-    }
-    sent.tuples.swap(set);
-    ShipDelta(key, &sent, std::move(dd), result);
+    dd.inserts.assign(change.added.begin(), change.added.end());
+    dd.deletes.assign(change.removed.begin(), change.removed.end());
+    ShipDelta(key, &sent_contributions_[key], std::move(dd), result);
   }
 }
 
@@ -866,29 +869,13 @@ void Engine::ReshipDelegations(StageResult* result) {
 }
 
 void Engine::EmitDelegations(StagePass* pass, StageResult* result) {
-  if (!pass->fresh) {
-    // Δ stage: the sent set already moved; ship the net changes.
-    for (uint64_t key : pass->delegations_installed) {
-      const Delegation& d = sent_delegations_.at(key);
-      result->outbound[d.target_peer].delegation_installs.push_back(d);
-    }
-    for (const auto& [key, target] : pass->delegations_retracted) {
-      result->outbound[target].delegation_retracts.push_back(key);
-    }
-  } else {
-    // Recompute stage: diff the fresh set against the sent one, then
-    // swap it in (equal keys are equal delegations).
-    for (const auto& [key, d] : pass->fresh_delegations) {
-      if (!sent_delegations_.count(key)) {
-        result->outbound[d.target_peer].delegation_installs.push_back(d);
-      }
-    }
-    for (const auto& [key, d] : sent_delegations_) {
-      if (!pass->fresh_delegations.count(key)) {
-        result->outbound[d.target_peer].delegation_retracts.push_back(key);
-      }
-    }
-    sent_delegations_.swap(pass->fresh_delegations);
+  // The sent set already moved; ship the net changes.
+  for (uint64_t key : pass->delegations_installed) {
+    const Delegation& d = sent_delegations_.at(key);
+    result->outbound[d.target_peer].delegation_installs.push_back(d);
+  }
+  for (const auto& [key, target] : pass->delegations_retracted) {
+    result->outbound[target].delegation_retracts.push_back(key);
   }
   result->stats.delegations_active = sent_delegations_.size();
 }
@@ -904,50 +891,38 @@ void Engine::FinalizeOutbound(StageResult* result) {
   }
 }
 
-void Engine::RefreshProgramInfo() {
-  program_info_ = ProgramInfo();
-  for (const InstalledRule& ir : rules_) {
-    const PlanStaticInfo& info = ir.plan->info;
-    if (info.negated_relation_var) {
-      // A negated atom that names its relation with a variable can read
-      // any relation: no change is provably outside its footprint.
-      program_info_.incremental_ok = false;
-    }
-    for (Symbol s : info.negated_relations) {
-      program_info_.negated_ids.insert(s.id());
-    }
-    program_info_.has_negation |= info.HasNegation();
+void Engine::RefreshStrata() {
+  num_strata_ = 1;
+  rule_strata_.assign(rules_.size(), 0);
+  // Installs keep the rule set stratifiable (PrepareRule), and a
+  // negation-free program is one stratum.
+  if (std::none_of(rules_.begin(), rules_.end(), [](const InstalledRule& ir) {
+        return ir.plan->info.HasNegation();
+      })) {
+    return;
   }
-  if (program_info_.has_negation) {
-    // Derivations must never write a negated relation, or stratified
-    // re-evaluation order matters mid-Δ and the incremental pass is
-    // unsound. Direct EDB changes to negated relations are caught per
-    // stage in ChangesEligible.
-    for (const InstalledRule& ir : rules_) {
-      const PlanStaticInfo& info = ir.plan->info;
-      if (info.head_relation_var ||
-          program_info_.negated_ids.count(info.head_relation.id())) {
-        program_info_.incremental_ok = false;
-        break;
-      }
-    }
+  std::vector<Rule> all;
+  all.reserve(rules_.size());
+  for (const InstalledRule& ir : rules_) all.push_back(ir.rule);
+  Result<Stratification> strat = Stratify(all);
+  if (!strat.ok()) {
+    WDL_LOG(Error) << "stratification failed; evaluating in one stratum: "
+                   << strat.status();
+    return;
   }
+  num_strata_ = strat->num_strata;
+  rule_strata_ = std::move(strat->rule_stratum);
 }
 
-bool Engine::ChangesEligible(const StageChangeLog& log) const {
-  if (log.empty()) return true;  // nothing to propagate: trivially sound
-  if (!program_info_.incremental_ok) return false;
-  bool ok = true;
-  log.ForEachChangedRelation([&](const std::string& name) {
-    Symbol s = Symbol::Find(name);
-    if (s.valid() && program_info_.negated_ids.count(s.id())) ok = false;
-  });
-  return ok;
-}
-
-bool Engine::HasLocalDerivation(const Fact& target) {
+bool Engine::HasLocalDerivation(const Fact& target, bool deletion) {
+  const Symbol relation = Symbol::Find(target.relation);
+  const Symbol peer = Symbol::Find(target.peer);
   for (InstalledRule& ir : rules_) {
-    if (ir.rule.head_deletes) continue;
+    // A rule whose head cannot name the target needs no head-bound plan.
+    if (ir.rule.head_deletes != deletion ||
+        !ir.plan->info.HeadCanMatch(relation, peer)) {
+      continue;
+    }
     if (evaluator_.ExistsDerivation(HeadBoundPlan(&ir), target)) return true;
   }
   return false;
@@ -957,10 +932,8 @@ StageResult Engine::RunStage() {
   StageResult result;
   result.stats.active_rules = rules_.size();
   dirty_ = false;
-
-  const bool rule_set_changed = rules_changed_;
-  if (rule_set_changed) {
-    RefreshProgramInfo();
+  if (rules_changed_) {
+    RefreshStrata();
     rules_changed_ = false;
   }
 
@@ -970,85 +943,80 @@ StageResult Engine::RunStage() {
   ApplyInputs(&log);
   ReshipDelegations(&result);
 
-  // Steps 2 and 3: Δ-driven from the change, unless the change is one a
-  // Δ pass cannot serve soundly (DESIGN.md §6).
-  if (rule_set_changed || !ChangesEligible(log)) {
-    RunStageRecompute(&result);
+  StagePass pass(this, &result.stats);
+  const bool first = first_stage_;
+  if (first) {
+    // Every rule counts as installed and the views start from the slice
+    // store. A recovered peer's restored sent state is withdrawn first,
+    // so only what its receivers lack or hold in excess ships.
+    ++evaluator_.mutable_counters()->stages_full;
+    first_stage_ = false;
+    new_rules_ = rules_.size();
+    pending_delete_rechecks_.clear();  // every deletion rule fires in full
+    for (auto& [key, sent] : sent_contributions_) {
+      if (sent.tuples.empty()) continue;
+      pass.contribution_changes[key].removed = std::move(sent.tuples);
+      sent.tuples = TupleSet();
+    }
+    for (const auto& [key, d] : sent_delegations_) {
+      pass.delegations_retracted.emplace(key, d.target_peer);
+    }
+    sent_delegations_.clear();
+    SeedIntensionalFromContributions();
   } else {
-    RunStageIncremental(&result, &log);
+    ++evaluator_.mutable_counters()->stages_incremental;
+    // Deletion-verdict rechecks queued by insert re-ships.
+    for (const Fact& f : pending_delete_rechecks_) {
+      if (HasLocalDerivation(f, /*deletion=*/true)) {
+        pass.remote_deletes.insert(f);
+      }
+    }
+    pending_delete_rechecks_.clear();
+    // Removed rules' residuals go (one emitted again nets out).
+    for (uint64_t plan_hash : removed_plan_hashes_) {
+      std::vector<uint64_t> keys;
+      for (const auto& [key, d] : sent_delegations_) {
+        if (d.origin_rule_hash == plan_hash) keys.push_back(key);
+      }
+      for (uint64_t key : keys) pass.RemoveDelegation(key);
+    }
   }
+
+  // Step 2, stratum by stratum: the deletion phase, then the forward
+  // phase (DESIGN.md §6).
+  result.stats.strata = num_strata_;
+  std::vector<const RulePlan*> plans;
+  for (int stratum = 0; stratum < num_strata_; ++stratum) {
+    plans.clear();
+    for (size_t i = 0; i < rules_.size(); ++i) {
+      if (rule_strata_[i] == stratum) plans.push_back(rules_[i].plan.get());
+    }
+    pass.changes = first || stratum + 1 == num_strata_ ? nullptr : &log;
+    if (!first) RetractStratum(stratum, plans, &log, &pass);
+    DeriveStratum(stratum, plans, &log, &pass, first);
+  }
+  new_rules_ = 0;
+  removed_facts_.clear();
+  removed_plan_hashes_.clear();
+
+  // A shipped verdict no deletion rule derives any more leaves the
+  // suppression set, so it ships again if it returns.
+  for (const Fact& f : pass.lapsed_deletes) {
+    if (pass.remote_deletes.count(f) == 0 &&
+        !HasLocalDerivation(f, /*deletion=*/true)) {
+      sent_remote_deletes_.erase(f);
+    }
+  }
+  FinishStage(&pass, &result);
   return result;
 }
 
-void Engine::RunStageRecompute(StageResult* result) {
-  ++evaluator_.mutable_counters()->stages_full;
-  // A full fixpoint re-derives every deletion-rule verdict, so the
-  // queued per-fact rechecks are subsumed.
-  pending_delete_rechecks_.clear();
-
-  // Step 2: local fixpoint. Intensional relations are views: reset, then
-  // re-seed with remote contributions, then derive.
-  ClearIntensionalRelations();
-  SeedIntensionalFromContributions();
-  StagePass pass(this, &result->stats, /*fresh_sets=*/true);
-  RunFixpoint(&pass);
-  FinishStage(&pass, result);
-}
-
-void Engine::RunStageIncremental(StageResult* result, StageChangeLog* log) {
+void Engine::RetractStratum(int stratum,
+                            const std::vector<const RulePlan*>& rules,
+                            StageChangeLog* log, StagePass* pass) {
   EvalCounters* counters = evaluator_.mutable_counters();
-  ++counters->stages_incremental;
-  StagePass pass(this, &result->stats, /*fresh_sets=*/false);
-
-  // ---- Deletion-verdict rechecks queued by insert re-ships ----------
-  for (const Fact& f : pending_delete_rechecks_) {
-    for (InstalledRule& ir : rules_) {
-      if (!ir.rule.head_deletes) continue;
-      if (evaluator_.ExistsDerivation(HeadBoundPlan(&ir), f)) {
-        pass.remote_deletes.insert(f);
-        break;
-      }
-    }
-  }
-  pending_delete_rechecks_.clear();
-
-  // ---- Deletion phase: seeds ----------------------------------------
-  // Net-removed extensional tuples were already taken out by
-  // ApplyInputs; ghost-reinsert them so over-delete matching sees the
-  // pre-deletion database (a derivation joining two deleted tuples must
-  // still be discoverable from either Δ⁻ position).
-  DeltaMap frontier;
-  std::vector<std::pair<Relation*, const Tuple*>> ghosts;
-  for (const auto& [rel_name, tuples] : log->removed()) {
-    Relation* rel = catalog_.Get(rel_name);
-    if (rel == nullptr) continue;
-    for (const Tuple& t : tuples) {
-      Result<bool> r = rel->Insert(t);
-      if (r.ok() && *r) ghosts.emplace_back(rel, &t);
-      frontier[rel->symbol()].Insert(t);
-    }
-  }
-  // View tuples that lost their last remote contribution are
-  // over-deleted like any other candidate: re-derivation returns the
-  // ones a local rule still derives.
   std::map<std::string, TupleSet> marked;
-  for (const auto& [rel_name, tuples] : log->slice_lost()) {
-    Relation* rel = catalog_.Get(rel_name);
-    if (rel == nullptr || rel->kind() != RelationKind::kIntensional) {
-      continue;
-    }
-    for (const Tuple& t : tuples) {
-      if (rel->Contains(t)) {
-        frontier[rel->symbol()].Insert(t);
-        marked[rel_name].insert(t);
-      }
-    }
-  }
-
-  // ---- Over-delete closure (marking; nothing removed yet) -----------
   std::map<ContributionKey, TupleSet> marked_contrib;
-  const bool any_deletions = !frontier.empty();
-
   DeltaMap next_frontier;
   RuleEvaluator::Sinks del_sinks;
   del_sinks.on_local_fact = [&](const Fact& f) {
@@ -1074,21 +1042,99 @@ void Engine::RunStageIncremental(StageResult* result, StageChangeLog* log) {
     }
     marked_contrib[key].insert(f.args);  // leaf: nothing local reads it
   };
+  // Deletion rules sustain nothing; they run only to find the shipped
+  // verdicts a removal may have ended.
+  RuleEvaluator::Sinks verdict_sinks;
+  verdict_sinks.on_remote_fact = [&](const Fact& f) {
+    if (sent_remote_deletes_.count(f) > 0) pass->lapsed_deletes.insert(f);
+  };
+  const bool track_verdicts = !sent_remote_deletes_.empty();
 
-  // Deletion rules sustain nothing, so only derivation rules cascade.
-  while (!frontier.empty()) {
-    for (const InstalledRule& ir : rules_) {
-      if (ir.rule.head_deletes || !BodyReadsDelta(*ir.plan, frontier)) {
-        continue;
-      }
-      EvaluateDeltaPositions(&evaluator_, *ir.plan, frontier, del_sinks);
+  // ---- Seeds ------------------------------------------------------
+  // Δ⁻ of what this stratum reads: extensional removals and lower
+  // strata's retractions; Δ⁺ of what it reads under negation.
+  DeltaMap frontier = ToDelta(catalog_, log->removed());
+  const bool negation =
+      std::any_of(rules.begin(), rules.end(), [](const RulePlan* plan) {
+        return plan->info.HasNegation();
+      });
+  auto negated_here = [&](const Relation& rel) {
+    return negation &&
+           std::any_of(rules.begin(), rules.end(), [&](const RulePlan* plan) {
+             return plan->info.Negates(rel.symbol());
+           });
+  };
+  DeltaMap added_negated = ToDelta(catalog_, log->added(), negated_here);
+  // View tuples that lost their last remote contribution, and what the
+  // removed rules derived, are over-deleted like any other candidate:
+  // re-derivation returns what a local rule still derives. Each seeds
+  // every stratum whose rules can write it (the first if none can), so
+  // the closure below runs the rules of any cycle through it before
+  // that check; higher strata see the outcome as a lower stratum's
+  // change.
+  auto seeds_here = [&](const std::string& relation,
+                        const std::string& peer) {
+    if (num_strata_ == 1) return true;
+    const Symbol rel = Symbol::Find(relation);
+    const Symbol at = Symbol::Find(peer);
+    bool written = false;
+    for (size_t i = 0; i < rules_.size(); ++i) {
+      if (!rules_[i].plan->info.HeadCanMatch(rel, at)) continue;
+      if (rule_strata_[i] == stratum) return true;
+      written = true;
     }
-    frontier = std::move(next_frontier);
-    next_frontier = DeltaMap();
+    return stratum == 0 && !written;
+  };
+  for (const auto& [rel_name, tuples] : log->slice_lost()) {
+    if (!seeds_here(rel_name, self_peer_)) continue;
+    for (const Tuple& t : tuples) {
+      del_sinks.on_local_fact(Fact(rel_name, self_peer_, t));
+    }
+  }
+  for (const Fact& f : removed_facts_) {
+    if (!seeds_here(f.relation, f.peer)) continue;
+    if (f.peer == self_peer_) {
+      del_sinks.on_local_fact(f);
+    } else {
+      del_sinks.on_remote_fact(f);
+      verdict_sinks.on_remote_fact(f);
+    }
+  }
+  if (frontier.empty() && next_frontier.empty() && added_negated.empty() &&
+      marked_contrib.empty()) {
+    return;
+  }
+
+  // ---- Over-delete closure (marking; nothing removed yet) -----------
+  {
+    EarlierState earlier(&catalog_, *log, negated_here);
+    // A gain of a relation read under negation ends the derivations the
+    // atom held for: restricted to the gains, the atom finds them. (A
+    // deletion verdict ended this way may stay suppressed.)
+    for (const RulePlan* plan : rules) {
+      if (!plan->rule.head_deletes &&
+          Touches(added_negated, plan->info, &PlanStaticInfo::Negates)) {
+        EvaluateDeltaPositions(&evaluator_, *plan, added_negated, del_sinks,
+                               /*negated=*/true);
+      }
+    }
+    while (!frontier.empty() || !next_frontier.empty()) {
+      for (const RulePlan* plan : rules) {
+        if (!Touches(frontier, plan->info, &PlanStaticInfo::BodyReads)) {
+          continue;
+        }
+        if (!plan->rule.head_deletes) {
+          EvaluateDeltaPositions(&evaluator_, *plan, frontier, del_sinks);
+        } else if (track_verdicts) {
+          EvaluateDeltaPositions(&evaluator_, *plan, frontier, verdict_sinks);
+        }
+      }
+      frontier = std::move(next_frontier);
+      next_frontier = DeltaMap();
+    }
   }
 
   // ---- Apply deletions, then re-derive survivors --------------------
-  for (auto& [rel, tuple] : ghosts) (void)rel->Remove(*tuple);
   struct Candidate {
     const std::string* relation;
     Relation* rel;
@@ -1125,6 +1171,11 @@ void Engine::RunStageIncremental(StageResult* result, StageChangeLog* log) {
     }
   }
   counters->tuples_retracted += candidates.size();
+  if (pass->changes != nullptr) {
+    for (const Candidate& c : candidates) {
+      pass->changes->RecordRemove(*c.relation, *c.tuple);
+    }
+  }
 
   // Contribution candidates re-derive against the settled local state.
   for (const auto& [key, tuples] : marked_contrib) {
@@ -1135,132 +1186,121 @@ void Engine::RunStageIncremental(StageResult* result, StageChangeLog* log) {
         ++counters->tuples_rederived;
         continue;
       }
-      pass.RemoveContribution(&sent, key, t);
+      pass->RemoveContribution(&sent, key, t);
       ++counters->tuples_retracted;
     }
   }
 
   // ---- Delegation rebuild -------------------------------------------
-  // A deletion can invalidate the prefix binding a delegation was
-  // emitted from, and emitted residuals carry no back-pointers to their
-  // prefix tuples. Rules that can delegate and whose body may read a
-  // deleted relation rebuild their delegation output from scratch;
-  // everything else keeps its entries.
-  if (any_deletions) {
-    DeltaMap deleted;
-    for (const auto& [rel_name, tuples] : log->removed()) {
-      Relation* rel = catalog_.Get(rel_name);
-      if (rel == nullptr) continue;
-      for (const Tuple& t : tuples) deleted[rel->symbol()].Insert(t);
-    }
-    for (const auto& [rel_name, tuples] : marked) {
-      Relation* rel = catalog_.Get(rel_name);
-      if (rel == nullptr) continue;
-      for (const Tuple& t : tuples) deleted[rel->symbol()].Insert(t);
-    }
-    // The rule's entries that its re-evaluation does not emit again are
-    // gone; the ones it does emit again stay where they are, uncopied.
-    std::unordered_set<uint64_t> stale;
-    RuleEvaluator::Sinks rebuild;
-    rebuild.on_delegation = [&](const Delegation& d) {
-      const uint64_t key = d.Key();
-      stale.erase(key);
-      pass.AddDelegation(key, d);
-    };
-    for (const InstalledRule& ir : rules_) {
-      const RulePlan& plan = *ir.plan;
-      if (!plan.info.CanDelegate(self_sym_)) continue;
-      if (!BodyReadsDelta(plan, deleted)) continue;
-      // Residuals carry the hash of the plan they were substituted from,
-      // which every α-variant of the rule at this peer shares.
-      stale.clear();
-      for (const auto& [key, d] : sent_delegations_) {
-        if (d.origin_rule_hash == plan.rule_hash) stale.insert(key);
-      }
-      evaluator_.Evaluate(plan, nullptr, -1, rebuild);
-      for (uint64_t key : stale) pass.RemoveDelegation(key);
-    }
-  }
-
-  // ---- Forward pass: semi-naive from the Δ⁺ seeds -------------------
-  DeltaMap delta;
-  for (const auto& [rel_name, tuples] : log->added()) {
+  // A deletion, or a gain of a relation read under negation, can
+  // invalidate the prefix binding a delegation was emitted from, and
+  // emitted residuals carry no back-pointers to their prefix tuples.
+  // Rules that can delegate and may read such a change rebuild their
+  // delegation output from scratch; everything else keeps its entries.
+  DeltaMap deleted = ToDelta(catalog_, log->removed());
+  for (const auto& [rel_name, tuples] : marked) {
     Relation* rel = catalog_.Get(rel_name);
     if (rel == nullptr) continue;
-    for (const Tuple& t : tuples) delta[rel->symbol()].Insert(t);
+    for (const Tuple& t : tuples) deleted[rel->symbol()].Insert(t);
   }
-  for (const auto& [rel_name, tuples] : log->slice_gained()) {
-    Relation* rel = catalog_.Get(rel_name);
-    if (rel == nullptr || rel->kind() != RelationKind::kIntensional) {
+  // The rule's entries that its re-evaluation does not emit again are
+  // gone; the ones it does emit again stay where they are, uncopied.
+  std::unordered_set<uint64_t> stale;
+  RuleEvaluator::Sinks rebuild;
+  rebuild.on_delegation = [&](const Delegation& d) {
+    const uint64_t key = d.Key();
+    stale.erase(key);
+    pass->AddDelegation(key, d);
+  };
+  for (const RulePlan* plan : rules) {
+    if (!plan->info.CanDelegate(self_sym_)) continue;
+    if (!Touches(deleted, plan->info, &PlanStaticInfo::BodyReads) &&
+        !Touches(added_negated, plan->info, &PlanStaticInfo::Negates)) {
       continue;
     }
-    for (const Tuple& t : tuples) {
-      if (rel->Contains(t)) continue;  // already resident (e.g. derived)
-      Result<bool> r = rel->Insert(t);
-      if (r.ok() && *r) delta[rel->symbol()].Insert(t);
+    // Residuals carry the hash of the plan they were substituted from,
+    // which every α-variant of the rule at this peer shares.
+    stale.clear();
+    for (const auto& [key, d] : sent_delegations_) {
+      if (d.origin_rule_hash == plan->rule_hash) stale.insert(key);
     }
+    evaluator_.Evaluate(*plan, nullptr, -1, rebuild);
+    for (uint64_t key : stale) pass->RemoveDelegation(key);
   }
+}
 
-  // Continuous-enforcement re-fires, seeding the rounds: a deletion rule
-  // whose head relation regained tuples must delete them again, and an
-  // update rule whose (extensional) head relation lost tuples must
-  // re-assert them — what a recompute stage does by re-firing
-  // everything.
-  std::unordered_set<uint32_t> added_ids, removed_ids;
-  for (const auto& [rel_name, tuples] : log->added()) {
-    if (tuples.empty()) continue;
-    Symbol s = Symbol::Find(rel_name);
-    if (s.valid()) added_ids.insert(s.id());
-  }
-  for (const auto& [rel_name, tuples] : log->removed()) {
-    if (tuples.empty()) continue;
-    Symbol s = Symbol::Find(rel_name);
-    if (s.valid()) removed_ids.insert(s.id());
-  }
-  std::vector<const RulePlan*> plans;
-  plans.reserve(rules_.size());
-  for (const InstalledRule& ir : rules_) {
-    const RulePlan& plan = *ir.plan;
-    plans.push_back(&plan);
-    const PlanStaticInfo& info = plan.info;
-    bool refire = false;
-    if (ir.rule.head_deletes) {
-      refire = !added_ids.empty() &&
-               (info.head_relation_var ||
-                added_ids.count(info.head_relation.id()) > 0);
-    } else if (!removed_ids.empty()) {
-      // Only local extensional heads re-assert; remote heads are
-      // contributions (receiver-persistent) and view heads were handled
-      // by the cascade.
-      bool head_local = info.head_peer_var || info.head_peer == self_sym_;
-      bool head_ext = info.head_relation_var;
-      if (!info.head_relation_var) {
-        const Relation* head_rel = catalog_.Get(info.head_relation.str());
-        head_ext = head_rel == nullptr ||
-                   head_rel->kind() == RelationKind::kExtensional;
+void Engine::DeriveStratum(int stratum,
+                           const std::vector<const RulePlan*>& rules,
+                           StageChangeLog* log, StagePass* pass,
+                           bool first) {
+  // The rounds start from everything the seeds below derive.
+  DeltaMap& delta = pass->next_delta;
+  if (!first) {
+    // ---- Δ⁺ seeds: net additions of the inputs and lower strata, and
+    // (in the first stratum) the views' new remote support.
+    delta = ToDelta(catalog_, log->added());
+    for (const auto& [rel_name, tuples] : log->slice_gained()) {
+      Relation* rel = catalog_.Get(rel_name);
+      if (stratum > 0 || rel == nullptr ||
+          rel->kind() != RelationKind::kIntensional) {
+        continue;
       }
-      refire = head_local && head_ext &&
-               (info.head_relation_var ||
-                removed_ids.count(info.head_relation.id()) > 0);
+      for (const Tuple& t : tuples) {
+        Result<bool> r = rel->Insert(t);  // false: already derived
+        if (!r.ok() || !*r) continue;
+        delta[rel->symbol()].Insert(t);
+        if (pass->changes != nullptr) pass->changes->RecordInsert(rel_name, t);
+      }
     }
-    if (refire) evaluator_.Evaluate(plan, nullptr, -1, pass.SinksFor(plan));
+    const DeltaMap lost = ToDelta(catalog_, log->removed());
+    for (const RulePlan* plan : rules) {
+      const RuleEvaluator::Sinks& sinks = pass->SinksFor(*plan);
+      // A loss of a relation read under negation starts the derivations
+      // the atom held back: restricted to the losses, the atom finds
+      // them.
+      if (Touches(lost, plan->info, &PlanStaticInfo::Negates)) {
+        EvaluateDeltaPositions(&evaluator_, *plan, lost, sinks,
+                               /*negated=*/true);
+      }
+      // Continuous-enforcement re-fires: a deletion rule whose head
+      // relation regained tuples must delete them again, and an update
+      // rule whose local extensional head relation lost tuples must
+      // re-assert them. (Remote heads are receiver-persistent, and view
+      // heads were handled by the cascade.)
+      const PlanStaticInfo& info = plan->info;
+      bool refire;
+      if (plan->rule.head_deletes) {
+        refire = Touches(delta, info, &PlanStaticInfo::HeadCanWrite);
+      } else {
+        const Relation* head =
+            info.head_relation_var ? nullptr : catalog_.Get(info.head_relation);
+        refire = (info.head_peer_var || info.head_peer == self_sym_) &&
+                 (head == nullptr ||
+                  head->kind() == RelationKind::kExtensional) &&
+                 Touches(lost, info, &PlanStaticInfo::HeadCanWrite);
+      }
+      if (refire) evaluator_.Evaluate(*plan, nullptr, -1, sinks);
+    }
   }
-  for (auto& [sym, ds] : pass.next_delta) {
-    for (const Tuple& t : ds.tuples()) delta[sym].Insert(t);
-  }
-  pass.next_delta = DeltaMap();
 
-  result->stats.iterations +=
-      RunRounds(plans, std::move(delta), &pass);
-  result->stats.strata = 1;
-  FinishStage(&pass, result);
+  // Rules installed since the last stage (every rule, in the first)
+  // evaluate in full; the rounds continue from what they derived.
+  for (size_t i = rules_.size() - new_rules_; i < rules_.size(); ++i) {
+    if (rule_strata_[i] != stratum) continue;
+    const RulePlan& plan = *rules_[i].plan;
+    evaluator_.Evaluate(plan, nullptr, -1, pass->SinksFor(plan));
+  }
+  DeltaMap seeds = std::move(delta);
+  delta = DeltaMap();
+  pass->stats->iterations += (first && !rules.empty() ? 1 : 0) +
+                             RunRounds(rules, std::move(seeds), pass);
 }
 
 void Engine::FinishStage(StagePass* pass, StageResult* result) {
   pending_self_updates_ = std::move(pass->self_updates);
   pending_self_deletes_ = std::move(pass->self_deletes);
-  // Remote deletions ship once per unique fact (idempotent at the
-  // receiver; re-sending is pure waste until an insert re-ships it).
+  // Remote deletions ship once per live verdict (idempotent at the
+  // receiver; re-sending is pure waste).
   for (const Fact& f : pass->remote_deletes) {
     if (sent_remote_deletes_.insert(f).second) {
       result->outbound[f.peer].fact_deletes.push_back(f);

@@ -142,14 +142,16 @@ struct InstalledRule {
 /// and rules (delegations) for other peers.
 ///
 /// Intensional relations are maintained incrementally across stages
-/// (DESIGN.md §6): views persist, per-stage Δ-sets (local EDB changes
-/// plus slice-store support transitions) drive semi-naive evaluation
-/// forward from the changed tuples only, and deletions retract by
-/// DRed-style over-delete/re-derive. The cascade stops at a view tuple
-/// another peer still contributes (its slice-store support count);
-/// local support is whatever re-derivation finds. Stages a Δ pass
-/// cannot serve soundly — the first, rule-set changes, changes touching
-/// negated relations — clear the views and recompute the fixpoint.
+/// (DESIGN.md §6): views persist, and every stage is one kind of Δ
+/// stage. Per stratum, deletions retract by DRed-style over-delete/
+/// re-derive, then semi-naive evaluation runs forward from the changed
+/// tuples only. The cascade stops at a view tuple another peer still
+/// contributes (its slice-store support count); local support is
+/// whatever re-derivation finds. The seeds are the stage's net changes
+/// (local EDB changes, slice-store support transitions, what lower
+/// strata changed), the rules installed and retracted since the last
+/// stage, and the changes of relations read under negation. The first
+/// stage counts every rule as installed.
 ///
 /// Derived state is kept once: the views in the catalog, remote
 /// contributions in the slice store, and what this peer derives for
@@ -291,9 +293,10 @@ class Engine {
   // Called only by a recovering Peer, between construction and its
   // first stage. Restore* methods rebuild state verbatim from a
   // snapshot (no validation beyond structural checks, no dirty-marking
-  // beyond what a fresh engine already carries — a fresh engine always
-  // recomputes its first stage, which rebuilds intensional views from
-  // the restored slices). ApplyShipped* methods replay kStageOutbound
+  // beyond what a fresh engine already carries — a fresh engine's first
+  // stage evaluates every rule, seeds the views from the restored
+  // slices, and ships only what differs from the restored sent state).
+  // ApplyShipped* methods replay kStageOutbound
   // WAL records, advancing the emission diff bases to what receivers
   // actually hold; they are idempotent under re-replay because versions
   // only move forward.
@@ -372,36 +375,25 @@ class Engine {
     DerivedDelta delta;
   };
 
-  /// Program-level facts the stage driver needs, recomputed when the
-  /// rule set changes.
-  struct ProgramInfo {
-    /// Some rule has a negated atom: full stages stratify.
-    bool has_negation = false;
-    /// False when no incremental stage can be sound for this program
-    /// (variable-named negated atoms, derivations that can write negated
-    /// relations).
-    bool incremental_ok = true;
-    /// Interned ids of relations appearing in (constant-named) negated
-    /// atoms; a stage whose Δ touches one falls back to recompute.
-    std::unordered_set<uint32_t> negated_ids;
-  };
-
-  /// One stage's forward evaluation: the sinks rule heads derive
-  /// through and what they collect (engine.cc).
+  /// One stage's evaluation: the sinks rule heads derive through and
+  /// what they collect (engine.cc).
   struct StagePass;
 
   uint64_t InstallRule(uint64_t id, const Rule& rule,
                        std::shared_ptr<const RulePlan> plan,
                        const std::string& origin_peer,
                        uint64_t delegation_key);
+  /// Removes an installed rule. One installed since the last stage has
+  /// derived nothing and leaves no trace; what any other derived, unless
+  /// an α-variant that the last stage also ran derives the same, is
+  /// recorded for the next stage to retract.
+  void EraseRule(std::vector<InstalledRule>::iterator it);
   /// Marks the next stage as needed and tells the work listener.
   void NoteWork();
   void NoteRuleSetChanged();
-  void RefreshProgramInfo();
-  bool ChangesEligible(const StageChangeLog& log) const;
+  void RefreshStrata();
   void ApplyInputs(StageChangeLog* log);
   void ApplyInboundDerived(InboundDerived& in, StageChangeLog* log);
-  void ClearIntensionalRelations();
   void SeedIntensionalFromContributions();
   /// Erases the ship-once suppression entry for a fact this stage
   /// re-ships as an insert, and schedules the next stage to re-derive
@@ -419,24 +411,24 @@ class Engine {
   void EmitDelegations(StagePass* pass, StageResult* result);
   void FinalizeOutbound(StageResult* result);
   /// Semi-naive rounds from `delta` until no rule derives a new local
-  /// tuple: the one round loop of full and Δ stages (DESIGN.md §6).
-  /// Returns the number of rounds run.
+  /// tuple (DESIGN.md §6). Returns the number of rounds run.
   int RunRounds(const std::vector<const RulePlan*>& rules, DeltaMap delta,
                 StagePass* pass);
-  /// The full fixpoint of a recompute stage, stratum by stratum.
-  void RunFixpoint(StagePass* pass);
-  /// Clears views, reseeds them from slices and recomputes the fixpoint:
-  /// the first stage, and the fallback of every stage a Δ pass cannot
-  /// serve.
-  void RunStageRecompute(StageResult* result);
-  /// The Δ-driven stage: deletion cascade (over-delete / re-derive),
-  /// then semi-naive forward evaluation from the change seeds only.
-  void RunStageIncremental(StageResult* result, StageChangeLog* log);
-  /// Step 3, shared by both kinds of stage: deferred self-updates,
-  /// remote deletions, contribution and delegation emission. Raises a
-  /// work notice when it leaves work for the next stage.
+  /// The deletion phase of one stratum: over-delete from the Δ⁻ seeds,
+  /// re-derive, retract contributions and rebuild delegations.
+  void RetractStratum(int stratum, const std::vector<const RulePlan*>& rules,
+                      StageChangeLog* log, StagePass* pass);
+  /// The forward phase of one stratum: semi-naive rounds from the Δ⁺
+  /// seeds and the rules installed since the last stage.
+  void DeriveStratum(int stratum, const std::vector<const RulePlan*>& rules,
+                     StageChangeLog* log, StagePass* pass, bool first);
+  /// Step 3: deferred self-updates, remote deletions, contribution and
+  /// delegation emission. Raises a work notice when it leaves work for
+  /// the next stage.
   void FinishStage(StagePass* pass, StageResult* result);
-  bool HasLocalDerivation(const Fact& target);
+  /// True when an installed derivation rule (or, with `deletion`, a
+  /// deletion rule) derives `target` from the current local state.
+  bool HasLocalDerivation(const Fact& target, bool deletion = false);
 
   std::string self_peer_;
   Symbol self_sym_;  // interned self name (delegation-capability checks)
@@ -477,19 +469,19 @@ class Engine {
   std::unordered_set<Fact, FactHasher> pending_self_deletes_;
 
   // Remote contributions to local intensional relations: per-sender
-  // slices with support counts and delta-stream versions. A recompute
-  // stage re-seeds the union into the view relations; a Δ stage feeds
-  // them only the support transitions.
+  // slices with support counts and delta-stream versions. The first
+  // stage seeds the views from them; later stages feed the views only
+  // the support transitions.
   SliceStore slice_store_;
 
-  // What we already shipped: the diff base of the next emission. A Δ
-  // stage updates it in place and ships the net changes; a recompute
-  // stage diffs fresh sets against it and swaps them in.
+  // What we already shipped: the diff base of the next emission. A
+  // stage updates it in place and ships the net changes.
   std::map<ContributionKey, SentContribution> sent_contributions_;
   std::map<uint64_t, Delegation> sent_delegations_;
-  // Remote deletions already shipped (deletion is idempotent; ship once
-  // — until the same fact is re-shipped as an insert, which clears the
-  // entry so a later deletion verdict ships again).
+  // Remote deletions shipped while a deletion rule still derives them
+  // (deletion is idempotent; ship once). An entry leaves when a stage
+  // finds no deletion rule deriving the fact any more, or when the same
+  // fact re-ships as an insert; a later verdict then ships again.
   std::unordered_set<Fact, FactHasher> sent_remote_deletes_;
 
   // --- incremental-maintenance state (DESIGN.md §6) -------------------
@@ -498,11 +490,22 @@ class Engine {
   // Facts whose delete-suppression entry was cleared by an insert
   // re-ship: next stage re-checks active deletion rules against them.
   std::unordered_set<Fact, FactHasher> pending_delete_rechecks_;
-  // Rule set changed since the last stage: the next stage recomputes
-  // (and refreshes program_info_). Starts true, so the first stage
-  // builds the views.
+  // The last new_rules_ entries of rules_ were installed since the last
+  // stage, which evaluates them in full.
+  size_t new_rules_ = 0;
+  // What the rules removed since the last stage derived, found at
+  // removal (the plan is not kept, so it can leave the process-wide
+  // cache at once), and the hashes their plans stamped on residuals.
+  // The next stage retracts both.
+  std::unordered_set<Fact, FactHasher> removed_facts_;
+  std::vector<uint64_t> removed_plan_hashes_;
+  // The next stage is the first: every rule counts as installed.
+  bool first_stage_ = true;
+  // Rule set changed since the last stage: the next stage stratifies it
+  // again. rule_strata_[i] is the stratum of rules_[i].
   bool rules_changed_ = true;
-  ProgramInfo program_info_;
+  int num_strata_ = 1;
+  std::vector<int> rule_strata_;
 
   PropagationCounters prop_counters_;
 

@@ -167,6 +167,14 @@ void RuleEvaluator::ExecFrom(const RulePlan& plan,
                                    : *slots_[pt.slot]);
     }
     ++counters_.negation_probes;
+    if (delta != nullptr && delta_pos == static_cast<int>(atom_index)) {
+      // Restricted to its Δ, the atom holds for the Δ's tuples.
+      auto it = rel_sym.valid() ? delta->find(rel_sym) : delta->end();
+      if (it != delta->end() && it->second.Contains(probe_scratch_)) {
+        ExecFrom(plan, atoms, order, atom_index + 1, delta, delta_pos, sinks);
+      }
+      return;
+    }
     bool present = relation != nullptr &&
                    probe_scratch_.size() == relation->arity() &&
                    relation->Contains(probe_scratch_);

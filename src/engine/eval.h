@@ -88,8 +88,8 @@ struct EvalCounters {
   // Incremental-maintenance telemetry (DESIGN.md §6), accumulated by
   // the engine's stage driver: proof in bench JSON that per-stage work
   // tracks the change size, not the view size.
-  uint64_t stages_incremental = 0;  // stages served by Δ-driven passes
-  uint64_t stages_full = 0;      // stages that recomputed (init/fallback)
+  uint64_t stages_incremental = 0;  // stages after an engine's first
+  uint64_t stages_full = 0;      // first stages: every rule evaluated
   uint64_t tuples_retracted = 0;  // over-deleted and not re-derived
   uint64_t tuples_rederived = 0;  // over-deleted, alternative found
   uint64_t rederive_checks = 0;   // head-bound existence probes run
@@ -150,10 +150,12 @@ class RuleEvaluator {
 
   /// Evaluates a compiled plan (the caller owns it: an installed rule
   /// holds its plan from install to removal). When `delta` is non-null
-  /// and `delta_pos >= 0`, the positive body atom at index `delta_pos`
-  /// matches only tuples in the Δ-set of its resolved relation
-  /// (semi-naive restriction); all other atoms match full relations.
-  /// Pass delta == nullptr for a full (first-round) evaluation.
+  /// and `delta_pos >= 0`, the body atom at index `delta_pos` matches
+  /// only tuples in the Δ-set of its resolved relation (semi-naive
+  /// restriction; a negated atom there holds exactly for the Δ's
+  /// tuples instead of for those absent from the relation); all other
+  /// atoms match full relations. Pass delta == nullptr for a full
+  /// evaluation.
   void Evaluate(const RulePlan& plan, const DeltaMap* delta, int delta_pos,
                 const Sinks& sinks);
 

@@ -193,11 +193,12 @@ RulePlan CompileRule(const Rule& rule) {
   // atoms live at one common peer (no delegation split can move, no
   // name resolution depends on binding order). The order keeps the
   // non-Δ atoms in their original relative sequence, so every negated
-  // atom still runs after the positive atoms that ground it.
+  // atom still runs after the positive atoms that ground it. A negated
+  // Δ position runs first as a positive atom: restricted to a Δ, it
+  // holds for the Δ's tuples.
   if (BodyRotatable(rule, &plan) && rule.body.size() > 1) {
     plan.delta_variants.resize(rule.body.size());
     for (size_t pos = 0; pos < rule.body.size(); ++pos) {
-      if (rule.body[pos].negated) continue;  // never a Δ position
       DeltaVariant& v = plan.delta_variants[pos];
       v.order.push_back(static_cast<uint16_t>(pos));
       for (size_t i = 0; i < rule.body.size(); ++i) {
@@ -205,8 +206,11 @@ RulePlan CompileRule(const Rule& rule) {
       }
       std::vector<bool> bound(plan.slot_vars.size(), false);
       v.atoms.reserve(v.order.size());
-      for (uint16_t original : v.order) {
-        v.atoms.push_back(CompileAtom(c, rule.body[original], &bound));
+      Atom first = rule.body[pos];
+      first.negated = false;
+      v.atoms.push_back(CompileAtom(c, first, &bound));
+      for (size_t i = 1; i < v.order.size(); ++i) {
+        v.atoms.push_back(CompileAtom(c, rule.body[v.order[i]], &bound));
       }
       v.valid = true;
     }

@@ -163,6 +163,18 @@ struct PlanStaticInfo {
   bool HeadCanWrite(Symbol relation) const {
     return head_relation_var || head_relation == relation;
   }
+  /// False when the head cannot derive a fact of `relation` at `peer`
+  /// (an invalid symbol names nothing a constant head can write).
+  bool HeadCanMatch(Symbol relation, Symbol peer) const {
+    return HeadCanWrite(relation) && (head_peer_var || head_peer == peer);
+  }
+  bool Negates(Symbol relation) const {
+    if (negated_relation_var) return true;
+    for (Symbol s : negated_relations) {
+      if (s == relation) return true;
+    }
+    return false;
+  }
   bool HasNegation() const {
     return negated_relation_var || !negated_relations.empty();
   }
@@ -180,6 +192,8 @@ struct PlanStaticInfo {
 /// |Δ|, with every later atom index-probed through the bindings the Δ
 /// tuple provides) and the remaining atoms follow in their original
 /// relative order (so negated atoms still run after their binders).
+/// A negated position restricted to a Δ holds for the Δ's tuples, so
+/// its variant runs the atom first as a positive match over the Δ.
 /// Only compiled when join order carries no semantics — every body atom
 /// names its relation and peer with constants and all atoms live at one
 /// common peer, so no delegation split can depend on the order. The
@@ -201,9 +215,9 @@ struct RulePlan {
   uint16_t num_slots = 0;
   std::vector<std::string> slot_vars;  // slot -> variable name
   PlanStaticInfo info;
-  /// Δ-first body orders, one per body position (invalid entries for
-  /// negated positions and non-rotatable bodies). Indexed by the
-  /// delta_pos the fixpoint loop evaluates.
+  /// Δ-first body orders, one per body position (all invalid for
+  /// non-rotatable bodies). Indexed by the delta_pos the stage
+  /// evaluates.
   std::vector<DeltaVariant> delta_variants;
   /// The single constant peer every body atom names, when rotatable.
   Symbol common_body_peer;

@@ -111,9 +111,4 @@ size_t Catalog::TotalTuples() const {
   return total;
 }
 
-void Catalog::ForEachRelation(
-    const std::function<void(Relation&)>& fn) {
-  for (auto& [name, rel] : relations_) fn(*rel);
-}
-
 }  // namespace wdl

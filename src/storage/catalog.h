@@ -1,7 +1,6 @@
 #ifndef WDL_STORAGE_CATALOG_H_
 #define WDL_STORAGE_CATALOG_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -83,13 +82,6 @@ class Catalog {
 
   /// Total resident tuples across all relations.
   size_t TotalTuples() const;
-
-  /// Invokes `fn` on every declared relation, in name order. The
-  /// clear-all-views stage reset that used to live here is gone:
-  /// whether a view resets or persists across a stage is an engine
-  /// decision (a recompute stage resets, a Δ stage maintains, DESIGN.md
-  /// §6), so the engine drives per-relation resets through this.
-  void ForEachRelation(const std::function<void(Relation&)>& fn);
 
  private:
   std::string owner_peer_;

@@ -25,14 +25,6 @@ namespace wdl {
 /// Not thread-safe, like everything per-peer.
 class HashIndex {
  public:
-  void Clear() {
-    slots_.clear();
-    pool_.clear();
-    keys_ = 0;
-    live_keys_ = 0;
-    free_head_ = kNil;
-  }
-
   /// Pre-sizes for `expected` distinct keys.
   void Reserve(size_t expected) {
     size_t want = SizeFor(expected);
@@ -199,12 +191,6 @@ class LazyColumnIndexes {
     for (auto& [col, index] : indexes_) {
       if (col < stored->size()) index.Remove((*stored)[col].Hash(), stored);
     }
-  }
-
-  /// Empties every built index without dropping it (the container was
-  /// cleared; probed columns stay hot).
-  void ClearEntries() {
-    for (auto& [col, index] : indexes_) index.Clear();
   }
 
   bool Has(size_t column) const { return indexes_.count(column) > 0; }

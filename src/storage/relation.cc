@@ -46,12 +46,6 @@ Result<bool> Relation::Remove(const Tuple& tuple) {
   return true;
 }
 
-void Relation::Clear() {
-  if (!tuples_.empty()) ++version_;
-  tuples_.clear();
-  indexes_.ClearEntries();
-}
-
 std::vector<Tuple> Relation::SortedTuples() const {
   std::vector<Tuple> out(tuples_.begin(), tuples_.end());
   std::sort(out.begin(), out.end());

@@ -60,9 +60,6 @@ class Relation {
     return tuples_.count(tuple) > 0;
   }
 
-  /// Drops all tuples (used for intensional relations at stage start).
-  void Clear();
-
   /// Invokes `fn` on every tuple resident at call time, in unspecified
   /// order. `fn` may insert into this relation (new tuples are not
   /// visited); it must not remove from it. Re-entrant: `fn` may itself
@@ -199,7 +196,7 @@ class Relation {
   Symbol symbol_;
   std::unordered_set<Tuple, TupleHasher> tuples_;
   LazyColumnIndexes indexes_;
-  // Bumped by every successful Insert/Remove/Clear; cached scan
+  // Bumped by every successful Insert/Remove; cached scan
   // snapshots are valid only for the version they were built at.
   uint64_t version_ = 1;
   // Per-depth iteration buffers (mutable: a const scan still leases

@@ -141,8 +141,8 @@ class SliceStore {
   /// Rebuilds one stream verbatim from a durability snapshot: slice
   /// content and applied version, with support counts re-derived.
   /// Restore-only — replaces whatever stream exists, reporting no
-  /// transitions (the recovering engine rebuilds views from scratch on
-  /// its first stage anyway).
+  /// transitions (the recovering engine's first stage seeds its views
+  /// from every slice).
   void RestoreStream(const std::string& relation, const std::string& sender,
                      uint64_t version, TupleSet slice);
 

@@ -93,6 +93,37 @@ TEST(DeletionEngineTest, RemoteDeletionPropagates) {
   EXPECT_TRUE(data->Contains({I(1)}));
 }
 
+// Remote deletions ship once per live verdict. A verdict withdrawn (its
+// body tuple removed) and later derived again must ship again: the fact
+// may have returned at the target in between.
+TEST(DeletionEngineTest, WithdrawnVerdictShipsAgainWhenRederived) {
+  System system;
+  Peer* admin = system.CreatePeer("admin");
+  Peer* node = system.CreatePeer("node");
+  ASSERT_TRUE(node->LoadProgramText(R"(
+    collection ext data@node(x: int);
+    fact data@node(1);
+  )").ok());
+  ASSERT_TRUE(admin->LoadProgramText(R"(
+    collection ext revoked@admin(x: int);
+    rule -data@node($x) :- revoked@admin($x);
+  )").ok());
+  const Fact revoked("revoked", "admin", {I(1)});
+  const Fact data("data", "node", {I(1)});
+  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    SCOPED_TRACE(testing::Message() << "cycle " << cycle);
+    ASSERT_TRUE(admin->Insert(revoked).ok());
+    ASSERT_TRUE(system.RunUntilQuiescent().ok());
+    EXPECT_FALSE(node->engine().catalog().Get("data")->Contains({I(1)}));
+    // The verdict lapses, and the fact returns at the target.
+    ASSERT_TRUE(admin->Remove(revoked).ok());
+    ASSERT_TRUE(node->Insert(data).ok());
+    ASSERT_TRUE(system.RunUntilQuiescent().ok());
+    EXPECT_TRUE(node->engine().catalog().Get("data")->Contains({I(1)}));
+  }
+}
+
 TEST(DeletionEngineTest, DeletionIntoViewRejectedAtInstall) {
   System system;
   Peer* p = system.CreatePeer("p");

@@ -521,6 +521,49 @@ TEST(DurabilityRecoveryTest, CleanShutdownRecoversWithoutAnyResync) {
   }
 }
 
+// Only an engine's first stage is full. A recovered peer's engine runs
+// one; rule installs and retracts, local and delegated, and an edit of
+// a relation read under negation after the restart run none.
+TEST(DurabilityRecoveryTest, RecoveredPeersRunOneFullStage) {
+  std::vector<Op> ops = TwoPeerScript();
+  std::string root = MakeTempRoot();
+  {
+    System system(DurableSystemOptions(root));
+    CreateScriptPeers(system);
+    for (const Op& op : ops) op(system);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    SettleWithHeartbeats(system);
+  }
+  System recovered(DurableSystemOptions(root));
+  CreateScriptPeers(recovered);
+  Peer* alice = recovered.GetPeer("alice");
+  Peer* bob = recovered.GetPeer("bob");
+  auto expect_one_full_stage = [&](const char* step) {
+    SettleWithHeartbeats(recovered);
+    for (Peer* peer : {alice, bob}) {
+      EXPECT_EQ(peer->engine().eval_counters().stages_full, 1u)
+          << step << " at " << peer->name();
+    }
+  };
+  expect_one_full_stage("recovery");
+  ASSERT_TRUE(bob->LoadProgramText(
+                     "collection ext hidden@bob(x: int);"
+                     "collection int shown@bob(x: int);"
+                     "rule shown@bob($x) :- view@bob($x), not hidden@bob($x);")
+                  .ok());
+  expect_one_full_stage("negated rule install");
+  ASSERT_TRUE(bob->Insert(Fact("hidden", "bob", {I(3)})).ok());
+  expect_one_full_stage("negated edit");
+  EXPECT_FALSE(bob->engine().catalog().Get("shown")->Contains({I(3)}));
+  EXPECT_TRUE(bob->engine().catalog().Get("shown")->Contains({I(1)}));
+  Result<uint64_t> both = alice->AddRuleText(
+      "rule both@alice($x) :- data@alice($x), data@bob($x), data@alice($x);");
+  ASSERT_TRUE(both.ok());
+  expect_one_full_stage("delegating rule install");
+  ASSERT_TRUE(alice->RemoveRule(*both).ok());
+  expect_one_full_stage("delegating rule retract");
+}
+
 // A peer that wrote nothing durable yet must recover as a blank slate
 // (no snapshot, no WAL) and work normally afterwards.
 TEST(DurabilityRecoveryTest, EmptyDataDirIsAFreshPeer) {

@@ -214,6 +214,32 @@ TEST(EngineTest, RetractOfUnknownDelegationLeavesEngineIdle) {
   EXPECT_FALSE(e.HasPendingWork());
 }
 
+// A fact edit that changes nothing — a duplicate insert, removing an
+// absent fact, an insert the catalog rejects — leaves no work behind.
+TEST(EngineTest, NoOpFactEditsLeaveEngineIdle) {
+  Engine e("p");
+  ASSERT_TRUE(e.LoadProgram(P(R"(
+    collection ext b@p(x: int);
+    fact b@p(1);
+  )")).ok());
+  (void)e.RunStage();
+  ASSERT_FALSE(e.HasPendingWork());
+
+  Result<bool> duplicate = e.InsertFact(Fact("b", "p", {I(1)}));
+  ASSERT_TRUE(duplicate.ok());
+  EXPECT_FALSE(*duplicate);
+  EXPECT_FALSE(e.HasPendingWork());
+  Result<bool> absent = e.RemoveFact(Fact("b", "p", {I(2)}));
+  ASSERT_TRUE(absent.ok());
+  EXPECT_FALSE(*absent);
+  EXPECT_FALSE(e.HasPendingWork());
+  EXPECT_FALSE(e.InsertFact(Fact("b", "p", {I(1), I(2)})).ok());  // arity
+  EXPECT_FALSE(e.HasPendingWork());
+
+  ASSERT_TRUE(e.InsertFact(Fact("b", "p", {I(2)})).ok());
+  EXPECT_TRUE(e.HasPendingWork());
+}
+
 TEST(EngineTest, DelegationForWrongTargetRejected) {
   Engine e("p");
   Delegation d;

@@ -1,17 +1,20 @@
 // Incremental view maintenance suite (DESIGN.md §6).
 //
-// Intensional relations persist across stages: Δ-sets (local EDB
-// changes + slice-store support transitions) drive semi-naive
-// evaluation forward, and deletions retract by support-counted
-// DRed-style over-delete/re-derive. Stages a Δ pass cannot serve (rule
-// changes, changes touching negated relations) recompute. The engine
-// tests pin the Δ path's cost and its fallbacks; the oracle scenarios
-// run multi-peer churn — deletions, delegation installs and retracts,
-// negation, randomized workloads — and expect exactly the state the
+// Intensional relations persist across stages, and every stage is a Δ
+// stage: Δ-sets (local EDB changes, slice-store support transitions,
+// rules installed and retracted, changes of relations read under
+// negation) drive semi-naive evaluation forward stratum by stratum,
+// and deletions retract by support-counted DRed-style over-delete/
+// re-derive. Only an engine's first stage evaluates every rule. The
+// engine tests pin the Δ path's cost and that rule and negated-relation
+// changes stay incremental; the oracle scenarios run multi-peer churn —
+// deletions, delegation installs and retracts, negation, randomized
+// workloads with rule churn — and expect exactly the state the
 // reference evaluator (support/reference_eval.h) computes from the
 // scenario's inputs. Where history puts a scenario outside the
 // reference (remote deletion heads), it asserts the state directly.
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -128,23 +131,29 @@ TEST(IncrementalEngineTest, AlternativeDerivationSurvivesByRederivation) {
   EXPECT_FALSE(engine.catalog().Get("chained")->Contains({I(7)}));
 }
 
-TEST(IncrementalEngineTest, RuleChangesFallBackToFullRecompute) {
+// Only an engine's first stage evaluates every rule: a rule install
+// seeds the Δ stage with that rule's own evaluation, and a retract
+// over-deletes what the rule derived.
+TEST(IncrementalEngineTest, RuleChangesStayIncremental) {
   Engine engine("a");
   LoadChain(&engine, 5);
-  uint64_t full_before = engine.eval_counters().stages_full;
+  const uint64_t full_before = engine.eval_counters().stages_full;
+  const uint64_t incr_before = engine.eval_counters().stages_incremental;
   Result<uint64_t> id = engine.AddRule(test::R(
       "rule tc@a($x, $x) :- edge@a($x, $y);"));
   ASSERT_TRUE(id.ok());
   Settle(&engine);
-  EXPECT_GT(engine.eval_counters().stages_full, full_before);
+  EXPECT_EQ(engine.eval_counters().stages_full, full_before);
+  EXPECT_GT(engine.eval_counters().stages_incremental, incr_before);
   EXPECT_TRUE(engine.catalog().Get("tc")->Contains({I(0), I(0)}));
 
   ASSERT_TRUE(engine.RemoveRule(*id).ok());
   Settle(&engine);
+  EXPECT_EQ(engine.eval_counters().stages_full, full_before);
   EXPECT_FALSE(engine.catalog().Get("tc")->Contains({I(0), I(0)}));
 }
 
-TEST(IncrementalEngineTest, NegationTouchingChangeFallsBack) {
+TEST(IncrementalEngineTest, NegationTouchingChangeStaysIncremental) {
   Engine engine("a");
   Program p = test::P(R"(
     collection ext item@a(x: int);
@@ -159,17 +168,19 @@ TEST(IncrementalEngineTest, NegationTouchingChangeFallsBack) {
   const Relation* visible = engine.catalog().Get("visible");
   EXPECT_EQ(visible->size(), 2u);
 
-  // A change to the negated relation is incremental-ineligible; the
-  // stage must fall back and still converge to the right answer.
-  uint64_t full_before = engine.eval_counters().stages_full;
+  // A change to the negated relation seeds the Δ stage through the
+  // negated atom: a gain retracts what it held for, a loss derives what
+  // it held back.
+  const uint64_t full_before = engine.eval_counters().stages_full;
   ASSERT_TRUE(engine.InsertFact(F("banned", "a", {I(1)})).ok());
   Settle(&engine);
-  EXPECT_GT(engine.eval_counters().stages_full, full_before);
+  EXPECT_EQ(engine.eval_counters().stages_full, full_before);
   EXPECT_FALSE(visible->Contains({I(1)}));
   EXPECT_TRUE(visible->Contains({I(2)}));
 
   ASSERT_TRUE(engine.RemoveFact(F("banned", "a", {I(1)})).ok());
   Settle(&engine);
+  EXPECT_EQ(engine.eval_counters().stages_full, full_before);
   EXPECT_TRUE(visible->Contains({I(1)}));
 }
 
@@ -342,6 +353,40 @@ TEST(IncrementalOracleTest, AlphaVariantSurvivorRetractsResidual) {
   test::ExpectMatchesReference(system, ref);
 }
 
+// Two rules, one local and one delegating, are retracted between two
+// stages, each after its α-variant was installed and before that
+// variant is retracted too. The variant shares the rule's plan but no
+// stage ran it, so what the rule derived (known@a("carol"), and the
+// residual at b with the contribution it ships) must still go.
+TEST(IncrementalOracleTest, AlphaVariantInstalledAndRetractedBetweenStages) {
+  System system;
+  ReferenceProgram ref;
+  Peer* a = system.CreatePeer("a", Trusting());
+  Peer* b = system.CreatePeer("b", Trusting());
+  LoadSpotting(a, b, &ref);
+  Load(a, &ref, "collection int known@a(who: string);");
+  Insert(a, &ref, F("friends", "a", {test::S("carol")}));
+  Result<uint64_t> known = a->AddRuleText("known@a($v) :- friends@a($v)");
+  Result<uint64_t> spotted =
+      a->AddRuleText("spotted@a($v) :- friends@a($v), seen@b($v)");
+  ASSERT_TRUE(known.ok() && spotted.ok());
+  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  ASSERT_TRUE(a->engine().catalog().Get("known")->Contains({test::S("carol")}));
+  ASSERT_TRUE(
+      a->engine().catalog().Get("spotted")->Contains({test::S("carol")}));
+
+  for (auto [id, variant] :
+       {std::pair(*known, "known@a($w) :- friends@a($w)"),
+        std::pair(*spotted, "spotted@a($w) :- friends@a($w), seen@b($w)")}) {
+    Result<uint64_t> twin = a->AddRuleText(variant);
+    ASSERT_TRUE(twin.ok());
+    ASSERT_TRUE(a->RemoveRule(id).ok());
+    ASSERT_TRUE(a->RemoveRule(*twin).ok());
+  }
+  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  test::ExpectMatchesReference(system, ref);
+}
+
 // One stage drops a residual and derives it again. Removing root@a("b")
 // over-deletes reach@a("b"), so the delegation rebuild drops b's
 // residual; the forward pass then derives reach@a("b") again through
@@ -467,6 +512,70 @@ TEST(IncrementalOracleTest, SliceLossRetractsSelfSupportingCycle) {
   ASSERT_TRUE(system.RunUntilQuiescent().ok());
   test::ExpectMatchesReference(system, ref);
   EXPECT_EQ(hub->engine().catalog().Get("reach")->size(), 0u);
+}
+
+// The cycle above, with reach's rules lifted to the second stratum by a
+// negated rule that also writes reach, and a second support: hub's own
+// start rule. Its last support goes as a lost contribution (data@a
+// removed) or as the facts of a retracted rule (hub's start rule, after
+// a's rule is retracted). Either over-delete closure must run the
+// cycle's rules in reach's stratum.
+TEST(IncrementalOracleTest, CycleAboveNegationLosesItsLastSupport) {
+  for (bool retract_rule : {false, true}) {
+    SCOPED_TRACE(retract_rule ? "rule retract" : "slice loss");
+    System system;
+    ReferenceProgram ref;
+    Peer* hub = system.CreatePeer("hub");
+    Peer* a = system.CreatePeer("a");
+    Load(hub, &ref, R"(
+      collection ext link@hub(x: int, y: int);
+      collection ext start@hub(x: int);
+      collection ext seed@hub(x: int);
+      collection ext blocked@hub(x: int);
+      collection int reach@hub(x: int);
+      rule reach@hub($y) :- reach@hub($x), link@hub($x, $y);
+      rule reach@hub($x) :- seed@hub($x), not blocked@hub($x);
+    )");
+    Load(a, &ref, R"(
+      collection ext data@a(x: int);
+    )");
+    const char* kFromData = "reach@hub($x) :- data@a($x)";
+    const char* kFromStart = "reach@hub($x) :- start@hub($x)";
+    Result<uint64_t> from_data = a->AddRuleText(kFromData);
+    Result<uint64_t> from_start = hub->AddRuleText(kFromStart);
+    ASSERT_TRUE(from_data.ok() && from_start.ok());
+    ref.peers["a"].rules.push_back(test::R(kFromData));
+    ref.peers["hub"].rules.push_back(test::R(kFromStart));
+    Insert(hub, &ref, F("link", "hub", {I(1), I(2)}));
+    Insert(hub, &ref, F("link", "hub", {I(2), I(1)}));
+    Insert(hub, &ref, F("start", "hub", {I(1)}));
+    Insert(a, &ref, F("data", "a", {I(1)}));
+    ASSERT_TRUE(system.RunUntilQuiescent().ok());
+    test::ExpectMatchesReference(system, ref);
+    ASSERT_EQ(hub->engine().catalog().Get("reach")->size(), 2u);
+
+    // The cycle keeps one of its two supports.
+    if (retract_rule) {
+      ASSERT_TRUE(a->RemoveRule(*from_data).ok());
+      ref.peers["a"].rules.pop_back();
+    } else {
+      Remove(hub, &ref, F("start", "hub", {I(1)}));
+    }
+    ASSERT_TRUE(system.RunUntilQuiescent().ok());
+    test::ExpectMatchesReference(system, ref);
+    EXPECT_EQ(hub->engine().catalog().Get("reach")->size(), 2u);
+
+    // Its last support goes.
+    if (retract_rule) {
+      ASSERT_TRUE(hub->RemoveRule(*from_start).ok());
+      ref.peers["hub"].rules.pop_back();
+    } else {
+      Remove(a, &ref, F("data", "a", {I(1)}));
+    }
+    ASSERT_TRUE(system.RunUntilQuiescent().ok());
+    test::ExpectMatchesReference(system, ref);
+    EXPECT_EQ(hub->engine().catalog().Get("reach")->size(), 0u);
+  }
 }
 
 // A deletion rule with a remote head is outside the reference fragment,
@@ -671,6 +780,150 @@ TEST(IncrementalOracleTest, RandomizedCyclesWithMixedSupport) {
       }
       ASSERT_TRUE(system.RunUntilQuiescent(5000).ok());
       test::ExpectMatchesReference(system, ref);
+      if (HasFailure()) return;
+    }
+  }
+}
+
+// Randomized churn of rules and facts over stratified negation, checked
+// against the reference after every batch. hub's board is derived from
+// own@hub and contributed by a and b; hot@hub is derived from it. The
+// churned rules negate extensional (banned, muted) and derived (hot,
+// visible's, quiet's and reach's) relations over up to three strata,
+// one of them twice (quiet negates hot and muted, which a "both" op
+// makes gain the same binding in one batch), and one is installed under
+// two α-variant spellings. reach@hub is recursive over links that start
+// as two cycles; it is contributed by a, fed by a churned rule from
+// own@hub, and by a negated rule (tag, not muted) that lifts the
+// cycle's rules to the second stratum, so a cycle can lose its last
+// support there as a lost contribution or as a retracted rule's facts.
+// b's variable-peer rule delegates to a or reads locally, and its
+// churned negated variant leaves a residual at a that splits back to b.
+// Only each engine's first stage may be full.
+TEST(IncrementalOracleTest, RandomizedRuleChurnWithNegation) {
+  struct Churned {
+    const char* peer;
+    const char* text;
+  };
+  const std::vector<Churned> kRules = {
+      {"hub", "visible@hub($x) :- board@hub($x), not banned@hub($x)"},
+      {"hub", "visible@hub($y) :- board@hub($y), not banned@hub($y)"},
+      {"hub", "quiet@hub($x) :- board@hub($x), not hot@hub($x), "
+              "not muted@hub($x)"},
+      {"hub", "top@hub($x) :- visible@hub($x), not quiet@hub($x)"},
+      {"hub", "reach@hub($x) :- own@hub($x)"},
+      {"hub", "lone@hub($x) :- board@hub($x), not reach@hub($x)"},
+      {"b", "kept@b($x) :- sel@b($p), data@$p($x), not banned@b($x)"},
+  };
+  for (uint64_t seed = 1; seed <= 100; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    System system;
+    ReferenceProgram ref;
+    Peer* hub = system.CreatePeer("hub", Trusting());
+    Peer* a = system.CreatePeer("a", Trusting());
+    Peer* b = system.CreatePeer("b", Trusting());
+    Load(hub, &ref, R"(
+      collection ext own@hub(x: int);
+      collection ext tag@hub(x: int);
+      collection ext banned@hub(x: int);
+      collection ext muted@hub(x: int);
+      collection int board@hub(x: int);
+      collection int hot@hub(x: int);
+      collection int visible@hub(x: int);
+      collection int quiet@hub(x: int);
+      collection int top@hub(x: int);
+      collection ext links@hub(x: int, y: int);
+      collection int reach@hub(x: int);
+      collection int lone@hub(x: int);
+      rule board@hub($x) :- own@hub($x);
+      rule hot@hub($x) :- board@hub($x), tag@hub($x);
+      rule reach@hub($y) :- reach@hub($x), links@hub($x, $y);
+      rule reach@hub($x) :- tag@hub($x), not muted@hub($x);
+    )");
+    Load(a, &ref, R"(
+      collection ext data@a(x: int);
+      rule board@hub($x) :- data@a($x);
+      rule reach@hub($x) :- data@a($x);
+    )");
+    Load(b, &ref, R"(
+      collection ext data@b(x: int);
+      collection ext sel@b(p: string);
+      collection ext banned@b(x: int);
+      collection int got@b(x: int);
+      collection int kept@b(x: int);
+      rule board@hub($x) :- data@b($x);
+      rule got@b($x) :- sel@b($p), data@$p($x);
+    )");
+    for (int v = 0; v < 4; ++v) {  // two 2-cycles: 0 <-> 1, 2 <-> 3
+      Insert(hub, &ref, F("links", "hub", {I(v), I(v ^ 1)}));
+    }
+    std::vector<uint64_t> ids(kRules.size(), 0);  // 0: not installed
+    Rng rng(seed);
+    for (int batch = 0; batch < 12; ++batch) {
+      const int ops = 1 + static_cast<int>(rng.NextBelow(6));
+      for (int op = 0; op < ops; ++op) {
+        const int v = static_cast<int>(rng.NextBelow(4));
+        auto apply = rng.NextBelow(3) != 0 ? Insert : Remove;
+        switch (rng.NextBelow(12)) {
+          case 0:
+            apply(hub, &ref, F("own", "hub", {I(v)}));
+            break;
+          case 1:
+            apply(hub, &ref, F("tag", "hub", {I(v)}));
+            break;
+          case 2:
+            apply(hub, &ref, F("banned", "hub", {I(v)}));
+            break;
+          case 3:
+            apply(hub, &ref, F("muted", "hub", {I(v)}));
+            break;
+          case 4:  // hot@hub and muted@hub gain the same binding
+            Insert(hub, &ref, F("tag", "hub", {I(v)}));
+            Insert(hub, &ref, F("muted", "hub", {I(v)}));
+            break;
+          case 5:
+            apply(a, &ref, F("data", "a", {I(v)}));
+            break;
+          case 6:
+            apply(b, &ref, F("data", "b", {I(v)}));
+            break;
+          case 7:
+            apply(b, &ref, F("sel", "b", {test::S(v % 2 ? "a" : "b")}));
+            break;
+          case 8:
+            apply(b, &ref, F("banned", "b", {I(v)}));
+            break;
+          case 9: {
+            const int w = static_cast<int>(rng.NextBelow(4));
+            apply(hub, &ref, F("links", "hub", {I(v), I(w)}));
+            break;
+          }
+          default: {  // install or retract one churned rule
+            const size_t k = rng.NextBelow(kRules.size());
+            Peer* peer = system.GetPeer(kRules[k].peer);
+            std::vector<Rule>& rules = ref.peers[kRules[k].peer].rules;
+            const Rule rule = test::R(kRules[k].text);
+            if (ids[k] == 0) {
+              Result<uint64_t> id = peer->AddRuleText(kRules[k].text);
+              ASSERT_TRUE(id.ok()) << id.status();
+              ids[k] = *id;
+              rules.push_back(rule);
+            } else {
+              ASSERT_TRUE(peer->RemoveRule(ids[k]).ok());
+              ids[k] = 0;
+              rules.erase(std::find(rules.begin(), rules.end(), rule));
+            }
+            break;
+          }
+        }
+      }
+      ASSERT_TRUE(system.RunUntilQuiescent(5000).ok());
+      test::ExpectMatchesReference(system, ref);
+      for (const std::string& name : system.PeerNames()) {
+        EXPECT_EQ(system.GetPeer(name)->engine().eval_counters().stages_full,
+                  1u)
+            << name;
+      }
       if (HasFailure()) return;
     }
   }

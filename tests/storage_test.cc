@@ -111,17 +111,6 @@ TEST(RelationTest, ScanEqualMatchesLookupEqual) {
   }
 }
 
-TEST(RelationTest, ClearEmptiesDataAndIndexes) {
-  Relation r(Decl("r", "p", {{"x", ValueKind::kInt}}));
-  ASSERT_TRUE(r.Insert({I(1)}).ok());
-  r.LookupEqual(0, I(1), [](const Tuple&) {});
-  r.Clear();
-  EXPECT_TRUE(r.empty());
-  int hits = 0;
-  r.LookupEqual(0, I(1), [&](const Tuple&) { ++hits; });
-  EXPECT_EQ(hits, 0);
-}
-
 TEST(RelationTest, SortedTuplesIsCanonical) {
   Relation r(Decl("r", "p", {{"x", ValueKind::kInt}}));
   for (int64_t v : {5, 1, 3, 2, 4}) ASSERT_TRUE(r.Insert({I(v)}).ok());
@@ -189,24 +178,6 @@ TEST(CatalogTest, SnapshotReturnsSortedFacts) {
   ASSERT_EQ(snap->size(), 2u);
   EXPECT_EQ((*snap)[0].args[0], I(1));
   EXPECT_EQ((*snap)[1].args[0], I(2));
-}
-
-TEST(CatalogTest, ForEachRelationDrivesSelectiveClear) {
-  // The stage-start view reset is an engine policy now: the engine
-  // clears views through ForEachRelation (recompute oracle) or leaves
-  // them resident (incremental maintenance). The catalog itself only
-  // offers the traversal.
-  Catalog c("alice");
-  ASSERT_TRUE(c.Declare(Decl("base", "alice", {{"x", ValueKind::kInt}})).ok());
-  ASSERT_TRUE(c.Declare(Decl("view", "alice", {{"x", ValueKind::kInt}},
-                             RelationKind::kIntensional)).ok());
-  ASSERT_TRUE(c.Get("base")->Insert({I(1)}).ok());
-  ASSERT_TRUE(c.Get("view")->Insert({I(1)}).ok());
-  c.ForEachRelation([](Relation& rel) {
-    if (rel.kind() == RelationKind::kIntensional) rel.Clear();
-  });
-  EXPECT_EQ(c.Get("base")->size(), 1u);
-  EXPECT_EQ(c.Get("view")->size(), 0u);
 }
 
 TEST(CatalogTest, TotalTuplesSumsAllRelations) {
