@@ -28,11 +28,11 @@ namespace wdl {
 /// path) is lock-free over chunked storage whose entries never move.
 ///
 /// Append-only means every distinct interned name costs one permanent
-/// small entry. Program identifiers are finite; the one unbounded
-/// producer is ad-hoc query scratch relations ("__query_<n>"), which
-/// leak one entry per query until scratch names are recycled (tracked
-/// in ROADMAP). Data strings never intern — runtime name resolution
-/// goes through the non-inserting Find().
+/// small entry. Program identifiers are finite, and so are ad-hoc
+/// queries' names: one placeholder head ("__query") and one scratch
+/// view per arity ("__query_<n>", runtime/query.h). Data strings never
+/// intern — runtime name resolution goes through the non-inserting
+/// Find().
 class Symbol {
  public:
   static constexpr uint32_t kNone = 0xFFFFFFFFu;

@@ -783,7 +783,6 @@ void Engine::ShipDelta(const ContributionKey& key, SentContribution* sent,
   for (const Tuple& t : dd.inserts) {
     ClearDeleteSuppression(key.relation, key.target_peer, t);
   }
-  result->stats.derived_tuples_out += dd.inserts.size() + dd.deletes.size();
   prop_counters_.delta_inserts_shipped += dd.inserts.size();
   prop_counters_.delta_deletes_shipped += dd.deletes.size();
   ++prop_counters_.deltas_shipped;
@@ -826,19 +825,10 @@ void Engine::ServeResyncs(StageResult* result) {
     for (const Tuple& t : dd.inserts) {
       ClearDeleteSuppression(relation, peer, t);
     }
-    result->stats.derived_tuples_out += dd.inserts.size();
     ++prop_counters_.snapshots_shipped;
     result->outbound[peer].derived_deltas.push_back(std::move(dd));
   }
   pending_resync_serves_.clear();
-
-  // Tell former senders to forget streams for relations dropped here,
-  // so a recycled scratch name starts from version 0 on both ends
-  // instead of eating a gap->resync round trip on first reuse.
-  for (const auto& [sender, relation] : pending_stream_forgets_) {
-    result->outbound[sender].stream_forgets.push_back(relation);
-  }
-  pending_stream_forgets_.clear();
 
   // And raise our own: gaps detected while applying inbound deltas —
   // unless a later message of the same batch (duplicate, reordered
@@ -876,18 +866,6 @@ void Engine::EmitDelegations(StagePass* pass, StageResult* result) {
   }
   for (const auto& [key, target] : pass->delegations_retracted) {
     result->outbound[target].delegation_retracts.push_back(key);
-  }
-  result->stats.delegations_active = sent_delegations_.size();
-}
-
-void Engine::FinalizeOutbound(StageResult* result) {
-  for (auto it = result->outbound.begin(); it != result->outbound.end();) {
-    if (it->second.empty()) {
-      it = result->outbound.erase(it);
-    } else {
-      result->stats.messages_out += it->second.MessageCount();
-      ++it;
-    }
   }
 }
 
@@ -984,7 +962,6 @@ StageResult Engine::RunStage() {
 
   // Step 2, stratum by stratum: the deletion phase, then the forward
   // phase (DESIGN.md §6).
-  result.stats.strata = num_strata_;
   std::vector<const RulePlan*> plans;
   for (int stratum = 0; stratum < num_strata_; ++stratum) {
     plans.clear();
@@ -1309,7 +1286,6 @@ void Engine::FinishStage(StagePass* pass, StageResult* result) {
   EmitContributions(pass, result);
   ServeResyncs(result);
   EmitDelegations(pass, result);
-  FinalizeOutbound(result);
 
   result->stats.tuples_examined =
       evaluator_.counters().tuples_examined - pass->tuples_before;
@@ -1334,47 +1310,11 @@ std::vector<DerivedDelta> Engine::CollectHeartbeats() {
   return out;
 }
 
-Status Engine::DropScratchRelation(const std::string& relation) {
-  for (const InstalledRule& ir : rules_) {
-    auto mentions = [&](const Atom& a) {
-      return !a.relation.is_variable() && a.relation.name() == relation;
-    };
-    bool referenced = mentions(ir.rule.head);
-    for (const Atom& a : ir.rule.body) referenced |= mentions(a);
-    if (referenced) {
-      return Status::FailedPrecondition(
-          "relation " + relation + " is still referenced by rule " +
-          ir.rule.ToString());
-    }
-  }
-  // Queue stream-forget notices before the streams disappear: each
-  // remote sender keeps a SentContribution toward us keyed by this
-  // relation, and without the notice a recycled name's first remote
-  // contribution arrives as a mid-stream delta we must reject (one
-  // gap->resync round trip). Dropping the relation is a local act, so
-  // self never appears as a sender here.
-  for (const std::string& sender : slice_store_.SendersForRelation(relation)) {
-    if (sender == self_peer_) continue;
-    pending_stream_forgets_.emplace(sender, relation);
-    NoteWork();  // the notices must go out in a stage
-  }
-  slice_store_.DropRelation(relation);
-  if (!catalog_.Undeclare(relation)) {
-    return Status::NotFound("relation " + relation + " is not declared");
-  }
-  return Status::OK();
-}
-
-void Engine::ForgetSentStream(const std::string& target_peer,
-                              const std::string& relation) {
-  sent_contributions_.erase(ContributionKey{target_peer, relation});
-}
-
 std::string Engine::DumpAsProgramText() const {
   Program program;
   for (const std::string& name : catalog_.RelationNames()) {
     const Relation* rel = catalog_.Get(name);
-    if (StartsWith(name, "__query_")) continue;  // ad-hoc query scratch
+    if (StartsWith(name, "__query_")) continue;  // query scratch views
     program.declarations.push_back(rel->decl());
     if (rel->kind() == RelationKind::kExtensional) {
       for (Tuple& t : rel->SortedTuples()) {

@@ -65,33 +65,13 @@ struct Outbound {
   std::vector<Fact> fact_deletes;  // from deletion rules (-head :- body)
   std::vector<Delegation> delegation_installs;
   std::vector<uint64_t> delegation_retracts;  // Delegation::Key()s
-  /// Relations this peer dropped; the target peer should discard its
-  /// contribution-stream state toward us for them (see DESIGN §9).
-  std::vector<std::string> stream_forgets;
-
-  bool empty() const {
-    return derived_deltas.empty() && resync_requests.empty() &&
-           fact_deletes.empty() && delegation_installs.empty() &&
-           delegation_retracts.empty() && stream_forgets.empty();
-  }
-  size_t MessageCount() const {
-    return derived_deltas.size() + resync_requests.size() +
-           (fact_deletes.empty() ? 0 : 1) + delegation_installs.size() +
-           delegation_retracts.size() + stream_forgets.size();
-  }
 };
 
 struct StageStats {
-  int strata = 1;
   int iterations = 0;            // fixpoint iterations across strata
   uint64_t tuples_examined = 0;  // join work
   uint64_t local_derivations = 0;  // intensional tuples inserted
   size_t active_rules = 0;
-  size_t delegations_active = 0;
-  size_t messages_out = 0;
-  /// Tuples shipped in deltas and snapshots this stage — the wire
-  /// payload of step 3, tracking the change size.
-  uint64_t derived_tuples_out = 0;
 };
 
 /// Cumulative propagation-plane telemetry of one engine, across every
@@ -113,7 +93,8 @@ struct PropagationCounters {
 };
 
 struct StageResult {
-  std::map<std::string, Outbound> outbound;  // by target peer
+  // By target peer; only targets with something to ship have an entry.
+  std::map<std::string, Outbound> outbound;
   StageStats stats;
 };
 
@@ -248,10 +229,10 @@ class Engine {
   /// Installs the callback told whenever the next stage has work: by
   /// every public entry point that creates some (fact and rule edits,
   /// delegation install, a retract that removes a rule, the Enqueue*
-  /// inputs, NoteLinkReset, DropScratchRelation), and by a stage that
-  /// leaves some behind (deferred self-updates and self-deletes, delete
-  /// rechecks). After it fires HasPendingWork() is true. The owning
-  /// Peer forwards it to the System's ready set (DESIGN.md §2).
+  /// inputs, NoteLinkReset), and by a stage that leaves some behind
+  /// (deferred self-updates and self-deletes, delete rechecks). After
+  /// it fires HasPendingWork() is true. The owning Peer forwards it to
+  /// the System's ready set (DESIGN.md §2).
   void set_work_listener(std::function<void()> listener) {
     work_listener_ = std::move(listener);
   }
@@ -273,21 +254,6 @@ class Engine {
   /// Receiver-side contribution store (observability for tests: slices,
   /// support counts, stream versions).
   const SliceStore& slice_store() const { return slice_store_; }
-
-  /// Removes an ad-hoc scratch relation: catalog entry plus any remote
-  /// contribution slices, so a recycled `__query_<n>` name starts
-  /// clean. Every remote peer that streamed a contribution here is
-  /// queued a kStreamForget so the recycled name starts from version 0
-  /// on both ends (no gap->resync round trip on first reuse). The
-  /// caller must have removed every rule referencing it.
-  Status DropScratchRelation(const std::string& relation);
-
-  /// Handles an inbound kStreamForget: `target_peer` dropped `relation`,
-  /// so discard the contribution stream we were maintaining toward it
-  /// (our next contribution, if any, restarts as a fresh version-1
-  /// snapshot instead of a delta the receiver would reject).
-  void ForgetSentStream(const std::string& target_peer,
-                        const std::string& relation);
 
   // --- durability restore / WAL replay (DESIGN.md §11) ----------------
   // Called only by a recovering Peer, between construction and its
@@ -409,7 +375,6 @@ class Engine {
   /// retracts follow them.
   void ReshipDelegations(StageResult* result);
   void EmitDelegations(StagePass* pass, StageResult* result);
-  void FinalizeOutbound(StageResult* result);
   /// Semi-naive rounds from `delta` until no rule derives a new local
   /// tuple (DESIGN.md §6). Returns the number of rounds run.
   int RunRounds(const std::vector<const RulePlan*>& rules, DeltaMap delta,
@@ -450,10 +415,6 @@ class Engine {
   // Delegation keys to re-ship next stage (link reset to their target;
   // installs are idempotent by key at the receiver).
   std::set<uint64_t> pending_delegation_reships_;
-  // (sender, relation) stream-forget notices to emit next stage: the
-  // relation was dropped here, the sender should clear its
-  // SentContribution toward us.
-  std::set<std::pair<std::string, std::string>> pending_stream_forgets_;
   // Gaps detected while applying inbound deltas this stage: (sender,
   // relation) -> highest update version we failed to apply. Turned into
   // outbound resync requests in step 3, unless a later message in the

@@ -13,7 +13,6 @@ const char* MessageTypeToString(MessageType type) {
     case MessageType::kHello: return "Hello";
     case MessageType::kDerivedDelta: return "DerivedDelta";
     case MessageType::kResyncRequest: return "ResyncRequest";
-    case MessageType::kStreamForget: return "StreamForget";
   }
   return "?";
 }
@@ -42,13 +41,6 @@ Message Message::MakeDerivedDelta(DerivedDelta delta) {
 Message Message::ResyncRequest(std::string relation) {
   Message m;
   m.type = MessageType::kResyncRequest;
-  m.text = std::move(relation);
-  return m;
-}
-
-Message Message::StreamForget(std::string relation) {
-  Message m;
-  m.type = MessageType::kStreamForget;
   m.text = std::move(relation);
   return m;
 }
@@ -100,7 +92,6 @@ std::string Message::ToString() const {
                        delta.inserts.size(), delta.deletes.size());
       break;
     case MessageType::kResyncRequest:
-    case MessageType::kStreamForget:
       out += "(" + text + ")";
       break;
   }

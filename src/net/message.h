@@ -14,8 +14,8 @@ namespace wdl {
 /// delegation installs and retracts carry programs — the paper's step
 /// 3: "the peer sends facts (updates) and rules (delegations) to other
 /// peers". kHello is peer discovery. The values are the wire and WAL
-/// encoding and never change; 2 belonged to the retired full-slice
-/// protocol and is rejected by the decoder (kRetiredMessageType).
+/// encoding and never change; the decoder rejects the retired ones
+/// below.
 enum class MessageType : uint8_t {
   kFactInserts = 0,       // base-fact updates, persistent at receiver
   kFactDeletes = 1,       // base-fact deletions
@@ -24,13 +24,14 @@ enum class MessageType : uint8_t {
   kHello = 5,             // peer announcement (discovery)
   kDerivedDelta = 6,      // differential contribution update (DESIGN §5)
   kResyncRequest = 7,     // "re-send your contribution to <relation> in full"
-  kStreamForget = 8,      // "I dropped <relation>; forget your stream to me"
 };
 
-/// The type byte of the retired full-slice message, which carried a
-/// sender's whole contribution. Never reused: a frame or WAL record
-/// carrying it fails to decode.
-inline constexpr uint8_t kRetiredMessageType = 2;
+/// Type bytes of retired messages. Never reused: a frame or WAL record
+/// carrying one fails to decode. 2 carried a sender's whole
+/// contribution (the full-slice protocol); 8 told a sender to forget
+/// its stream into a dropped query scratch relation.
+inline constexpr uint8_t kRetiredFullSliceType = 2;
+inline constexpr uint8_t kRetiredForgetNoticeType = 8;
 
 const char* MessageTypeToString(MessageType type);
 
@@ -41,14 +42,13 @@ struct Message {
   DerivedDelta delta;          // kDerivedDelta
   Delegation delegation;       // kDelegationInstall
   uint64_t delegation_key = 0; // kDelegationRetract
-  /// kHello: peer name; kResyncRequest / kStreamForget: relation.
+  /// kHello: peer name; kResyncRequest: relation.
   std::string text;
 
   static Message FactInserts(std::vector<Fact> facts);
   static Message FactDeletes(std::vector<Fact> facts);
   static Message MakeDerivedDelta(DerivedDelta delta);
   static Message ResyncRequest(std::string relation);
-  static Message StreamForget(std::string relation);
   static Message DelegationInstall(Delegation d);
   static Message DelegationRetract(uint64_t key);
   static Message Hello(std::string peer_name);

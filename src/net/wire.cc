@@ -155,7 +155,6 @@ void WireEncoder::PutMessage(const Message& m) {
       break;
     case MessageType::kHello:
     case MessageType::kResyncRequest:
-    case MessageType::kStreamForget:
       PutString(m.text);
       break;
     case MessageType::kDerivedDelta:
@@ -409,12 +408,11 @@ Result<DerivedDelta> WireDecoder::GetDerivedDelta() {
 Result<Message> WireDecoder::GetMessage() {
   Message m;
   WDL_ASSIGN_OR_RETURN(uint8_t type, GetU8());
-  if (type == kRetiredMessageType) {
-    return Status::ParseError(StrFormat(
-        "message type %u (retired full-slice protocol) is not supported",
-        type));
+  if (type == kRetiredFullSliceType || type == kRetiredForgetNoticeType) {
+    return Status::ParseError(
+        StrFormat("message type %u is retired and not supported", type));
   }
-  if (type > static_cast<uint8_t>(MessageType::kStreamForget)) {
+  if (type > static_cast<uint8_t>(MessageType::kResyncRequest)) {
     return Status::ParseError(StrFormat("bad message type %u", type));
   }
   m.type = static_cast<MessageType>(type);
@@ -438,8 +436,7 @@ Result<Message> WireDecoder::GetMessage() {
       break;
     }
     case MessageType::kHello:
-    case MessageType::kResyncRequest:
-    case MessageType::kStreamForget: {
+    case MessageType::kResyncRequest: {
       WDL_ASSIGN_OR_RETURN(m.text, GetString());
       break;
     }

@@ -258,6 +258,10 @@ Result<bool> Peer::Remove(const Fact& fact) {
 
 Result<uint64_t> Peer::AddRuleText(std::string_view rule_text) {
   WDL_ASSIGN_OR_RETURN(Rule rule, ParseRule(rule_text));
+  return AddRule(rule);
+}
+
+Result<uint64_t> Peer::AddRule(const Rule& rule) {
   WDL_ASSIGN_OR_RETURN(uint64_t id, EnsureEngine().AddRule(rule));
   WalRecord record;
   record.type = WalRecordType::kLocalRuleAdd;
@@ -324,13 +328,6 @@ void Peer::HandleEnvelope(const Envelope& envelope) {
         engine_->RetractDelegatedRule(m.delegation_key);
       }
       break;
-    case MessageType::kStreamForget:
-      // Control-plane only: clearing stream state on a peer that never
-      // materialized its engine would force a pointless lazy load.
-      if (engine_ != nullptr) {
-        engine_->ForgetSentStream(envelope.from, m.text);
-      }
-      break;
     case MessageType::kHello:
       known_peers_.insert(m.text);
       break;
@@ -389,9 +386,6 @@ std::vector<Envelope> Peer::RunStage() {
     }
     for (uint64_t key : outbound.delegation_retracts) {
       make_envelope(Message::DelegationRetract(key));
-    }
-    for (std::string& relation : outbound.stream_forgets) {
-      make_envelope(Message::StreamForget(std::move(relation)));
     }
   }
   FinishDurableStage();

@@ -56,7 +56,7 @@ struct PeerOptions {
 /// over an existing directory replays snapshot + log before the peer
 /// serves anything. Writes that bypass the Peer API (calling
 /// engine().InsertFact directly) are NOT logged; durable hosts must go
-/// through Insert/Remove/AddRuleText/RemoveRule. Check
+/// through Insert/Remove/AddRule(Text)/RemoveRule. Check
 /// durability_status() after constructing a durable peer.
 class Peer {
  public:
@@ -88,6 +88,7 @@ class Peer {
   Result<bool> Insert(const Fact& fact);
   Result<bool> Remove(const Fact& fact);
   Result<uint64_t> AddRuleText(std::string_view rule_text);
+  Result<uint64_t> AddRule(const Rule& rule);
   Status RemoveRule(uint64_t rule_id);
 
   /// Routes one arriving envelope into the engine / delegation gate.

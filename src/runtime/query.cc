@@ -2,46 +2,17 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "base/string_util.h"
 #include "engine/eval.h"
 #include "parser/parser.h"
 
 namespace wdl {
 
 namespace {
-
-// Scratch relation names are recycled through a free pool: every name
-// ever minted interns one permanent symbol-table entry (base/symbol.h),
-// so a long-lived System issuing millions of ad-hoc queries must reuse
-// a bounded set of names instead of minting "__query_<n>" forever. The
-// pool is process-wide (names must be unique across concurrent queries
-// on any System in the process, like the old atomic counter).
-std::mutex g_query_names_mu;
-std::vector<std::string>& QueryNamePool() {
-  static std::vector<std::string> pool;
-  return pool;
-}
-
-std::string AcquireQueryName() {
-  static uint64_t counter = 0;
-  std::lock_guard<std::mutex> lock(g_query_names_mu);
-  std::vector<std::string>& pool = QueryNamePool();
-  if (!pool.empty()) {
-    std::string name = std::move(pool.back());
-    pool.pop_back();
-    return name;
-  }
-  return "__query_" + std::to_string(counter++);
-}
-
-void ReleaseQueryName(std::string name) {
-  std::lock_guard<std::mutex> lock(g_query_names_mu);
-  QueryNamePool().push_back(std::move(name));
-}
 
 // The local read's placeholder head relation: one name for every
 // query, so reading never grows the symbol table (it interns with the
@@ -118,6 +89,48 @@ Result<bool> ReadLocally(Peer* peer, const Rule& query, QueryResult* result) {
   return true;
 }
 
+/// The scratch view of `arity`-column distributed queries at `peer`:
+/// `__query_<arity>`, columns c0..c<arity-1> of any type.
+RelationDecl ScratchView(const std::string& peer, size_t arity) {
+  RelationDecl decl;
+  decl.relation = StrFormat("%s_%zu", kQueryRelation, arity);
+  decl.peer = peer;
+  decl.kind = RelationKind::kIntensional;
+  decl.columns.resize(arity);
+  for (size_t i = 0; i < arity; ++i) {
+    decl.columns[i].name = StrFormat("c%zu", i);
+    decl.columns[i].type = ValueKind::kAny;
+  }
+  return decl;
+}
+
+/// Declares `view` at the peer's first query of its arity, and removes
+/// any local rule still writing it: a query a crash interrupted leaves
+/// its rule there, and recovery restores it. Both edits go through the
+/// Peer, so a durable peer logs them like any host write.
+Status PrepareScratchView(Peer* peer, const RelationDecl& view) {
+  const Relation* declared = peer->engine().catalog().Get(view.relation);
+  if (declared == nullptr || !(declared->decl() == view)) {
+    // A relation of that name declared otherwise is not the view: the
+    // declaration fails with AlreadyExists instead of reusing it.
+    Program program;
+    program.declarations.push_back(view);
+    WDL_RETURN_IF_ERROR(peer->LoadProgram(program));
+  }
+  // Ids first: a removal invalidates the Engine::rules() pointers.
+  std::vector<uint64_t> orphans;
+  for (const InstalledRule* ir : peer->engine().rules()) {
+    const Atom& head = ir->rule.head;
+    if (ir->delegation_key == 0 && head.HasConcreteLocation() &&
+        head.relation.name() == view.relation &&
+        head.peer.name() == view.peer) {
+      orphans.push_back(ir->id);
+    }
+  }
+  for (uint64_t id : orphans) WDL_RETURN_IF_ERROR(peer->RemoveRule(id));
+  return Status::OK();
+}
+
 }  // namespace
 
 std::string QueryResult::ToString() const {
@@ -157,60 +170,26 @@ Result<QueryResult> RunQuery(System* system, const std::string& peer_name,
     return result;
   }
 
-  // Unique while in use (concurrent/nested queries never collide),
-  // recycled afterwards so the symbol table stays bounded.
-  std::string relation = AcquireQueryName();
-  query_rule.head.relation = SymTerm::Name(relation);
-
-  RelationDecl decl;
-  decl.relation = relation;
-  decl.peer = peer_name;
-  decl.kind = RelationKind::kIntensional;
-  decl.columns.resize(result.columns.size());
-  for (size_t i = 0; i < result.columns.size(); ++i) {
-    decl.columns[i].name = result.columns[i];
-    decl.columns[i].type = ValueKind::kAny;
-  }
-  Status declared = peer->engine().DeclareRelation(decl);
-  if (!declared.ok()) {
-    ReleaseQueryName(std::move(relation));
-    return declared;
-  }
-  Result<uint64_t> rule_id = peer->engine().AddRule(query_rule);
-  if (!rule_id.ok()) {
-    if (peer->engine().DropScratchRelation(relation).ok()) {
-      ReleaseQueryName(std::move(relation));
-    }
-    return rule_id.status();
-  }
+  // The body reached another peer: it runs as a rule into the scratch
+  // view of its arity, and its residuals where WebdamLog delegates them.
+  const RelationDecl view = ScratchView(peer_name, result.columns.size());
+  WDL_RETURN_IF_ERROR(PrepareScratchView(peer, view));
+  query_rule.head.relation = SymTerm::Name(view.relation);
+  WDL_ASSIGN_OR_RETURN(uint64_t rule_id, peer->AddRule(query_rule));
 
   uint64_t tuples_before = peer->engine().eval_counters().tuples_examined;
   Result<int> converged = system->RunUntilQuiescent(max_rounds);
-
-  const Relation* rel = peer->engine().catalog().Get(relation);
-  if (rel != nullptr) result.rows = rel->SortedTuples();
+  result.rows = peer->engine().catalog().Get(view.relation)->SortedTuples();
   result.rounds = system->rounds_run() - rounds_before;
   result.tuples_examined =
       peer->engine().eval_counters().tuples_examined - tuples_before;
 
-  // Tear down: remove the rule and converge again so any delegated
-  // residuals are retracted at remote peers, then drop the scratch
-  // relation and recycle its name. A system that failed to quiesce may
-  // still have scratch traffic in flight, so the name is abandoned
-  // (leaked, like the pre-recycling behavior) rather than reused.
-  // Dropping queues kStreamForget notices toward every remote sender
-  // that streamed a contribution here; the final converge flushes them
-  // so both ends of the stream restart at version 0 and the recycled
-  // name's next use begins with a clean snapshot instead of a
-  // gap->resync round trip.
-  Status removed = peer->engine().RemoveRule(*rule_id);
-  bool torn_down = system->RunUntilQuiescent(max_rounds).ok();
-  if (removed.ok() && torn_down &&
-      peer->engine().DropScratchRelation(relation).ok() &&
-      system->RunUntilQuiescent(max_rounds).ok()) {
-    ReleaseQueryName(std::move(relation));
-  }
-  WDL_RETURN_IF_ERROR(removed);
+  // Tear down: remove the rule and converge once, so the residuals
+  // retract and every stream into the view empties; a teardown that
+  // does not quiesce here finishes in later rounds. The view and its
+  // streams stay for the next query of this arity.
+  WDL_RETURN_IF_ERROR(peer->RemoveRule(rule_id));
+  (void)system->RunUntilQuiescent(max_rounds);
   if (!converged.ok()) return converged.status();
   return result;
 }

@@ -45,12 +45,15 @@ struct QueryResult {
 /// evaluated once over the peer's catalog, where at quiescence every
 /// view is already materialized (DESIGN.md §10). Only a body that
 /// reaches another peer — the evaluation emits a delegation — takes the
-/// scratch-rule path instead: a temporary intensional relation and rule
-///   __query_K@peer($v1, ..., $vn) :- body
-/// are installed, the system runs to quiescence (distributed bodies
-/// delegate as usual, subject to the targets' delegation gates), the
-/// view is snapshotted, and the rule and relation are removed again —
-/// including a second convergence pass so remote residuals retract.
+/// scratch-rule path instead: the rule
+///   __query_<n>@peer($v1, ..., $vn) :- body
+/// is installed into the peer's scratch view of arity n, the system
+/// runs to quiescence (residuals delegate as usual, subject to the
+/// targets' delegation gates), the view is read, and the rule is
+/// removed with one more convergence so the residuals retract. The
+/// view is declared at the peer's first distributed query of arity n
+/// and stays; the declaration and the rule edits go through the Peer,
+/// so a durable peer logs them.
 Result<QueryResult> RunQuery(System* system, const std::string& peer,
                              const std::string& body, int max_rounds = 300);
 

@@ -1,8 +1,6 @@
 #include "runtime/system.h"
 
 #include <cassert>
-#include <chrono>
-#include <thread>
 
 #include "base/logging.h"
 
@@ -214,30 +212,6 @@ Result<int> System::RunUntilQuiescent(int max_rounds) {
   return Status::FailedPrecondition(
       "system did not quiesce within " + std::to_string(max_rounds) +
       " rounds");
-}
-
-Result<int> System::RunUntilIdle(int idle_rounds, int max_wall_ms,
-                                 int sleep_ms) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(max_wall_ms);
-  const int start = rounds_run_;
-  int idle = 0;
-  while (std::chrono::steady_clock::now() < deadline) {
-    RoundReport r = RunRound();
-    // Heartbeats are pure observation; they must not keep an otherwise
-    // idle system looking busy.
-    bool worked = r.envelopes_delivered > 0 || r.stages_run > 0 ||
-                  r.envelopes_sent > r.heartbeats_sent;
-    if (worked) {
-      idle = 0;
-      continue;
-    }
-    if (IsQuiescent() && ++idle >= idle_rounds) return rounds_run_ - start;
-    std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
-  }
-  return Status::FailedPrecondition(
-      "system did not go idle within " + std::to_string(max_wall_ms) +
-      " ms");
 }
 
 }  // namespace wdl

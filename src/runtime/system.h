@@ -72,9 +72,8 @@ struct RoundReport {
 ///
 /// The default transport is the deterministic SimulatedNetwork; an
 /// asynchronous transport (TcpNetwork) can be injected instead, in
-/// which case quiescence is a *local* judgment (remote peers of other
-/// processes may still be computing) and convergence is detected by
-/// staying idle — see RunUntilIdle.
+/// which case quiescence is a *local* judgment: remote peers of other
+/// processes may still be computing.
 class System {
  public:
   explicit System(SystemOptions options = {});
@@ -130,16 +129,6 @@ class System {
   /// Runs rounds until the system is quiescent; returns the number of
   /// rounds this call ran, or FailedPrecondition after `max_rounds`.
   Result<int> RunUntilQuiescent(int max_rounds = 1000);
-
-  /// Real-time variant for asynchronous transports: runs rounds on the
-  /// wall clock, sleeping `sleep_ms` between empty ones, until the
-  /// system has been locally quiescent for `idle_rounds` consecutive
-  /// polls (heartbeat traffic does not count as work). Returns the
-  /// rounds this call ran, or FailedPrecondition after `max_wall_ms`.
-  /// "Idle" is local: a remote process may still send us something
-  /// later.
-  Result<int> RunUntilIdle(int idle_rounds, int max_wall_ms,
-                           int sleep_ms = 1);
 
   /// True when nothing is in flight and no peer has pending work.
   /// Checks only the ready set, which holds every peer whose

@@ -25,14 +25,6 @@ Status Catalog::Declare(const RelationDecl& decl) {
   return Status::OK();
 }
 
-bool Catalog::Undeclare(const std::string& relation) {
-  auto it = relations_.find(relation);
-  if (it == relations_.end()) return false;
-  by_symbol_.erase(it->second->symbol().id());
-  relations_.erase(it);
-  return true;
-}
-
 Relation* Catalog::Get(const std::string& relation) {
   auto it = relations_.find(relation);
   return it == relations_.end() ? nullptr : it->second.get();

@@ -60,13 +60,6 @@ class Catalog {
     return it == by_symbol_.end() ? nullptr : it->second;
   }
 
-  /// Removes a relation and its contents; returns false when it was
-  /// never declared. Intended for ad-hoc scratch relations (recycled
-  /// `__query_<n>` names): any outstanding `Relation*` dangles, so
-  /// callers must only undeclare relations no plan or rule still
-  /// references.
-  bool Undeclare(const std::string& relation);
-
   /// Inserts a fact located at this peer, auto-declaring if allowed.
   /// Returns true when the tuple was new.
   Result<bool> InsertFact(const Fact& fact);
@@ -87,8 +80,8 @@ class Catalog {
   std::string owner_peer_;
   bool auto_declare_;
   std::map<std::string, std::unique_ptr<Relation>> relations_;
-  // Interned-name index over relations_ (same lifetime; erased only by
-  // Undeclare, which scratch-name recycling uses).
+  // Interned-name index over relations_. A relation, once declared, is
+  // never removed, so a `Relation*` stays valid for the catalog's life.
   std::unordered_map<uint32_t, Relation*> by_symbol_;
 };
 

@@ -88,26 +88,12 @@ bool SliceStore::ApplyDelta(const std::string& relation,
   return changed;
 }
 
-void SliceStore::DropRelation(const std::string& relation) {
-  streams_.erase(relation);
-  support_.erase(relation);
-}
-
 std::vector<std::string> SliceStore::RelationsFromSender(
     const std::string& sender) const {
   std::vector<std::string> out;
   for (const auto& [relation, senders] : streams_) {
     if (senders.count(sender)) out.push_back(relation);
   }
-  return out;
-}
-
-std::vector<std::string> SliceStore::SendersForRelation(
-    const std::string& relation) const {
-  std::vector<std::string> out;
-  auto it = streams_.find(relation);
-  if (it == streams_.end()) return out;
-  for (const auto& [sender, stream] : it->second) out.push_back(sender);
   return out;
 }
 

@@ -117,19 +117,9 @@ class SliceStore {
     }
   }
 
-  /// Drops every slice, stream, and support entry of `relation` (used
-  /// when a scratch relation's name is recycled).
-  void DropRelation(const std::string& relation);
-
   /// Relations for which `sender` has a stream here, in name order.
   std::vector<std::string> RelationsFromSender(
       const std::string& sender) const;
-
-  /// Senders with a stream for `relation` here, in name order (used to
-  /// tell them to forget their side of the stream when the relation is
-  /// dropped).
-  std::vector<std::string> SendersForRelation(
-      const std::string& relation) const;
 
   /// Forgets the stream *positions* of every stream from `sender`
   /// (slices stay). After a transport link reset the sender may have

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -25,6 +26,7 @@
 #include "durability/wal.h"
 #include "net/wire.h"
 #include "runtime/fingerprint.h"
+#include "runtime/query.h"
 #include "runtime/system.h"
 #include "support/builders.h"
 
@@ -674,12 +676,13 @@ TEST(DurabilityRecoveryTest, TornFinalRecordIsDroppedAndRepaired) {
   EXPECT_EQ(GlobalStateFingerprint(recovered), oracle);
 }
 
-// A WAL written before the full-slice protocol was retired can hold an
-// envelope record of message type 2: its frame passes the CRC, but the
-// payload no longer decodes. Recovery must fail loudly, naming the
-// record, and leave the log byte-identical — skipping it (and every
-// later record) would silently drop durable state — so a durable host
-// such as wdl_peerd refuses to start.
+// A WAL written before a message was retired can hold an envelope
+// record of its type: 2, the full-slice message, or 8, the stream-forget
+// notice. Its frame passes the CRC, but the payload no longer decodes.
+// Recovery must fail loudly, naming the record, and leave the log
+// byte-identical — skipping it (and every later record) would silently
+// drop durable state — so a durable host such as wdl_peerd refuses to
+// start.
 TEST(DurabilityRecoveryTest, RetiredMessageRecordFailsRecovery) {
   auto frame = [](const std::string& payload) {  // length | CRC | payload
     uint32_t header[2] = {static_cast<uint32_t>(payload.size()),
@@ -690,39 +693,49 @@ TEST(DurabilityRecoveryTest, RetiredMessageRecordFailsRecovery) {
   WalRecord insert;
   insert.type = WalRecordType::kLocalFactInsert;
   insert.fact = Fact("data", "alice", {I(1)});
-  WireEncoder retired;  // envelope fields after the magic and version
-  retired.PutString("bob");
-  retired.PutString("alice");
-  retired.PutU64(0);  // seq
-  retired.PutU8(kRetiredMessageType);
-  retired.PutString("alice");  // its payload: target, relation, tuples
-  retired.PutString("view");
-  retired.PutU32(1);
-  retired.PutTuple({I(7)});
-  std::string record = std::string(1, static_cast<char>(
-                           WalRecordType::kEnvelope)) +
-                       "WDLM\x01" + std::string(1, '\0') + retired.buffer();
+  WireEncoder full_slice;  // its payload: target, relation, tuples
+  full_slice.PutString("alice");
+  full_slice.PutString("view");
+  full_slice.PutU32(1);
+  full_slice.PutTuple({I(7)});
+  WireEncoder stream_forget;  // its payload: one relation name
+  stream_forget.PutString("__query_0");
 
-  std::string root = MakeTempRoot();
-  std::string wal = root + "/wal-0.log";
-  const std::string bytes = frame(EncodeWalRecord(insert)) + frame(record) +
-                            frame(EncodeWalRecord(insert));
-  ASSERT_TRUE(AtomicWriteFile(wal, bytes).ok());
-  ASSERT_EQ(ReadWalFile(wal)->payloads.size(), 3u);  // every CRC matches
+  for (const auto& [type, payload] :
+       {std::pair(kRetiredFullSliceType, full_slice.buffer()),
+        std::pair(kRetiredForgetNoticeType, stream_forget.buffer())}) {
+    SCOPED_TRACE(static_cast<int>(type));
+    WireEncoder retired;  // envelope fields after the magic and version
+    retired.PutString("bob");
+    retired.PutString("alice");
+    retired.PutU64(0);  // seq
+    retired.PutU8(type);
+    std::string record = std::string(1, static_cast<char>(
+                             WalRecordType::kEnvelope)) +
+                         "WDLM\x01" + std::string(1, '\0') +
+                         retired.buffer() + payload;
 
-  DurabilityOptions options;
-  options.dir = root;
-  auto opened = PeerDurability::Open(options);
-  ASSERT_FALSE(opened.ok());
-  EXPECT_NE(opened.status().message().find("WAL record 1 "),
-            std::string::npos) << opened.status();
-  EXPECT_EQ(*ReadEntireFile(wal), bytes);
+    std::string root = MakeTempRoot();
+    std::string wal = root + "/wal-0.log";
+    const std::string bytes = frame(EncodeWalRecord(insert)) +
+                              frame(record) + frame(EncodeWalRecord(insert));
+    ASSERT_TRUE(AtomicWriteFile(wal, bytes).ok());
+    ASSERT_EQ(ReadWalFile(wal)->payloads.size(), 3u);  // every CRC matches
 
-  PeerOptions peer_options;
-  peer_options.durability = options;
-  Peer peer("alice", peer_options);
-  EXPECT_FALSE(peer.durability_status().ok());
-  EXPECT_EQ(*ReadEntireFile(wal), bytes);
+    DurabilityOptions options;
+    options.dir = root;
+    auto opened = PeerDurability::Open(options);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_NE(opened.status().message().find("WAL record 1 "),
+              std::string::npos) << opened.status();
+    EXPECT_EQ(*ReadEntireFile(wal), bytes);
+
+    PeerOptions peer_options;
+    peer_options.durability = options;
+    Peer peer("alice", peer_options);
+    EXPECT_FALSE(peer.durability_status().ok());
+    EXPECT_EQ(*ReadEntireFile(wal), bytes);
+  }
 }
 
 TEST(DurabilityRecoveryTest, OutOfRangeDeclarationRecordFailsRecovery) {
@@ -952,6 +965,156 @@ TEST(DurabilityRecoveryTest, RestartWithoutHeartbeatsRebuildsLocalView) {
   ASSERT_NE(view, nullptr);
   EXPECT_EQ(view->size(), 3u);
   EXPECT_EQ(GlobalStateFingerprint(recovered), before);
+}
+
+// --- distributed queries on durable peers ----------------------------
+
+/// Two durable peers that trust each other, one like each.
+void LoadLikes(System& system) {
+  ASSERT_TRUE(system.GetPeer("alice")
+                  ->LoadProgramText(
+                      "collection ext likes@alice(who: string, what: string);"
+                      "fact likes@alice(\"alice\", \"jazz\");")
+                  .ok());
+  ASSERT_TRUE(system.GetPeer("bob")
+                  ->LoadProgramText(
+                      "collection ext likes@bob(who: string, what: string);"
+                      "fact likes@bob(\"bob\", \"jazz\");")
+                  .ok());
+  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+}
+
+/// Fails the test for any rule a query left behind at `name`: a local
+/// rule writing a query scratch view, or a delegated residual.
+void ExpectNoQueryRules(System& system, const std::string& name) {
+  for (const InstalledRule* ir : system.GetPeer(name)->engine().rules()) {
+    EXPECT_EQ(ir->delegation_key, 0u) << name << ": " << ir->rule.ToString();
+    EXPECT_NE(ir->rule.head.relation.name().rfind("__query", 0), 0u)
+        << name << ": " << ir->rule.ToString();
+  }
+}
+
+/// Where alice's newest snapshot under `root` falls against one
+/// distributed query of arity 3: "none", "before" the scratch view was
+/// declared, "inside" (it holds the query rule) or "after".
+std::string SnapshotPhase(const std::string& root) {
+  DurabilityOptions options;
+  options.dir = root + "/alice";
+  Result<std::unique_ptr<PeerDurability>> opened =
+      PeerDurability::Open(options);
+  if (!opened.ok()) return opened.status().ToString();
+  const SnapshotData* snap = (*opened)->snapshot();
+  if (snap == nullptr) return "none";
+  for (const SnapshotData::RuleState& rule : snap->rules) {
+    if (rule.rule.head.relation.name() == "__query_3") return "inside";
+  }
+  for (const SnapshotData::RelationState& rs : snap->relations) {
+    if (rs.decl.relation == "__query_3") return "after";
+  }
+  return "before";
+}
+
+// A distributed query declares its scratch view, installs its rule and
+// removes it through the Peer, so a durable peer logs all three, and
+// the streams into the view outlive the query. A restart then recovers
+// the state the query left — the same fingerprint, no rule or residual
+// — and the same query asked again continues those streams: the same
+// rows, no resync. The snapshot intervals put alice's last snapshot
+// before, inside and after the query, and nowhere.
+TEST(DurabilityRecoveryTest, DistributedQueryAnswersTheSameAfterRestart) {
+  const std::string body = "likes@alice($me, $x), likes@bob($o, $x)";
+  const std::vector<Tuple> rows = {{test::S("alice"), test::S("jazz"),
+                                    test::S("bob")}};
+  std::set<std::string> phases;
+  for (uint64_t interval = 0; interval <= 12; ++interval) {
+    SCOPED_TRACE("snapshot interval " + std::to_string(interval));
+    std::string root = MakeTempRoot();
+    SystemOptions options = DurableSystemOptions(root);
+    options.durability.snapshot_interval_records = interval;
+    std::string before;
+    {
+      System system(options);
+      CreateScriptPeers(system);
+      LoadLikes(system);
+      // Enough unrelated writes that a snapshot can fall before the
+      // query and not again inside it.
+      for (int64_t x = 1; x <= 8; ++x) {
+        ASSERT_TRUE(system.GetPeer("alice")->Insert(DataFact("alice", x)).ok());
+      }
+      ASSERT_TRUE(system.RunUntilQuiescent().ok());
+      Result<QueryResult> first = RunQuery(&system, "alice", body);
+      ASSERT_TRUE(first.ok()) << first.status();
+      EXPECT_EQ(first->rows, rows);
+      SettleWithHeartbeats(system);
+      before = GlobalStateFingerprint(system);
+    }
+    phases.insert(SnapshotPhase(root));
+
+    System recovered(options);
+    CreateScriptPeers(recovered);
+    SettleWithHeartbeats(recovered);
+    EXPECT_EQ(GlobalStateFingerprint(recovered), before);
+    Result<QueryResult> again = RunQuery(&recovered, "alice", body);
+    ASSERT_TRUE(again.ok()) << again.status();
+    EXPECT_EQ(again->rows, rows);
+    SettleWithHeartbeats(recovered);
+    for (const char* name : {"alice", "bob"}) {
+      const PropagationCounters& pc =
+          recovered.GetPeer(name)->engine().propagation_counters();
+      EXPECT_EQ(pc.resyncs_requested, 0u) << name;
+      EXPECT_EQ(pc.snapshots_applied, 0u) << name;
+      ExpectNoQueryRules(recovered, name);
+    }
+  }
+  EXPECT_EQ(phases, (std::set<std::string>{"none", "before", "inside",
+                                           "after"}));
+}
+
+// A crash in the middle of a distributed query leaves its rule in
+// alice's log and its residual in bob's, and recovery restores both.
+// The next query of the same arity — the interrupted one again, or
+// another — removes them and returns only its own rows.
+TEST(DurabilityRecoveryTest, InterruptedQueryLeavesNothingBehind) {
+  using test::S;
+  const std::vector<std::pair<std::string, std::vector<Tuple>>> next = {
+      {"likes@alice($me, $x), likes@bob($o, $x)",
+       {{S("alice"), S("jazz"), S("bob")}}},
+      {"likes@bob($o, $x), likes@alice($me, $x)",
+       {{S("bob"), S("jazz"), S("alice")}}},
+  };
+  for (const auto& [body, rows] : next) {
+    SCOPED_TRACE(body);
+    std::string root = MakeTempRoot();
+    {
+      System system(DurableSystemOptions(root));
+      CreateScriptPeers(system);
+      LoadLikes(system);
+      // What a query of "likes@alice($me, $x), likes@bob($o, $x)"
+      // installs; the crash comes before its teardown.
+      ASSERT_TRUE(system.GetPeer("alice")
+                      ->LoadProgramText(
+                          "collection int __query_3@alice(c0, c1, c2);"
+                          "rule __query_3@alice($me, $x, $o) :- "
+                          "likes@alice($me, $x), likes@bob($o, $x);")
+                      .ok());
+      ASSERT_TRUE(system.RunUntilQuiescent().ok());
+    }
+    System recovered(DurableSystemOptions(root));
+    CreateScriptPeers(recovered);
+    SettleWithHeartbeats(recovered);
+    const Relation* view =
+        recovered.GetPeer("alice")->engine().catalog().Get("__query_3");
+    ASSERT_EQ(view->size(), 1u);
+    ASSERT_EQ(recovered.GetPeer("bob")->engine().rules().size(), 1u);
+
+    Result<QueryResult> r = RunQuery(&recovered, "alice", body);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(r->rows, rows);
+    EXPECT_EQ(view->size(), 0u);
+    for (const char* name : {"alice", "bob"}) {
+      ExpectNoQueryRules(recovered, name);
+    }
+  }
 }
 
 TEST(DurabilityRecoveryTest, GenerationsRotateAndOldFilesAreRemoved) {

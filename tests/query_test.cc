@@ -82,10 +82,10 @@ TEST_F(QueryTest, RepeatedQueriesDoNotCollide) {
 
 TEST_F(QueryTest, ScratchRelationsAreRecycled) {
   // One query of each shape first: the local read interns its one
-  // placeholder head, and the first distributed query mints a fresh
-  // "__query_<n>" name (one interned symbol each). Every later
-  // sequential query must reuse them instead of growing the symbol
-  // table and the catalog.
+  // placeholder head, and the first distributed query declares the
+  // scratch view of its arity, "__query_3" (one interned symbol each).
+  // Every later sequential query must reuse them instead of growing the
+  // symbol table and the catalog.
   const std::string wide = "likes@alice($w, $x)";
   const std::string narrow = "likes@alice($w, \"jazz\")";
   const std::string remote = "likes@alice($me, $x), likes@bob($other, $x)";
@@ -96,8 +96,8 @@ TEST_F(QueryTest, ScratchRelationsAreRecycled) {
       alice_->engine().catalog().RelationNames();
 
   for (int i = 0; i < 10; ++i) {
-    // Alternate shapes (different arity) to prove the recycled relation
-    // is fully redeclared, not reused with a stale schema.
+    // Alternate shapes (different arity): local reads declare nothing,
+    // and the distributed query finds its view already declared.
     EXPECT_EQ(Query(wide, QueryPath::kLocalRead).rows.size(), 2u);
     EXPECT_EQ(Query(narrow, QueryPath::kLocalRead).rows.size(), 1u);
     // Distributed flavor: delegations still tear down cleanly.
@@ -111,12 +111,9 @@ TEST_F(QueryTest, ScratchRelationsAreRecycled) {
 
 TEST_F(QueryTest, RecycledNamesTriggerNoResyncs) {
   // A distributed query makes bob stream a contribution into alice's
-  // scratch relation. Teardown drops the relation and tells bob to
-  // forget his side of the stream (kStreamForget), so a later query
-  // reusing the recycled name starts with a fresh snapshot on a clean
-  // stream. Without the notice bob would resume mid-stream and alice
-  // would detect a gap — one resync round trip per recycled
-  // distributed query.
+  // scratch view. Teardown empties the stream but keeps it, with the
+  // view: each later query of the same arity continues it from the
+  // version both ends hold, so alice never sees a gap to resync.
   for (int i = 0; i < 4; ++i) {
     QueryResult r = Query("likes@alice($me, $x), likes@bob($other, $x)",
                           QueryPath::kScratchRule);
@@ -124,6 +121,20 @@ TEST_F(QueryTest, RecycledNamesTriggerNoResyncs) {
   }
   EXPECT_EQ(alice_->engine().propagation_counters().resyncs_requested, 0u);
   EXPECT_EQ(bob_->engine().propagation_counters().resyncs_requested, 0u);
+}
+
+TEST_F(QueryTest, ForeignScratchViewIsAnError) {
+  // An insert auto-declares __query_2@alice as an extensional relation,
+  // which is not the query scratch view of arity 2: a distributed query
+  // of that arity fails instead of writing into it, and installs
+  // nothing.
+  ASSERT_TRUE(alice_->Insert(Fact("__query_2", "alice", {S("x"), S("y")}))
+                  .ok());
+  const size_t rules = alice_->engine().rules().size();
+  Result<QueryResult> r = RunQuery(&system_, "alice", "likes@bob($o, $x)");
+  EXPECT_EQ(r.status().code(), StatusCode::kAlreadyExists) << r.status();
+  EXPECT_EQ(alice_->engine().rules().size(), rules);
+  EXPECT_EQ(alice_->engine().catalog().Get("__query_2")->size(), 1u);
 }
 
 TEST_F(QueryTest, UnsafeQueryRejected) {

@@ -120,14 +120,5 @@ TEST(SliceStoreTest, CommitVersionTracksSliceLessStreams) {
   EXPECT_EQ(store.CheckDelta("inbox", "q", 4, 5), Gate::kApply);
 }
 
-TEST(SliceStoreTest, DropRelationForgetsEverything) {
-  SliceStore store;
-  store.ApplyDelta("v", "q", Vec({1}), {}, 3);
-  store.DropRelation("v");
-  EXPECT_TRUE(Union(store, "v").empty());
-  EXPECT_EQ(store.StreamVersion("v", "q"), 0u);
-  EXPECT_EQ(store.SupportCount("v", Tuple{I(1)}), 0u);
-}
-
 }  // namespace
 }  // namespace wdl

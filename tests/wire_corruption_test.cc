@@ -84,7 +84,6 @@ std::vector<Envelope> AllMessageKinds() {
 
   push(Message::Hello("emilien"));
   push(Message::ResyncRequest("attendeePictures"));
-  push(Message::StreamForget("attendeePictures"));
   return out;
 }
 

@@ -1,5 +1,7 @@
 #include "net/wire.h"
 
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
@@ -121,14 +123,6 @@ TEST(WireTest, RetractAndHelloRoundTrip) {
   e2.to = "b";
   e2.message = Message::Hello("charlie");
   EXPECT_EQ(RoundTrip(e2).message.text, "charlie");
-
-  Envelope e3;
-  e3.from = "a";
-  e3.to = "b";
-  e3.message = Message::StreamForget("__query_0");
-  Envelope back = RoundTrip(e3);
-  EXPECT_EQ(back.message.type, MessageType::kStreamForget);
-  EXPECT_EQ(back.message.text, "__query_0");
 }
 
 TEST(WireTest, BadMagicRejected) {
@@ -228,21 +222,28 @@ TEST(WireTest, HostileLengthPrefixRejectedWithoutAllocation) {
 
 TEST(WireTest, RetiredMessageTypeIsRejected) {
   // Type byte 2 carried the retired full-slice protocol's whole
-  // contribution (target, relation, tuples). It must not decode into
-  // some payload-less message the receiver would silently ignore —
-  // even when the rest of the frame is well formed.
-  WireEncoder payload;
-  payload.PutString("b");    // target
-  payload.PutString("rel");  // relation
-  payload.PutU32(0);         // no tuples
-  Result<Envelope> r =
-      DecodeEnvelope(ForgedHeader(kRetiredMessageType) + payload.buffer());
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().message().find("retired"), std::string::npos)
-      << r.status();
-  // Its neighbours keep their values (wire and WAL compatibility).
+  // contribution (target, relation, tuples); type byte 8 the retired
+  // stream-forget notice (a relation name). Neither may decode into
+  // some message the receiver would silently misread — even when the
+  // rest of the frame is well formed.
+  WireEncoder full_slice;
+  full_slice.PutString("b");    // target
+  full_slice.PutString("rel");  // relation
+  full_slice.PutU32(0);         // no tuples
+  WireEncoder stream_forget;
+  stream_forget.PutString("__query_0");  // relation
+  for (const auto& [type, payload] :
+       {std::pair(kRetiredFullSliceType, full_slice.buffer()),
+        std::pair(kRetiredForgetNoticeType, stream_forget.buffer())}) {
+    SCOPED_TRACE(static_cast<int>(type));
+    Result<Envelope> r = DecodeEnvelope(ForgedHeader(type) + payload);
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.status().message().find("retired"), std::string::npos)
+        << r.status();
+  }
+  // The live types keep their values (wire and WAL compatibility).
   EXPECT_EQ(static_cast<int>(MessageType::kDelegationInstall), 3);
-  EXPECT_EQ(static_cast<int>(MessageType::kStreamForget), 8);
+  EXPECT_EQ(static_cast<int>(MessageType::kResyncRequest), 7);
 }
 
 }  // namespace
