@@ -12,6 +12,7 @@
 
 #include "acl/delegation_gate.h"
 #include "acl/policy.h"
+#include "base/string_util.h"
 #include "parser/parser.h"
 
 namespace wdl {
@@ -74,7 +75,7 @@ void BM_Policy_ViewChainRead(benchmark::State& state) {
   (void)policy.Grant("base@a", "a", "reader", Privilege::kRead);
   std::string prev = "base@a";
   for (int i = 0; i < depth; ++i) {
-    std::string view = "v" + std::to_string(i) + "@a";
+    std::string view = StrFormat("v%d@a", i);
     (void)policy.RegisterRelation(view, "a");
     (void)policy.RegisterView(view, {prev});
     prev = view;
@@ -91,7 +92,7 @@ void BM_Policy_DeclassifiedRead(benchmark::State& state) {
   (void)policy.RegisterRelation("base@a", "a");
   std::string prev = "base@a";
   for (int i = 0; i < depth; ++i) {
-    std::string view = "v" + std::to_string(i) + "@a";
+    std::string view = StrFormat("v%d@a", i);
     (void)policy.RegisterRelation(view, "a");
     (void)policy.RegisterView(view, {prev});
     prev = view;

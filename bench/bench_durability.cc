@@ -77,9 +77,7 @@ void BM_SnapshotWrite(benchmark::State& state) {
   rs.decl.relation = "data";
   rs.decl.peer = "bench";
   rs.decl.kind = RelationKind::kExtensional;
-  rs.decl.columns.resize(1);
-  rs.decl.columns[0].name = "x";
-  rs.decl.columns[0].type = ValueKind::kInt;
+  rs.decl.columns = {ColumnSpec{"x", ValueKind::kInt}};
   for (int64_t i = 0; i < tuples; ++i) rs.tuples.push_back({I(i)});
   snap.relations.push_back(rs);
 

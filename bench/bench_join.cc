@@ -27,15 +27,15 @@ void JoinBench(benchmark::State& state, bool use_indexes) {
   for (int64_t i = 0; i < n; ++i) {
     (void)catalog.InsertFact(Fact("edge", "p", {I(i), I(i + 1)}));
   }
-  std::shared_ptr<const RulePlan> plan = SharedPlanCache::Instance().Acquire(
-      *ParseRule("h@p($x, $z) :- edge@p($x, $y), edge@p($y, $z)"));
+  const ConcreteRule rule =
+      BindRule(*ParseRule("h@p($x, $z) :- edge@p($x, $y), edge@p($y, $z)"));
   RuleEvaluator evaluator(&catalog, "p", EvalOptions{use_indexes});
 
   for (auto _ : state) {
     size_t results = 0;
     RuleEvaluator::Sinks sinks;
     sinks.on_local_fact = [&](const Fact&) { ++results; };
-    evaluator.Evaluate(*plan, nullptr, -1, sinks);
+    evaluator.Evaluate(rule, nullptr, -1, sinks);
     benchmark::DoNotOptimize(results);
     state.counters["results"] = static_cast<double>(results);
   }
@@ -68,7 +68,7 @@ void OrderBench(benchmark::State& state, bool selective_first) {
   for (int64_t i = 0; i < n; ++i) {
     (void)catalog.InsertFact(Fact("big", "p", {I(i), I(i * 7)}));
   }
-  std::shared_ptr<const RulePlan> plan = SharedPlanCache::Instance().Acquire(
+  const ConcreteRule rule = BindRule(
       selective_first
           ? *ParseRule("h@p($y) :- sel@p($x), big@p($x, $y)")
           : *ParseRule("h@p($y) :- big@p($x, $y), sel@p($x)"));
@@ -78,7 +78,7 @@ void OrderBench(benchmark::State& state, bool selective_first) {
     size_t results = 0;
     RuleEvaluator::Sinks sinks;
     sinks.on_local_fact = [&](const Fact&) { ++results; };
-    evaluator.Evaluate(*plan, nullptr, -1, sinks);
+    evaluator.Evaluate(rule, nullptr, -1, sinks);
     benchmark::DoNotOptimize(results);
   }
   state.counters["tuples_examined"] = benchmark::Counter(

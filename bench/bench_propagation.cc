@@ -12,6 +12,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "base/string_util.h"
 #include "parser/parser.h"
 #include "runtime/system.h"
 #include "wepic/wepic.h"
@@ -34,7 +35,7 @@ void BM_UploadToFacebookWall(benchmark::State& state) {
     state.ResumeTiming();
 
     for (int i = 0; i < batch; ++i) {
-      (void)app.UploadPicture("Emilien", i, "p" + std::to_string(i),
+      (void)app.UploadPicture("Emilien", i, StrFormat("p%d", i),
                               std::string(256, 'x'));
       (void)app.AuthorizeFacebook("Emilien", i);
     }
@@ -66,7 +67,7 @@ void BM_RuleCustomizationReconvergence(benchmark::State& state) {
     (void)app.AddAttendee("Jules");
     app.attendee("Emilien")->gate().TrustPeer("Jules");
     for (int i = 0; i < pictures; ++i) {
-      (void)app.UploadPicture("Emilien", i, "p" + std::to_string(i), "d");
+      (void)app.UploadPicture("Emilien", i, StrFormat("p%d", i), "d");
       (void)app.RatePicture("Emilien", i, i % 2 == 0 ? 5 : 3);
     }
     (void)app.SelectAttendee("Jules", "Emilien");

@@ -64,7 +64,8 @@ std::set<std::string> Rule::PositiveBodyVariables() const {
 }
 
 std::string Rule::ToString() const {
-  std::string out = head_deletes ? "-" + head.ToString() : head.ToString();
+  std::string out = head_deletes ? "-" : "";
+  out += head.ToString();
   if (body.empty()) return out;
   out += " :- ";
   for (size_t i = 0; i < body.size(); ++i) {

@@ -34,8 +34,12 @@ std::string Value::ToString() const {
       }
       return s;
     }
-    case ValueKind::kString:
-      return "\"" + EscapeString(AsString()) + "\"";
+    case ValueKind::kString: {
+      std::string quoted = "\"";
+      quoted += EscapeString(AsString());
+      quoted += '"';
+      return quoted;
+    }
     case ValueKind::kBlob: {
       const std::string& b = AsBlob().bytes;
       std::string out = "0x";

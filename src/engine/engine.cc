@@ -12,19 +12,19 @@ namespace {
 // Safety net for the semi-naive round loop; datalog terminates.
 constexpr int kMaxFixpointRounds = 1 << 20;
 
-/// Evaluates `plan` once per positive (or, with `negated`, negated)
+/// Evaluates `rule` once per positive (or, with `negated`, negated)
 /// body position, each time with that position restricted to `delta`:
 /// one semi-naive round of one rule. A negated atom restricted to a Δ
 /// holds for the Δ's tuples instead of for those absent from its
 /// relation.
-void EvaluateDeltaPositions(RuleEvaluator* evaluator, const RulePlan& plan,
-                            const DeltaMap& delta,
+void EvaluateDeltaPositions(RuleEvaluator* evaluator,
+                            const ConcreteRule& rule, const DeltaMap& delta,
                             const RuleEvaluator::Sinks& sinks,
                             bool negated = false) {
-  const std::vector<Atom>& body = plan.rule.body;
+  const std::vector<PlanAtom>& body = rule.plan->atoms;
   for (size_t pos = 0; pos < body.size(); ++pos) {
     if (body[pos].negated == negated) {
-      evaluator->Evaluate(plan, &delta, static_cast<int>(pos), sinks);
+      evaluator->Evaluate(rule, &delta, static_cast<int>(pos), sinks);
     }
   }
 }
@@ -134,8 +134,7 @@ Status Engine::DeclareRelation(const RelationDecl& decl) {
   return catalog_.Declare(decl);
 }
 
-Result<std::shared_ptr<const RulePlan>> Engine::PrepareRule(
-    const Rule& rule) const {
+Result<ConcreteRule> Engine::PrepareRule(const Rule& rule) const {
   WDL_RETURN_IF_ERROR(CheckRuleSafety(rule));
   if (rule.head_deletes && rule.head.HasConcreteLocation() &&
       rule.head.peer.name() == self_peer_) {
@@ -146,9 +145,8 @@ Result<std::shared_ptr<const RulePlan>> Engine::PrepareRule(
           rule.head.PredicateId() + "; views cannot be deleted from");
     }
   }
-  std::shared_ptr<const RulePlan> plan =
-      SharedPlanCache::Instance().Acquire(rule);
-  const bool negated = plan->info.HasNegation();
+  ConcreteRule bound = BindRule(rule);
+  const bool negated = bound.plan->info.HasNegation();
   if (negated && options_.dialect == Dialect::kPaper2013) {
     return Status::Unimplemented(
         "negation is not implemented in the 2013 system (rule: " +
@@ -167,44 +165,58 @@ Result<std::shared_ptr<const RulePlan>> Engine::PrepareRule(
     all.push_back(rule);
     WDL_RETURN_IF_ERROR(Stratify(all).status());
   }
-  return plan;
+  return bound;
 }
 
-uint64_t Engine::InstallRule(uint64_t id, const Rule& rule,
-                             std::shared_ptr<const RulePlan> plan,
+uint64_t Engine::InstallRule(uint64_t id, ConcreteRule rule,
                              const std::string& origin_peer,
                              uint64_t delegation_key) {
   InstalledRule ir;
+  static_cast<ConcreteRule&>(ir) = std::move(rule);
   ir.id = id;
-  ir.rule = rule;
   ir.origin_peer = origin_peer;
   ir.delegation_key = delegation_key;
-  ir.plan = std::move(plan);
-  rules_.push_back(std::move(ir));
+  ir.can_delegate = ir.CanDelegate(self_sym_);
+  if (delegation_key != 0) delegated_rule_ids_[delegation_key] = id;
+  // Only a restore (before the first stage, when every rule counts as
+  // new) can land before the end.
+  auto at = std::upper_bound(
+      rules_.begin(), rules_.end(), id,
+      [](uint64_t key, const InstalledRule& r) { return key < r.id; });
+  rules_.insert(at, std::move(ir));
   ++new_rules_;
   if (id >= next_rule_id_) next_rule_id_ = id + 1;
   NoteRuleSetChanged();
   return id;
 }
 
+std::vector<InstalledRule>::iterator Engine::FindRule(uint64_t id) {
+  auto it = std::lower_bound(
+      rules_.begin(), rules_.end(), id,
+      [](const InstalledRule& r, uint64_t key) { return r.id < key; });
+  return it != rules_.end() && it->id == id ? it : rules_.end();
+}
+
 void Engine::EraseRule(std::vector<InstalledRule>::iterator it) {
   const bool derived = static_cast<size_t>(it - rules_.begin()) <
                        rules_.size() - new_rules_;
-  std::shared_ptr<const RulePlan> plan = std::move(it->plan);
+  if (it->delegation_key != 0) delegated_rule_ids_.erase(it->delegation_key);
+  const bool can_delegate = it->can_delegate;
+  const ConcreteRule rule = std::move(*it);
   rules_.erase(it);
   NoteRuleSetChanged();
   if (!derived) {
     --new_rules_;
     return;
   }
-  // An α-variant that the last stage also ran shares the plan and
-  // derives the same. (One installed since may yet go before the stage.)
+  // Its residuals go, unless an α-variant emits them again (the next
+  // stage re-runs the rules of its hash).
+  if (can_delegate) removed_rule_hashes_.push_back(rule.rule_hash);
+  // An α-variant that the last stage also ran derives the same facts.
+  // (One installed since may yet go before the stage.)
   if (std::any_of(rules_.begin(), rules_.end() - new_rules_,
-                  [&](const InstalledRule& ir) { return ir.plan == plan; })) {
+                  [&](const InstalledRule& ir) { return ir.SameAs(rule); })) {
     return;
-  }
-  if (plan->info.CanDelegate(self_sym_)) {
-    removed_plan_hashes_.push_back(plan->rule_hash);
   }
   // What it derives in the state the last stage left: the direct edits
   // since are undone for the evaluation.
@@ -212,9 +224,9 @@ void Engine::EraseRule(std::vector<InstalledRule>::iterator it) {
   sinks.on_local_fact = [&](const Fact& f) { removed_facts_.insert(f); };
   sinks.on_remote_fact = sinks.on_local_fact;
   EarlierState earlier(&catalog_, direct_changes_, [&](const Relation& rel) {
-    return plan->info.Negates(rel.symbol());
+    return rule.plan->info.Negates(rel.symbol());
   });
-  evaluator_.Evaluate(*plan, nullptr, -1, sinks);
+  evaluator_.Evaluate(rule, nullptr, -1, sinks);
 }
 
 void Engine::NoteWork() {
@@ -228,14 +240,12 @@ void Engine::NoteRuleSetChanged() {
 }
 
 Result<uint64_t> Engine::AddRule(const Rule& rule) {
-  WDL_ASSIGN_OR_RETURN(std::shared_ptr<const RulePlan> plan,
-                       PrepareRule(rule));
-  return InstallRule(next_rule_id_, rule, std::move(plan), self_peer_, 0);
+  WDL_ASSIGN_OR_RETURN(ConcreteRule bound, PrepareRule(rule));
+  return InstallRule(next_rule_id_, std::move(bound), self_peer_, 0);
 }
 
 Status Engine::RemoveRule(uint64_t id) {
-  auto it = std::find_if(rules_.begin(), rules_.end(),
-                         [&](const InstalledRule& ir) { return ir.id == id; });
+  auto it = FindRule(id);
   if (it == rules_.end()) {
     return Status::NotFound("no rule with id " + std::to_string(id));
   }
@@ -250,31 +260,22 @@ Status Engine::InstallDelegatedRule(const Delegation& delegation) {
         delegation.target_peer.c_str(), self_peer_.c_str()));
   }
   uint64_t key = delegation.Key();
-  for (const InstalledRule& ir : rules_) {
-    if (ir.delegation_key == key) return Status::OK();  // idempotent
-  }
-  WDL_ASSIGN_OR_RETURN(std::shared_ptr<const RulePlan> plan,
-                       PrepareRule(delegation.rule));
-  InstallRule(next_rule_id_, delegation.rule, std::move(plan),
-              delegation.origin_peer, key);
+  if (delegated_rule_ids_.count(key) > 0) return Status::OK();  // idempotent
+  WDL_ASSIGN_OR_RETURN(ConcreteRule bound, PrepareRule(delegation.rule));
+  InstallRule(next_rule_id_, std::move(bound), delegation.origin_peer, key);
   return Status::OK();
 }
 
 void Engine::RetractDelegatedRule(uint64_t delegation_key) {
-  // Installs are idempotent by key, so at most one rule matches.
-  auto it = std::find_if(rules_.begin(), rules_.end(),
-                         [&](const InstalledRule& ir) {
-                           return ir.delegation_key == delegation_key;
-                         });
-  if (it != rules_.end()) EraseRule(it);
+  auto found = delegated_rule_ids_.find(delegation_key);
+  if (found != delegated_rule_ids_.end()) EraseRule(FindRule(found->second));
 }
 
 Status Engine::RestoreInstalledRule(uint64_t id, const Rule& rule,
                                     const std::string& origin_peer,
                                     uint64_t delegation_key) {
-  WDL_ASSIGN_OR_RETURN(std::shared_ptr<const RulePlan> plan,
-                       PrepareRule(rule));
-  InstallRule(id, rule, std::move(plan), origin_peer, delegation_key);
+  WDL_ASSIGN_OR_RETURN(ConcreteRule bound, PrepareRule(rule));
+  InstallRule(id, std::move(bound), origin_peer, delegation_key);
   return Status::OK();
 }
 
@@ -544,7 +545,7 @@ void Engine::ApplyInboundDerived(InboundDerived& in, StageChangeLog* log) {
     decl.kind = RelationKind::kExtensional;
     decl.columns.resize(d.inserts[0].size());
     for (size_t i = 0; i < decl.columns.size(); ++i) {
-      decl.columns[i].name = "c" + std::to_string(i);
+      decl.columns[i].name = StrFormat("c%zu", i);
     }
     Status st = catalog_.Declare(decl);
     if (!st.ok()) {
@@ -670,8 +671,8 @@ struct Engine::StagePass {
   StagePass& operator=(const StagePass&) = delete;
 
   /// Deletion rules' heads remove; every other rule's head derives.
-  const RuleEvaluator::Sinks& SinksFor(const RulePlan& plan) const {
-    return plan.rule.head_deletes ? remove : derive;
+  const RuleEvaluator::Sinks& SinksFor(const ConcreteRule& rule) const {
+    return rule.rule.head_deletes ? remove : derive;
   }
 
   // Sent-state edits, netted per key against the state at the start of
@@ -726,16 +727,16 @@ struct Engine::StagePass {
   std::map<uint64_t, std::string> delegations_retracted;  // -> target peer
 };
 
-int Engine::RunRounds(const std::vector<const RulePlan*>& rules,
+int Engine::RunRounds(const std::vector<const InstalledRule*>& rules,
                       DeltaMap delta, StagePass* pass) {
   int rounds = 0;
   while (!delta.empty() && rounds < kMaxFixpointRounds) {
     ++rounds;
     // A rule whose body reads nothing in the Δ has nothing new to find.
-    for (const RulePlan* plan : rules) {
-      if (Touches(delta, plan->info, &PlanStaticInfo::BodyReads)) {
-        EvaluateDeltaPositions(&evaluator_, *plan, delta,
-                               pass->SinksFor(*plan));
+    for (const InstalledRule* rule : rules) {
+      if (Touches(delta, rule->plan->info, &PlanStaticInfo::BodyReads)) {
+        EvaluateDeltaPositions(&evaluator_, *rule, delta,
+                               pass->SinksFor(*rule));
       }
     }
     delta = std::move(pass->next_delta);
@@ -897,11 +898,12 @@ bool Engine::HasLocalDerivation(const Fact& target, bool deletion) {
   const Symbol peer = Symbol::Find(target.peer);
   for (InstalledRule& ir : rules_) {
     // A rule whose head cannot name the target needs no head-bound plan.
-    if (ir.rule.head_deletes != deletion ||
-        !ir.plan->info.HeadCanMatch(relation, peer)) {
+    if (ir.rule.head_deletes != deletion || !ir.HeadCanMatch(relation, peer)) {
       continue;
     }
-    if (evaluator_.ExistsDerivation(HeadBoundPlan(&ir), target)) return true;
+    if (evaluator_.ExistsDerivation(ir, HeadBoundPlan(&ir), target)) {
+      return true;
+    }
   }
   return false;
 }
@@ -950,31 +952,34 @@ StageResult Engine::RunStage() {
       }
     }
     pending_delete_rechecks_.clear();
-    // Removed rules' residuals go (one emitted again nets out).
-    for (uint64_t plan_hash : removed_plan_hashes_) {
-      std::vector<uint64_t> keys;
-      for (const auto& [key, d] : sent_delegations_) {
-        if (d.origin_rule_hash == plan_hash) keys.push_back(key);
+    // Removed rules' residuals go, unless a surviving α-variant the last
+    // stage ran emits them again; the rules installed since re-emit
+    // theirs below (one emitted again nets out).
+    std::vector<const InstalledRule*> variants;
+    for (uint64_t hash : removed_rule_hashes_) {
+      variants.clear();
+      for (auto it = rules_.begin(); it != rules_.end() - new_rules_; ++it) {
+        if (it->rule_hash == hash) variants.push_back(&*it);
       }
-      for (uint64_t key : keys) pass.RemoveDelegation(key);
+      RebuildDelegations(hash, variants, &pass);
     }
   }
 
   // Step 2, stratum by stratum: the deletion phase, then the forward
   // phase (DESIGN.md §6).
-  std::vector<const RulePlan*> plans;
+  std::vector<const InstalledRule*> rules;
   for (int stratum = 0; stratum < num_strata_; ++stratum) {
-    plans.clear();
+    rules.clear();
     for (size_t i = 0; i < rules_.size(); ++i) {
-      if (rule_strata_[i] == stratum) plans.push_back(rules_[i].plan.get());
+      if (rule_strata_[i] == stratum) rules.push_back(&rules_[i]);
     }
     pass.changes = first || stratum + 1 == num_strata_ ? nullptr : &log;
-    if (!first) RetractStratum(stratum, plans, &log, &pass);
-    DeriveStratum(stratum, plans, &log, &pass, first);
+    if (!first) RetractStratum(stratum, rules, &log, &pass);
+    DeriveStratum(stratum, rules, &log, &pass, first);
   }
   new_rules_ = 0;
   removed_facts_.clear();
-  removed_plan_hashes_.clear();
+  removed_rule_hashes_.clear();
 
   // A shipped verdict no deletion rule derives any more leaves the
   // suppression set, so it ships again if it returns.
@@ -989,7 +994,7 @@ StageResult Engine::RunStage() {
 }
 
 void Engine::RetractStratum(int stratum,
-                            const std::vector<const RulePlan*>& rules,
+                            const std::vector<const InstalledRule*>& rules,
                             StageChangeLog* log, StagePass* pass) {
   EvalCounters* counters = evaluator_.mutable_counters();
   std::map<std::string, TupleSet> marked;
@@ -1032,14 +1037,15 @@ void Engine::RetractStratum(int stratum,
   // strata's retractions; Δ⁺ of what it reads under negation.
   DeltaMap frontier = ToDelta(catalog_, log->removed());
   const bool negation =
-      std::any_of(rules.begin(), rules.end(), [](const RulePlan* plan) {
-        return plan->info.HasNegation();
+      std::any_of(rules.begin(), rules.end(), [](const InstalledRule* rule) {
+        return rule->plan->info.HasNegation();
       });
   auto negated_here = [&](const Relation& rel) {
-    return negation &&
-           std::any_of(rules.begin(), rules.end(), [&](const RulePlan* plan) {
-             return plan->info.Negates(rel.symbol());
-           });
+    return negation && std::any_of(rules.begin(), rules.end(),
+                                   [&](const InstalledRule* rule) {
+                                     return rule->plan->info.Negates(
+                                         rel.symbol());
+                                   });
   };
   DeltaMap added_negated = ToDelta(catalog_, log->added(), negated_here);
   // View tuples that lost their last remote contribution, and what the
@@ -1056,7 +1062,7 @@ void Engine::RetractStratum(int stratum,
     const Symbol at = Symbol::Find(peer);
     bool written = false;
     for (size_t i = 0; i < rules_.size(); ++i) {
-      if (!rules_[i].plan->info.HeadCanMatch(rel, at)) continue;
+      if (!rules_[i].HeadCanMatch(rel, at)) continue;
       if (rule_strata_[i] == stratum) return true;
       written = true;
     }
@@ -1088,22 +1094,22 @@ void Engine::RetractStratum(int stratum,
     // A gain of a relation read under negation ends the derivations the
     // atom held for: restricted to the gains, the atom finds them. (A
     // deletion verdict ended this way may stay suppressed.)
-    for (const RulePlan* plan : rules) {
-      if (!plan->rule.head_deletes &&
-          Touches(added_negated, plan->info, &PlanStaticInfo::Negates)) {
-        EvaluateDeltaPositions(&evaluator_, *plan, added_negated, del_sinks,
+    for (const InstalledRule* rule : rules) {
+      if (!rule->rule.head_deletes &&
+          Touches(added_negated, rule->plan->info, &PlanStaticInfo::Negates)) {
+        EvaluateDeltaPositions(&evaluator_, *rule, added_negated, del_sinks,
                                /*negated=*/true);
       }
     }
     while (!frontier.empty() || !next_frontier.empty()) {
-      for (const RulePlan* plan : rules) {
-        if (!Touches(frontier, plan->info, &PlanStaticInfo::BodyReads)) {
+      for (const InstalledRule* rule : rules) {
+        if (!Touches(frontier, rule->plan->info, &PlanStaticInfo::BodyReads)) {
           continue;
         }
-        if (!plan->rule.head_deletes) {
-          EvaluateDeltaPositions(&evaluator_, *plan, frontier, del_sinks);
+        if (!rule->rule.head_deletes) {
+          EvaluateDeltaPositions(&evaluator_, *rule, frontier, del_sinks);
         } else if (track_verdicts) {
-          EvaluateDeltaPositions(&evaluator_, *plan, frontier, verdict_sinks);
+          EvaluateDeltaPositions(&evaluator_, *rule, frontier, verdict_sinks);
         }
       }
       frontier = std::move(next_frontier);
@@ -1180,34 +1186,45 @@ void Engine::RetractStratum(int stratum,
     if (rel == nullptr) continue;
     for (const Tuple& t : tuples) deleted[rel->symbol()].Insert(t);
   }
-  // The rule's entries that its re-evaluation does not emit again are
-  // gone; the ones it does emit again stay where they are, uncopied.
+  // Residuals carry their rule's hash, which every α-variant of the
+  // rule at this peer shares: the variants rebuild together.
+  std::map<uint64_t, std::vector<const InstalledRule*>> rebuilds;
+  for (const InstalledRule* rule : rules) {
+    const PlanStaticInfo& info = rule->plan->info;
+    if (rule->can_delegate &&
+        (Touches(deleted, info, &PlanStaticInfo::BodyReads) ||
+         Touches(added_negated, info, &PlanStaticInfo::Negates))) {
+      rebuilds[rule->rule_hash].push_back(rule);
+    }
+  }
+  for (const auto& [hash, variants] : rebuilds) {
+    RebuildDelegations(hash, variants, pass);
+  }
+}
+
+void Engine::RebuildDelegations(uint64_t hash,
+                                const std::vector<const InstalledRule*>& rules,
+                                StagePass* pass) {
+  // The entries that no re-evaluation emits again are gone; the ones
+  // one does emit again stay where they are, uncopied.
   std::unordered_set<uint64_t> stale;
+  for (const auto& [key, d] : sent_delegations_) {
+    if (d.origin_rule_hash == hash) stale.insert(key);
+  }
   RuleEvaluator::Sinks rebuild;
   rebuild.on_delegation = [&](const Delegation& d) {
     const uint64_t key = d.Key();
     stale.erase(key);
     pass->AddDelegation(key, d);
   };
-  for (const RulePlan* plan : rules) {
-    if (!plan->info.CanDelegate(self_sym_)) continue;
-    if (!Touches(deleted, plan->info, &PlanStaticInfo::BodyReads) &&
-        !Touches(added_negated, plan->info, &PlanStaticInfo::Negates)) {
-      continue;
-    }
-    // Residuals carry the hash of the plan they were substituted from,
-    // which every α-variant of the rule at this peer shares.
-    stale.clear();
-    for (const auto& [key, d] : sent_delegations_) {
-      if (d.origin_rule_hash == plan->rule_hash) stale.insert(key);
-    }
-    evaluator_.Evaluate(*plan, nullptr, -1, rebuild);
-    for (uint64_t key : stale) pass->RemoveDelegation(key);
+  for (const InstalledRule* rule : rules) {
+    evaluator_.Evaluate(*rule, nullptr, -1, rebuild);
   }
+  for (uint64_t key : stale) pass->RemoveDelegation(key);
 }
 
 void Engine::DeriveStratum(int stratum,
-                           const std::vector<const RulePlan*>& rules,
+                           const std::vector<const InstalledRule*>& rules,
                            StageChangeLog* log, StagePass* pass,
                            bool first) {
   // The rounds start from everything the seeds below derive.
@@ -1230,13 +1247,13 @@ void Engine::DeriveStratum(int stratum,
       }
     }
     const DeltaMap lost = ToDelta(catalog_, log->removed());
-    for (const RulePlan* plan : rules) {
-      const RuleEvaluator::Sinks& sinks = pass->SinksFor(*plan);
+    for (const InstalledRule* rule : rules) {
+      const RuleEvaluator::Sinks& sinks = pass->SinksFor(*rule);
       // A loss of a relation read under negation starts the derivations
       // the atom held back: restricted to the losses, the atom finds
       // them.
-      if (Touches(lost, plan->info, &PlanStaticInfo::Negates)) {
-        EvaluateDeltaPositions(&evaluator_, *plan, lost, sinks,
+      if (Touches(lost, rule->plan->info, &PlanStaticInfo::Negates)) {
+        EvaluateDeltaPositions(&evaluator_, *rule, lost, sinks,
                                /*negated=*/true);
       }
       // Continuous-enforcement re-fires: a deletion rule whose head
@@ -1244,19 +1261,19 @@ void Engine::DeriveStratum(int stratum,
       // rule whose local extensional head relation lost tuples must
       // re-assert them. (Remote heads are receiver-persistent, and view
       // heads were handled by the cascade.)
-      const PlanStaticInfo& info = plan->info;
+      const PlanStaticInfo& info = rule->plan->info;
       bool refire;
-      if (plan->rule.head_deletes) {
+      if (rule->rule.head_deletes) {
         refire = Touches(delta, info, &PlanStaticInfo::HeadCanWrite);
       } else {
         const Relation* head =
             info.head_relation_var ? nullptr : catalog_.Get(info.head_relation);
-        refire = (info.head_peer_var || info.head_peer == self_sym_) &&
+        refire = (info.head_peer_var || rule->head_peer == self_sym_) &&
                  (head == nullptr ||
                   head->kind() == RelationKind::kExtensional) &&
                  Touches(lost, info, &PlanStaticInfo::HeadCanWrite);
       }
-      if (refire) evaluator_.Evaluate(*plan, nullptr, -1, sinks);
+      if (refire) evaluator_.Evaluate(*rule, nullptr, -1, sinks);
     }
   }
 
@@ -1264,8 +1281,7 @@ void Engine::DeriveStratum(int stratum,
   // evaluate in full; the rounds continue from what they derived.
   for (size_t i = rules_.size() - new_rules_; i < rules_.size(); ++i) {
     if (rule_strata_[i] != stratum) continue;
-    const RulePlan& plan = *rules_[i].plan;
-    evaluator_.Evaluate(plan, nullptr, -1, pass->SinksFor(plan));
+    evaluator_.Evaluate(rules_[i], nullptr, -1, pass->SinksFor(rules_[i]));
   }
   DeltaMap seeds = std::move(delta);
   delta = DeltaMap();

@@ -100,18 +100,17 @@ struct StageResult {
 
 /// A rule active at this peer, either authored locally or installed by
 /// a remote peer through delegation. The rule owns its compiled plans
-/// (DESIGN.md §4): acquired from the process-wide SharedPlanCache at
+/// (DESIGN.md §4): its shape's plans, shared with every rule of that
+/// shape in the process, are acquired from the SharedPlanCache at
 /// install and released with the rule, so the evaluator holds none.
-struct InstalledRule {
+/// Its parameters, hash and peers (ConcreteRule) are its own.
+struct InstalledRule : ConcreteRule {
   uint64_t id = 0;             // engine-local handle
-  Rule rule;
   std::string origin_peer;     // == self for locally authored rules
   uint64_t delegation_key = 0; // nonzero iff installed via delegation
-  /// The natural plan, shared with every α-equivalent rule in the
-  /// process. Its `info` routes Δ-sets to affected rules in incremental
-  /// stages (DESIGN.md §6); its `rule_hash` stamps the delegations it
-  /// emits.
-  std::shared_ptr<const RulePlan> plan;
+  /// CanDelegate(self), fixed at install: whether a removal or a
+  /// deletion it reads can leave residuals to retract.
+  bool can_delegate = false;
   /// The head-bound plan of DRed existence checks, acquired by the
   /// first check against this rule.
   std::shared_ptr<const RulePlan> head_bound_plan;
@@ -172,9 +171,9 @@ class Engine {
   Result<uint64_t> AddRule(const Rule& rule);
   /// The checks AddRule runs, without installing anything: safety, the
   /// dialect, and stratifiability together with the installed rules.
-  /// Returns the rule's compiled plan; ad-hoc queries evaluate it once
-  /// (runtime/query.h).
-  Result<std::shared_ptr<const RulePlan>> PrepareRule(const Rule& rule) const;
+  /// Returns the rule bound to its shape's plan; ad-hoc queries
+  /// evaluate it once (runtime/query.h).
+  Result<ConcreteRule> PrepareRule(const Rule& rule) const;
   Status RemoveRule(uint64_t id);
 
   /// Installs a rule delegated by a remote peer (access control happens
@@ -345,14 +344,18 @@ class Engine {
   /// what they collect (engine.cc).
   struct StagePass;
 
-  uint64_t InstallRule(uint64_t id, const Rule& rule,
-                       std::shared_ptr<const RulePlan> plan,
+  /// Installs `rule` under `id`, keeping rules_ in id order.
+  uint64_t InstallRule(uint64_t id, ConcreteRule rule,
                        const std::string& origin_peer,
                        uint64_t delegation_key);
+  /// The installed rule with `id`, or rules_.end().
+  std::vector<InstalledRule>::iterator FindRule(uint64_t id);
   /// Removes an installed rule. One installed since the last stage has
-  /// derived nothing and leaves no trace; what any other derived, unless
-  /// an α-variant that the last stage also ran derives the same, is
-  /// recorded for the next stage to retract.
+  /// derived nothing and leaves no trace. What any other derived,
+  /// unless an α-variant (same shape and parameters) that the last
+  /// stage also ran derives the same, is recorded for the next stage to
+  /// retract, and so is its hash, whose residuals the next stage
+  /// retracts unless a rule of that hash emits them again.
   void EraseRule(std::vector<InstalledRule>::iterator it);
   /// Marks the next stage as needed and tells the work listener.
   void NoteWork();
@@ -377,16 +380,24 @@ class Engine {
   void EmitDelegations(StagePass* pass, StageResult* result);
   /// Semi-naive rounds from `delta` until no rule derives a new local
   /// tuple (DESIGN.md §6). Returns the number of rounds run.
-  int RunRounds(const std::vector<const RulePlan*>& rules, DeltaMap delta,
-                StagePass* pass);
+  int RunRounds(const std::vector<const InstalledRule*>& rules,
+                DeltaMap delta, StagePass* pass);
   /// The deletion phase of one stratum: over-delete from the Δ⁻ seeds,
   /// re-derive, retract contributions and rebuild delegations.
-  void RetractStratum(int stratum, const std::vector<const RulePlan*>& rules,
+  void RetractStratum(int stratum,
+                      const std::vector<const InstalledRule*>& rules,
                       StageChangeLog* log, StagePass* pass);
   /// The forward phase of one stratum: semi-naive rounds from the Δ⁺
   /// seeds and the rules installed since the last stage.
-  void DeriveStratum(int stratum, const std::vector<const RulePlan*>& rules,
+  void DeriveStratum(int stratum,
+                     const std::vector<const InstalledRule*>& rules,
                      StageChangeLog* log, StagePass* pass, bool first);
+  /// Re-emits the residuals of `rules`, the installed rules stamping
+  /// `hash` (α-variants of one rule), and retracts the sent residuals
+  /// stamped `hash` that none of them emits again.
+  void RebuildDelegations(uint64_t hash,
+                          const std::vector<const InstalledRule*>& rules,
+                          StagePass* pass);
   /// Step 3: deferred self-updates, remote deletions, contribution and
   /// delegation emission. Raises a work notice when it leaves work for
   /// the next stage.
@@ -403,8 +414,12 @@ class Engine {
   // buffers keep their capacity.
   RuleEvaluator evaluator_;
 
+  // In id order: installs take ids above every installed one, except a
+  // restore, which runs before the first stage.
   std::vector<InstalledRule> rules_;
   uint64_t next_rule_id_ = 1;
+  // Delegation key -> id of the rule installed for it.
+  std::unordered_map<uint64_t, uint64_t> delegated_rule_ids_;
 
   // Step-1 queues.
   std::vector<Fact> inbound_inserts_;
@@ -456,10 +471,10 @@ class Engine {
   size_t new_rules_ = 0;
   // What the rules removed since the last stage derived, found at
   // removal (the plan is not kept, so it can leave the process-wide
-  // cache at once), and the hashes their plans stamped on residuals.
-  // The next stage retracts both.
+  // cache at once), and the hashes they stamped on residuals. The next
+  // stage retracts both.
   std::unordered_set<Fact, FactHasher> removed_facts_;
-  std::vector<uint64_t> removed_plan_hashes_;
+  std::vector<uint64_t> removed_rule_hashes_;
   // The next stage is the first: every rule counts as installed.
   bool first_stage_ = true;
   // Rule set changed since the last stage: the next stage stratifies it

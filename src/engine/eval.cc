@@ -4,18 +4,26 @@
 
 namespace wdl {
 
-void RuleEvaluator::Evaluate(const RulePlan& plan, const DeltaMap* delta,
-                             int delta_pos, const Sinks& sinks) {
+void RuleEvaluator::SeedParams(const ConcreteRule& rule,
+                               const RulePlan& plan) {
+  rule_ = &rule;
   slots_.assign(plan.num_slots, nullptr);
+  for (uint16_t i = 0; i < plan.num_params; ++i) slots_[i] = &rule.params[i];
+}
+
+void RuleEvaluator::Evaluate(const ConcreteRule& rule, const DeltaMap* delta,
+                             int delta_pos, const Sinks& sinks) {
+  const RulePlan& plan = *rule.plan;
+  SeedParams(rule, plan);
   // A Δ-restricted evaluation prefers the Δ-first variant: the
   // iteration's work becomes proportional to |Δ| (later atoms probe
   // indexes through the Δ tuple's bindings) instead of a scan of the
-  // leading atom. Valid only when the body's one constant peer is this
+  // leading atom. Valid only when the body's one peer is this
   // evaluator — otherwise atom 0 delegates and order is semantics.
   if (delta != nullptr && delta_pos >= 0 &&
       static_cast<size_t>(delta_pos) < plan.delta_variants.size()) {
     const DeltaVariant& v = plan.delta_variants[delta_pos];
-    if (v.valid && plan.common_body_peer == self_sym_) {
+    if (v.valid && rule.param_peers[plan.common_peer_param] == self_sym_) {
       ExecFrom(plan, v.atoms, v.order.data(), 0, delta, 0, sinks);
       return;
     }
@@ -23,18 +31,19 @@ void RuleEvaluator::Evaluate(const RulePlan& plan, const DeltaMap* delta,
   ExecFrom(plan, plan.atoms, nullptr, 0, delta, delta_pos, sinks);
 }
 
-bool RuleEvaluator::ExistsDerivation(const RulePlan& plan,
+bool RuleEvaluator::ExistsDerivation(const ConcreteRule& rule,
+                                     const RulePlan& plan,
                                      const Fact& target) {
   // Callers decide what a match *means*: for derivation rules it
   // sustains the tuple (re-derivation), for deletion rules it re-arms a
   // deletion verdict. Both need the raw body-match answer.
   if (plan.head.terms.size() != target.args.size()) return false;
-  slots_.assign(plan.num_slots, nullptr);
+  SeedParams(rule, plan);
   seed_values_.clear();
   seed_values_.reserve(target.args.size() + 2);
 
-  // Unify the head with the target: constants compare, first
-  // occurrences seed their slot, repeats compare against the seed.
+  // Unify the head with the target: bound slots (parameters, repeated
+  // variables) compare, first occurrences seed their slot.
   auto seed_slot = [&](uint16_t slot, const Value& v) {
     if (slots_[slot] != nullptr) return *slots_[slot] == v;
     seed_values_.push_back(v);
@@ -52,12 +61,7 @@ bool RuleEvaluator::ExistsDerivation(const RulePlan& plan,
   if (!seed_sym(plan.head.relation, target.relation)) return false;
   if (!seed_sym(plan.head.peer, target.peer)) return false;
   for (size_t i = 0; i < target.args.size(); ++i) {
-    const PlanTerm& pt = plan.head.terms[i];
-    if (pt.op == PlanTerm::Op::kConst) {
-      if (!(pt.value == target.args[i])) return false;
-    } else {
-      if (!seed_slot(pt.slot, target.args[i])) return false;
-    }
+    if (!seed_slot(plan.head.terms[i].slot, target.args[i])) return false;
   }
 
   ++counters_.rederive_checks;
@@ -79,9 +83,6 @@ bool RuleEvaluator::UnifyTuple(const PlanAtom& atom, const Tuple& tuple) {
   for (size_t i = 0; i < n; ++i) {
     const PlanTerm& pt = terms[i];
     switch (pt.op) {
-      case PlanTerm::Op::kConst:
-        if (!(pt.value == tuple[i])) return false;
-        break;
       case PlanTerm::Op::kCheck:
         if (!(*slots_[pt.slot] == tuple[i])) return false;
         break;
@@ -111,10 +112,10 @@ void RuleEvaluator::ExecFrom(const RulePlan& plan,
   const size_t source_index =
       order != nullptr ? order[atom_index] : atom_index;
 
-  // Resolve the atom's location. Constant names were interned at
-  // compile time; a variable name is read out of its slot. A slot that
-  // is unbound (unsafe rule) or holds a non-string value makes the
-  // branch dead.
+  // Resolve the atom's location. Constant relation names were interned
+  // at compile time; a peer (a parameter or a variable) and a variable
+  // relation are read out of their slot. A slot that is unbound (unsafe
+  // rule) or holds a non-string value makes the branch dead.
   Symbol rel_sym;  // invalid when a variable name is not interned
   if (atom.relation.is_const) {
     rel_sym = atom.relation.sym;
@@ -127,8 +128,10 @@ void RuleEvaluator::ExecFrom(const RulePlan& plan,
   }
 
   const std::string* remote_peer = nullptr;
-  if (atom.peer.is_const) {
-    if (atom.peer.sym != self_sym_) remote_peer = &atom.peer.text;
+  if (atom.peer.slot < plan.num_params) {
+    if (rule_->param_peers[atom.peer.slot] != self_sym_) {
+      remote_peer = &slots_[atom.peer.slot]->AsString();
+    }
   } else {
     const Value* v = slots_[atom.peer.slot];
     if (v == nullptr || !v->is_string()) return;
@@ -152,7 +155,7 @@ void RuleEvaluator::ExecFrom(const RulePlan& plan,
       // the branch.
       Atom substituted;
       if (SubstituteCompiled(atom.relation, atom.peer, atom.terms,
-                             plan.rule.body[source_index], slots_.data(),
+                             rule_->rule.body[source_index], slots_.data(),
                              &substituted)) {
         WDL_LOG(Error) << "negated atom not ground at evaluation time: "
                        << substituted.ToString();
@@ -162,9 +165,7 @@ void RuleEvaluator::ExecFrom(const RulePlan& plan,
     // Safety guarantees every slot read here was bound by the prefix.
     probe_scratch_.clear();
     for (const PlanTerm& pt : atom.terms) {
-      probe_scratch_.push_back(pt.op == PlanTerm::Op::kConst
-                                   ? pt.value
-                                   : *slots_[pt.slot]);
+      probe_scratch_.push_back(*slots_[pt.slot]);
     }
     ++counters_.negation_probes;
     if (delta != nullptr && delta_pos == static_cast<int>(atom_index)) {
@@ -208,10 +209,9 @@ void RuleEvaluator::ExecFrom(const RulePlan& plan,
     if (it == delta->end()) return;
     const DeltaSet& ds = it->second;
     if (options_.use_indexes && atom.index_column >= 0) {
-      const Value& key = atom.index_key_is_const ? atom.index_const
-                                                 : *slots_[atom.index_slot];
       ++counters_.delta_index_probes;
-      ds.LookupEqual(static_cast<size_t>(atom.index_column), key,
+      ds.LookupEqual(static_cast<size_t>(atom.index_column),
+                     *slots_[atom.index_slot],
                      [&](const Tuple& tuple) {
                        if (tuple.size() == atom.terms.size()) visit(tuple);
                      });
@@ -235,10 +235,6 @@ void RuleEvaluator::ExecFrom(const RulePlan& plan,
     probe_scratch_.clear();
     bool ground = true;
     for (const PlanTerm& pt : atom.terms) {
-      if (pt.op == PlanTerm::Op::kConst) {
-        probe_scratch_.push_back(pt.value);
-        continue;
-      }
       const Value* v = slots_[pt.slot];
       if (v == nullptr) {
         ground = false;
@@ -258,10 +254,9 @@ void RuleEvaluator::ExecFrom(const RulePlan& plan,
   // Access path was chosen at compile time: the first column whose key
   // is known before the atom runs drives an index probe.
   if (options_.use_indexes && atom.index_column >= 0) {
-    const Value& key = atom.index_key_is_const ? atom.index_const
-                                               : *slots_[atom.index_slot];
     ++counters_.index_lookups;
-    relation->LookupEqual(static_cast<size_t>(atom.index_column), key, visit);
+    relation->LookupEqual(static_cast<size_t>(atom.index_column),
+                          *slots_[atom.index_slot], visit);
     return;
   }
   ++counters_.full_scans;
@@ -280,9 +275,7 @@ void RuleEvaluator::EmitHeadPlan(const RulePlan& plan, const Sinks& sinks) {
     if (v == nullptr || !v->is_string()) return;  // non-string name: dead
     fact.relation = v->AsString();
   }
-  if (head.peer.is_const) {
-    fact.peer = head.peer.text;
-  } else {
+  {
     const Value* v = slots_[head.peer.slot];
     if (v == nullptr || !v->is_string()) return;
     fact.peer = v->AsString();
@@ -290,13 +283,9 @@ void RuleEvaluator::EmitHeadPlan(const RulePlan& plan, const Sinks& sinks) {
 
   fact.args.clear();
   for (const PlanTerm& pt : head.terms) {
-    if (pt.op == PlanTerm::Op::kConst) {
-      fact.args.push_back(pt.value);
-    } else {
-      const Value* v = slots_[pt.slot];
-      if (v == nullptr) return;  // unreachable for safe rules
-      fact.args.push_back(*v);
-    }
+    const Value* v = slots_[pt.slot];
+    if (v == nullptr) return;  // unreachable for safe rules
+    fact.args.push_back(*v);
   }
   ++counters_.bindings_completed;
   if (fact.peer == self_peer_) {
@@ -310,15 +299,18 @@ void RuleEvaluator::EmitDelegationPlan(const RulePlan& plan,
                                        size_t split_index,
                                        const std::string& target,
                                        const Sinks& sinks) {
+  // The residual substitutes from the concrete rule, so it keeps that
+  // rule's variable names, and carries its hash.
+  const Rule& source = rule_->rule;
   Delegation d;
   d.origin_peer = self_peer_;
   d.target_peer = target;
-  d.origin_rule_hash = plan.rule_hash;
+  d.origin_rule_hash = rule_->rule_hash;
   // The residual must keep the deletion flag: a split "-head :- body"
   // still deletes when its head finally derives at the target.
-  d.rule.head_deletes = plan.rule.head_deletes;
+  d.rule.head_deletes = source.head_deletes;
   if (!SubstituteCompiled(plan.head.relation, plan.head.peer,
-                          plan.head.terms, plan.rule.head, slots_.data(),
+                          plan.head.terms, source.head, slots_.data(),
                           &d.rule.head)) {
     return;
   }
@@ -327,8 +319,7 @@ void RuleEvaluator::EmitDelegationPlan(const RulePlan& plan,
     const PlanAtom& atom = plan.atoms[i];
     Atom substituted;
     if (!SubstituteCompiled(atom.relation, atom.peer, atom.terms,
-                            plan.rule.body[i], slots_.data(),
-                            &substituted)) {
+                            source.body[i], slots_.data(), &substituted)) {
       return;
     }
     d.rule.body.push_back(std::move(substituted));

@@ -126,8 +126,9 @@ struct EvalCounters {
 ///    evaluation and emits the residual rule as a Delegation
 ///    (`on_delegation`) — the paper's signature feature.
 ///
-/// The evaluator executes compiled RulePlans (slot bindings, interned
-/// symbols, static access paths) with zero heap allocation per tuple in
+/// The evaluator executes concrete rules — a shape's compiled RulePlan
+/// (slot bindings, interned symbols, static access paths) with the
+/// rule's parameters seeded — with zero heap allocation per tuple in
 /// the steady-state join loop; it holds no plans itself. Facts passed
 /// to sinks are reused scratch storage — copy them to keep them, as the
 /// engine does.
@@ -148,28 +149,31 @@ class RuleEvaluator {
         self_sym_(Symbol::Intern(self_peer_)),
         options_(options) {}
 
-  /// Evaluates a compiled plan (the caller owns it: an installed rule
-  /// holds its plan from install to removal). When `delta` is non-null
-  /// and `delta_pos >= 0`, the body atom at index `delta_pos` matches
-  /// only tuples in the Δ-set of its resolved relation (semi-naive
-  /// restriction; a negated atom there holds exactly for the Δ's
-  /// tuples instead of for those absent from the relation); all other
-  /// atoms match full relations. Pass delta == nullptr for a full
+  /// Evaluates a concrete rule: its shape's plan, with the parameter
+  /// slots seeded from the rule (the caller owns both; an installed
+  /// rule holds its plan from install to removal). When `delta` is
+  /// non-null and `delta_pos >= 0`, the body atom at index `delta_pos`
+  /// matches only tuples in the Δ-set of its resolved relation
+  /// (semi-naive restriction; a negated atom there holds exactly for
+  /// the Δ's tuples instead of for those absent from the relation); all
+  /// other atoms match full relations. Pass delta == nullptr for a full
   /// evaluation.
-  void Evaluate(const RulePlan& plan, const DeltaMap* delta, int delta_pos,
-                const Sinks& sinks);
+  void Evaluate(const ConcreteRule& rule, const DeltaMap* delta,
+                int delta_pos, const Sinks& sinks);
 
-  /// True when the rule `head_bound` was compiled from (with
-  /// CompileRuleHeadBound) has at least one complete *local* body match
+  /// True when `rule` has at least one complete *local* body match
   /// under the bindings obtained by unifying its head with `target` —
-  /// i.e. the rule currently derives exactly `target`. The re-derive
-  /// existence check of DRed-style retraction (DESIGN.md §6): every
-  /// head variable's slot is seeded from `target`, so body occurrences
-  /// are checks and index probes and the cost is one selective body
-  /// evaluation, independent of view size. Evaluation short-circuits on
-  /// the first match, emits nothing, and never delegates (a body that
-  /// reaches a remote atom does not derive locally).
-  bool ExistsDerivation(const RulePlan& head_bound, const Fact& target);
+  /// i.e. the rule currently derives exactly `target`. `head_bound` is
+  /// the head-bound plan of the rule's shape (CompileRuleHeadBound).
+  /// The re-derive existence check of DRed-style retraction (DESIGN.md
+  /// §6): the parameter slots are seeded from the rule and every head
+  /// variable's slot from `target`, so body occurrences are checks and
+  /// index probes and the cost is one selective body evaluation,
+  /// independent of view size. Evaluation short-circuits on the first
+  /// match, emits nothing, and never delegates (a body that reaches a
+  /// remote atom does not derive locally).
+  bool ExistsDerivation(const ConcreteRule& rule, const RulePlan& head_bound,
+                        const Fact& target);
 
   const EvalCounters& counters() const { return counters_; }
   void ResetCounters() { counters_ = EvalCounters(); }
@@ -180,6 +184,9 @@ class RuleEvaluator {
 
  private:
   // --- compiled-plan execution ---------------------------------------
+  /// Points the parameter slots of `plan` at `rule`'s values and clears
+  /// the rest; `rule` is the rule under evaluation from here on.
+  void SeedParams(const ConcreteRule& rule, const RulePlan& plan);
   /// Executes `atoms[atom_index..]`. `order` is null for the natural
   /// body order; for a Δ-first variant it maps each position back to
   /// its original body index (diagnostics) and the Δ restriction
@@ -199,6 +206,9 @@ class RuleEvaluator {
   Symbol self_sym_;
   EvalOptions options_;
   EvalCounters counters_;
+  // The rule under evaluation: residuals and diagnostics substitute
+  // from its source rule and stamp its hash.
+  const ConcreteRule* rule_ = nullptr;
 
   // ExistsDerivation state: when exists_mode_ is set, ExecFrom
   // short-circuits on the first complete match (exists_found_) and

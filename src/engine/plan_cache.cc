@@ -9,72 +9,113 @@
 namespace wdl {
 namespace {
 
-/// Numbers variables by first occurrence. Traversal order is fixed
-/// (head, then body atoms left to right, relation/peer before args), so
-/// α-renamed rules produce identical numberings.
-class VarNumbering {
+/// Numbers variables, and with `shape` the constants of argument and
+/// peer positions, by first occurrence. Traversal order is fixed (head,
+/// then body atoms left to right, relation and peer before args), so
+/// α-renamed rules — and, with `shape`, rules of one shape — produce
+/// identical numberings.
+class Canonicalizer {
  public:
-  uint64_t IdFor(const std::string& name) {
-    auto [it, inserted] = ids_.try_emplace(name, ids_.size());
-    return it->second;
+  explicit Canonicalizer(bool shape) : shape_(shape) {}
+
+  uint64_t HashAtom(const Atom& a) {
+    uint64_t h = a.negated ? 0x6e65676174656421ULL : 0x61746f6d00000000ULL;
+    h = HashCombine(h, a.relation.is_variable()
+                           ? HashCombine(3, Var(a.relation.var()))
+                           : HashCombine(4, HashString(a.relation.name())));
+    if (a.peer.is_variable()) {
+      h = HashCombine(h, HashCombine(3, Var(a.peer.var())));
+    } else {
+      h = HashCombine(h, shape_ ? Param(Value::String(a.peer.name()))
+                                : HashCombine(4, HashString(a.peer.name())));
+    }
+    h = HashCombine(h, a.args.size());
+    for (const Term& t : a.args) {
+      if (t.is_variable()) {
+        h = HashCombine(h, HashCombine(1, Var(t.var())));
+      } else {
+        h = HashCombine(h, shape_ ? Param(t.value())
+                                  : HashCombine(2, t.value().Hash()));
+      }
+    }
+    return h;
   }
 
  private:
-  std::unordered_map<std::string, uint64_t> ids_;
+  uint64_t Var(const std::string& name) {
+    return vars_.try_emplace(name, vars_.size()).first->second;
+  }
+  uint64_t Param(const Value& v) {
+    size_t i = 0;
+    while (i < params_.size() && !SameConstant(params_[i], v)) ++i;
+    if (i == params_.size()) params_.push_back(v);
+    return HashCombine(5, i);
+  }
+
+  const bool shape_;
+  std::unordered_map<std::string, uint64_t> vars_;
+  std::vector<Value> params_;
 };
 
-uint64_t HashTermCanon(const Term& t, VarNumbering* vars) {
-  return t.is_variable() ? HashCombine(1, vars->IdFor(t.var()))
-                         : HashCombine(2, t.value().Hash());
-}
-
-uint64_t HashSymCanon(const SymTerm& s, VarNumbering* vars) {
-  return s.is_variable() ? HashCombine(3, vars->IdFor(s.var()))
-                         : HashCombine(4, HashString(s.name()));
-}
-
-uint64_t HashAtomCanon(const Atom& a, VarNumbering* vars) {
-  uint64_t h = a.negated ? 0x6e65676174656421ULL : 0x61746f6d00000000ULL;
-  h = HashCombine(h, HashSymCanon(a.relation, vars));
-  h = HashCombine(h, HashSymCanon(a.peer, vars));
-  h = HashCombine(h, a.args.size());
-  for (const Term& t : a.args) h = HashCombine(h, HashTermCanon(t, vars));
+uint64_t HashRule(const Rule& rule, bool shape) {
+  Canonicalizer canon(shape);
+  uint64_t h = canon.HashAtom(rule.head);
+  if (rule.head_deletes) h = HashCombine(h, 0xde1e7e0000000001ULL);
+  h = HashCombine(h, rule.body.size());
+  for (const Atom& a : rule.body) h = HashCombine(h, canon.HashAtom(a));
   return h;
 }
 
-/// Incremental variable bijection for AlphaEquivalent: every pairing is
-/// recorded both ways, so "x↦y" and "z↦y" cannot coexist.
-class VarBijection {
+/// Incremental bijections for SameShape: every pairing of variables,
+/// and of constants, is recorded both ways, so "x↦y" and "z↦y" cannot
+/// coexist.
+class ShapeBijection {
  public:
-  bool Match(const std::string& a, const std::string& b) {
+  bool Vars(const std::string& a, const std::string& b) {
     auto [ita, ins_a] = a_to_b_.try_emplace(a, b);
     auto [itb, ins_b] = b_to_a_.try_emplace(b, a);
     return ita->second == b && itb->second == a;
+  }
+  bool Consts(const Value& a, const Value& b) {
+    for (const auto& [pa, pb] : consts_) {
+      const bool same_a = SameConstant(pa, a);
+      if (same_a || SameConstant(pb, b)) return same_a && SameConstant(pb, b);
+    }
+    consts_.emplace_back(a, b);
+    return true;
   }
 
  private:
   std::unordered_map<std::string, std::string> a_to_b_;
   std::unordered_map<std::string, std::string> b_to_a_;
+  std::vector<std::pair<Value, Value>> consts_;
 };
 
-bool TermsAlphaEqual(const Term& a, const Term& b, VarBijection* vars) {
-  if (a.is_variable() != b.is_variable()) return false;
-  if (!a.is_variable()) return a.value() == b.value();
-  return vars->Match(a.var(), b.var());
-}
-
-bool SymsAlphaEqual(const SymTerm& a, const SymTerm& b, VarBijection* vars) {
-  if (a.is_variable() != b.is_variable()) return false;
-  if (!a.is_variable()) return a.name() == b.name();
-  return vars->Match(a.var(), b.var());
-}
-
-bool AtomsAlphaEqual(const Atom& a, const Atom& b, VarBijection* vars) {
+bool AtomsSameShape(const Atom& a, const Atom& b, ShapeBijection* bij) {
   if (a.negated != b.negated || a.args.size() != b.args.size()) return false;
-  if (!SymsAlphaEqual(a.relation, b.relation, vars)) return false;
-  if (!SymsAlphaEqual(a.peer, b.peer, vars)) return false;
+  if (a.relation.is_variable() != b.relation.is_variable() ||
+      a.peer.is_variable() != b.peer.is_variable()) {
+    return false;
+  }
+  if (a.relation.is_variable()
+          ? !bij->Vars(a.relation.var(), b.relation.var())
+          : a.relation.name() != b.relation.name()) {
+    return false;
+  }
+  if (a.peer.is_variable()
+          ? !bij->Vars(a.peer.var(), b.peer.var())
+          : !bij->Consts(Value::String(a.peer.name()),
+                         Value::String(b.peer.name()))) {
+    return false;
+  }
   for (size_t i = 0; i < a.args.size(); ++i) {
-    if (!TermsAlphaEqual(a.args[i], b.args[i], vars)) return false;
+    const Term& ta = a.args[i];
+    const Term& tb = b.args[i];
+    if (ta.is_variable() != tb.is_variable()) return false;
+    if (ta.is_variable() ? !bij->Vars(ta.var(), tb.var())
+                         : !bij->Consts(ta.value(), tb.value())) {
+      return false;
+    }
   }
   return true;
 }
@@ -82,21 +123,18 @@ bool AtomsAlphaEqual(const Atom& a, const Atom& b, VarBijection* vars) {
 }  // namespace
 
 uint64_t CanonicalRuleHash(const Rule& rule) {
-  VarNumbering vars;
-  uint64_t h = HashAtomCanon(rule.head, &vars);
-  if (rule.head_deletes) h = HashCombine(h, 0xde1e7e0000000001ULL);
-  h = HashCombine(h, rule.body.size());
-  for (const Atom& a : rule.body) h = HashCombine(h, HashAtomCanon(a, &vars));
-  return h;
+  return HashRule(rule, /*shape=*/false);
 }
 
-bool AlphaEquivalent(const Rule& a, const Rule& b) {
+uint64_t ShapeHash(const Rule& rule) { return HashRule(rule, /*shape=*/true); }
+
+bool SameShape(const Rule& a, const Rule& b) {
   if (a.head_deletes != b.head_deletes) return false;
   if (a.body.size() != b.body.size()) return false;
-  VarBijection vars;
-  if (!AtomsAlphaEqual(a.head, b.head, &vars)) return false;
+  ShapeBijection bij;
+  if (!AtomsSameShape(a.head, b.head, &bij)) return false;
   for (size_t i = 0; i < a.body.size(); ++i) {
-    if (!AtomsAlphaEqual(a.body[i], b.body[i], &vars)) return false;
+    if (!AtomsSameShape(a.body[i], b.body[i], &bij)) return false;
   }
   return true;
 }
@@ -119,10 +157,11 @@ std::shared_ptr<const RulePlan> SharedPlanCache::AcquireHeadBound(
 
 std::shared_ptr<const RulePlan> SharedPlanCache::AcquireVariant(
     const Rule& rule, bool head_bound) {
-  uint64_t key = CanonicalRuleHash(rule);
+  uint64_t key = ShapeHash(rule);
   if (head_bound) key = HashCombine(key, 1);
   auto matches = [&](const RulePlan& plan) {
-    return plan.head_bound == head_bound && AlphaEquivalent(plan.rule, rule);
+    return plan.head_bound == head_bound &&
+           SameShape(plan.compiled_from, rule);
   };
   auto compile = [&]() {
     return head_bound ? CompileRuleHeadBound(rule) : CompileRule(rule);
@@ -143,7 +182,7 @@ std::shared_ptr<const RulePlan> SharedPlanCache::AcquireVariant(
   std::unique_lock<std::shared_mutex> lock(mu_);
   std::vector<std::weak_ptr<const RulePlan>>& bucket = entries_[key];
   // Re-check under the exclusive lock (another evaluator may have
-  // compiled the same rule between the two lock scopes) and prune this
+  // compiled the same shape between the two lock scopes) and prune this
   // bucket's expired entries while here.
   for (auto it = bucket.begin(); it != bucket.end();) {
     std::shared_ptr<const RulePlan> plan = it->lock();
@@ -196,6 +235,22 @@ size_t SharedPlanCache::LiveCountForTesting() const {
 void SharedPlanCache::ResetStatsForTesting() {
   compiles_.store(0, std::memory_order_relaxed);
   hits_.store(0, std::memory_order_relaxed);
+}
+
+ConcreteRule BindRule(const Rule& rule) {
+  ConcreteRule out;
+  out.rule = rule;
+  out.plan = SharedPlanCache::Instance().Acquire(rule);
+  out.params = ShapeParams(rule);
+  out.rule_hash = CanonicalRuleHash(rule);
+  out.param_peers.resize(out.params.size());
+  for (uint16_t p : out.plan->peer_params) {
+    out.param_peers[p] = Symbol::Intern(out.params[p].AsString());
+  }
+  if (rule.head.peer.is_name()) {
+    out.head_peer = out.param_peers[out.plan->head.peer.slot];
+  }
+  return out;
 }
 
 }  // namespace wdl

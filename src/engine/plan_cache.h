@@ -17,31 +17,37 @@ namespace wdl {
 /// first-occurrence index (head first, then body left to right, term by
 /// term), so two rules that differ only in variable names hash equal.
 /// Constants — including peer and relation names — hash by content, so
-/// per-peer rule instantiations ("feed@alice(...)") remain distinct.
+/// rules that differ in a constant hash apart. A concrete rule's
+/// `rule_hash` (plan.h), which stamps its delegations.
 uint64_t CanonicalRuleHash(const Rule& rule);
 
-/// True when `a` and `b` are equal up to a bijective renaming of their
-/// variables (argument, relation, and peer positions alike).
-bool AlphaEquivalent(const Rule& a, const Rule& b);
+/// Hash of `rule`'s shape (plan.h): variables and constants are each
+/// numbered by first occurrence (equal constants alike), relation names
+/// hash by content. Rules of one shape hash equal.
+uint64_t ShapeHash(const Rule& rule);
+
+/// True when `a` and `b` have one shape: equal up to a bijective
+/// renaming of their variables (argument, relation, and peer positions
+/// alike) and a bijective replacement of the constants in their
+/// argument and peer positions.
+bool SameShape(const Rule& a, const Rule& b);
 
 /// Process-global compiled-plan cache, shared by every engine in the
-/// process (DESIGN.md §4, §9). Plans are peer-agnostic and immutable
-/// once compiled (see plan.h), so the identical rule set installed at
-/// 100k peers compiles exactly once. Each installed rule holds a strong
-/// reference to its plans (InstalledRule, engine.h), as does a local
-/// query read for the span of its run; this cache holds only weak
-/// references — a plan's storage dies with the last rule using it, so
-/// churning ad-hoc rules (scratch queries, delegation residuals) do not
-/// accumulate for the process lifetime.
+/// process (DESIGN.md §4, §9). Plans are compiled per rule shape and are
+/// peer-agnostic and immutable once compiled (see plan.h), so the rules
+/// a per-peer program installs at 100k peers — and the residuals its
+/// delegations leave at their targets — compile once per shape. Each
+/// installed rule holds a strong reference to its shape's plans
+/// (ConcreteRule, plan.h), as does a local query read for the span of
+/// its run; this cache holds only weak references — a shape's plan dies
+/// with the last rule of that shape, so churning ad-hoc rules (scratch
+/// queries, delegation residuals) do not accumulate for the process
+/// lifetime.
 ///
-/// Keyed by CanonicalRuleHash with per-entry AlphaEquivalent
-/// verification, so α-renamed copies of one rule (delegation residuals
-/// regenerated with fresh variable names, user-written variants) share
-/// one plan. The shared plan's owned `rule` is the first-compiled
-/// variant; delegation residuals substitute from it, so residual
-/// variable names are canonical-per-process rather than
-/// per-installing-peer — semantically identical, and deterministic for
-/// a deterministic installation order.
+/// Keyed by ShapeHash with per-entry SameShape verification against the
+/// rule each plan was compiled from. The plan holds no constant of any
+/// rule: each concrete rule keeps its own parameter values, hash and
+/// peers, and delegation residuals substitute from the concrete rule.
 ///
 /// Thread-safety follows the global Symbol table's pattern (base/
 /// symbol.h): a shared_mutex with shared-locked lookups and an
@@ -51,23 +57,23 @@ bool AlphaEquivalent(const Rule& a, const Rule& b);
 class SharedPlanCache {
  public:
   struct Stats {
-    uint64_t compiles = 0;  // distinct rules compiled process-wide
-    uint64_t hits = 0;      // Acquire calls served by an existing plan
+    uint64_t compiles = 0;  // plans compiled process-wide
+    uint64_t hits = 0;      // Acquire calls served by a live plan
   };
 
   static SharedPlanCache& Instance();
 
-  /// The compiled plan for `rule`, compiling on first acquisition.
-  /// α-equivalent rules return the same plan object.
+  /// The compiled plan of `rule`'s shape, compiling on first
+  /// acquisition. Rules of one shape return the same plan object.
   std::shared_ptr<const RulePlan> Acquire(const Rule& rule);
 
-  /// The head-bound plan for `rule`: every head variable pre-seeded
-  /// bound, for DRed existence checks. Cached alongside the natural
-  /// plans but never aliased with them.
+  /// The head-bound plan of `rule`'s shape: every head variable
+  /// pre-seeded bound, for DRed existence checks. Cached alongside the
+  /// natural plans but never aliased with them.
   std::shared_ptr<const RulePlan> AcquireHeadBound(const Rule& rule);
 
-  /// Global compile/hit tallies (the "one compile per distinct rule at
-  /// N peers" acceptance instrument).
+  /// Global compile/hit tallies (the "one compile per shape at N peers"
+  /// acceptance instrument).
   Stats stats() const;
 
   /// Number of live (non-expired) cached plans. Expired weak entries
@@ -79,7 +85,7 @@ class SharedPlanCache {
  private:
   SharedPlanCache() = default;
 
-  // The natural and head-bound flavors of a rule live in one map but
+  // The natural and head-bound flavors of a shape live in one map but
   // never alias: the flavor is mixed into the bucket key and
   // re-verified on the plan itself at match time.
   std::shared_ptr<const RulePlan> AcquireVariant(const Rule& rule,
@@ -97,6 +103,10 @@ class SharedPlanCache {
   std::atomic<uint64_t> compiles_{0};
   std::atomic<uint64_t> hits_{0};
 };
+
+/// `rule` bound to its shape's shared plan (acquired from the cache),
+/// with its parameter values, hash and peers: what the evaluator runs.
+ConcreteRule BindRule(const Rule& rule);
 
 }  // namespace wdl
 

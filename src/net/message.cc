@@ -74,7 +74,9 @@ std::string Message::ToString() const {
       out += StrFormat("(%zu facts)", facts.size());
       break;
     case MessageType::kDelegationInstall:
-      out += "(" + delegation.rule.ToString() + ")";
+      out += "(";
+      out += delegation.rule.ToString();
+      out += ")";
       break;
     case MessageType::kDelegationRetract:
       out += StrFormat("(key=%llu)",

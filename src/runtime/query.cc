@@ -69,8 +69,7 @@ Result<bool> ReadLocally(Peer* peer, const Rule& query, QueryResult* result) {
     idle = std::make_unique<Engine>(peer->name(), peer->options().engine);
     engine = idle.get();
   }
-  WDL_ASSIGN_OR_RETURN(std::shared_ptr<const RulePlan> plan,
-                       engine->PrepareRule(query));
+  WDL_ASSIGN_OR_RETURN(ConcreteRule rule, engine->PrepareRule(query));
 
   std::vector<Tuple> rows;
   bool crossed = false;
@@ -78,7 +77,7 @@ Result<bool> ReadLocally(Peer* peer, const Rule& query, QueryResult* result) {
   sinks.on_local_fact = [&](const Fact& f) { rows.push_back(f.args); };
   sinks.on_delegation = [&](const Delegation&) { crossed = true; };
   RuleEvaluator evaluator(&engine->catalog(), peer->name(), EvalOptions{});
-  evaluator.Evaluate(*plan, nullptr, -1, sinks);
+  evaluator.Evaluate(rule, nullptr, -1, sinks);
   if (crossed) return false;
 
   // Every body variable is a column, so no two matches share a row.

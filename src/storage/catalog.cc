@@ -53,7 +53,7 @@ Result<bool> Catalog::InsertFact(const Fact& fact) {
     decl.kind = RelationKind::kExtensional;
     decl.columns.resize(fact.arity());
     for (size_t i = 0; i < fact.arity(); ++i) {
-      decl.columns[i].name = "c" + std::to_string(i);
+      decl.columns[i].name = StrFormat("c%zu", i);
       decl.columns[i].type = ValueKind::kAny;
     }
     WDL_RETURN_IF_ERROR(Declare(decl));

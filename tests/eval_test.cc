@@ -5,6 +5,7 @@
 #include <set>
 #include <string>
 
+#include "engine/plan_cache.h"
 #include "parser/parser.h"
 
 #include "support/builders.h"
@@ -41,7 +42,7 @@ class EvalTest : public ::testing::Test {
     sinks.on_delegation = [&](const Delegation& d) {
       c.delegations.push_back(d);
     };
-    evaluator_.Evaluate(CompileRule(rule), delta, delta_pos, sinks);
+    evaluator_.Evaluate(BindRule(rule), delta, delta_pos, sinks);
     return c;
   }
 
@@ -205,7 +206,7 @@ TEST_F(EvalTest, IndexAndScanModesAgree) {
   Collected scanned;
   RuleEvaluator::Sinks sinks;
   sinks.on_local_fact = [&](const Fact& f) { scanned.local.push_back(f); };
-  scan_eval.Evaluate(CompileRule(rule), nullptr, -1, sinks);
+  scan_eval.Evaluate(BindRule(rule), nullptr, -1, sinks);
 
   auto key = [](const Fact& f) { return f.ToString(); };
   std::set<std::string> a, b;

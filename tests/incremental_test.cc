@@ -324,8 +324,8 @@ TEST(IncrementalOracleTest, DelegationInstallAndRetractOnDeletion) {
   }
 }
 
-// Regression: two α-equivalent rules at one peer share one plan, and
-// the plan stamps its residuals with the hash of the variant compiled
+// Regression: two α-equivalent rules at one peer once shared one plan,
+// which stamped their residuals with the hash of the variant compiled
 // first. After that variant is removed, a deletion must still retract
 // the survivor's residual; matching residuals by the surviving rule's
 // own hash left `spotted@a("carol") :- seen@b("carol")` at b and carol
@@ -348,6 +348,42 @@ TEST(IncrementalOracleTest, AlphaVariantSurvivorRetractsResidual) {
   ASSERT_TRUE(system.RunUntilQuiescent().ok());
   ASSERT_TRUE(a->engine().catalog().Get("spotted")->Contains(
       {test::S("carol")}));
+  Remove(a, &ref, F("friends", "a", {test::S("carol")}));
+  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  test::ExpectMatchesReference(system, ref);
+}
+
+// Residuals keep their rule's variable names, so two α-variants whose
+// residuals keep a free variable delegate two residuals under one hash.
+// Retracting one variant must retract its own residual and leave the
+// other's, and the rebuild after a deletion must re-emit the survivor's.
+TEST(IncrementalOracleTest, AlphaVariantsKeepTheirOwnResidualSpelling) {
+  System system;
+  ReferenceProgram ref;
+  Peer* a = system.CreatePeer("a", Trusting());
+  Peer* b = system.CreatePeer("b", Trusting());
+  Load(a, &ref, R"(
+    collection ext friends@a(who: string);
+    collection int pair@a(who: string, n: int);
+  )");
+  Load(b, &ref, R"(
+    collection ext seen@b(who: string, n: int);
+    fact seen@b("carol", 1);
+    fact seen@b("dave", 2);
+  )");
+  Insert(a, &ref, F("friends", "a", {test::S("carol")}));
+  Insert(a, &ref, F("friends", "a", {test::S("dave")}));
+  Result<uint64_t> first =
+      a->AddRuleText("rule pair@a($v, $n) :- friends@a($v), seen@b($v, $n);");
+  ASSERT_TRUE(first.ok());
+  Load(a, &ref, "rule pair@a($w, $m) :- friends@a($w), seen@b($w, $m);");
+  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  EXPECT_EQ(b->engine().rules().size(), 4u);  // two spellings per friend
+
+  ASSERT_TRUE(a->RemoveRule(*first).ok());
+  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  test::ExpectMatchesReference(system, ref);
+
   Remove(a, &ref, F("friends", "a", {test::S("carol")}));
   ASSERT_TRUE(system.RunUntilQuiescent().ok());
   test::ExpectMatchesReference(system, ref);

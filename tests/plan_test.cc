@@ -26,36 +26,43 @@ using test::S;
 
 // --- Plan shape: slots, op sequences, compile-time access paths -------
 
+// Plans are compiled per shape: constants in argument, head and peer
+// positions are parameters, which take the first slots and are bound
+// before the body runs.
+
 TEST(CompileRuleTest, SlotsAreNumberedDenselyInFirstOccurrenceOrder) {
   RulePlan plan = CompileRule(R("h@p($x, $z) :- e@p($x, $y), e@p($y, $z)"));
-  ASSERT_EQ(plan.num_slots, 3u);
-  EXPECT_EQ(plan.slot_vars, (std::vector<std::string>{"x", "y", "z"}));
+  // The peer p is parameter 0; the variables follow it.
+  ASSERT_EQ(plan.num_params, 1u);
+  ASSERT_EQ(plan.num_slots, 4u);
+  EXPECT_EQ(plan.slot_vars, (std::vector<std::string>{"", "x", "y", "z"}));
 
   ASSERT_EQ(plan.atoms.size(), 2u);
   const PlanAtom& a0 = plan.atoms[0];
+  EXPECT_EQ(a0.peer.slot, 0);
   ASSERT_EQ(a0.terms.size(), 2u);
   EXPECT_EQ(a0.terms[0].op, PlanTerm::Op::kBind);
-  EXPECT_EQ(a0.terms[0].slot, 0);
+  EXPECT_EQ(a0.terms[0].slot, 1);
   EXPECT_EQ(a0.terms[1].op, PlanTerm::Op::kBind);
-  EXPECT_EQ(a0.terms[1].slot, 1);
-  EXPECT_EQ(a0.bound_slots, (std::vector<uint16_t>{0, 1}));
-  // Nothing bound before the first atom: full scan.
+  EXPECT_EQ(a0.terms[1].slot, 2);
+  EXPECT_EQ(a0.bound_slots, (std::vector<uint16_t>{1, 2}));
+  // No argument bound before the first atom: full scan.
   EXPECT_EQ(a0.index_column, -1);
 
   const PlanAtom& a1 = plan.atoms[1];
   EXPECT_EQ(a1.terms[0].op, PlanTerm::Op::kCheck);
-  EXPECT_EQ(a1.terms[0].slot, 1);
+  EXPECT_EQ(a1.terms[0].slot, 2);
   EXPECT_EQ(a1.terms[1].op, PlanTerm::Op::kBind);
-  EXPECT_EQ(a1.terms[1].slot, 2);
+  EXPECT_EQ(a1.terms[1].slot, 3);
   // $y is bound by atom 0, so column 0 drives an index probe.
   EXPECT_EQ(a1.index_column, 0);
-  EXPECT_FALSE(a1.index_key_is_const);
-  EXPECT_EQ(a1.index_slot, 1);
+  EXPECT_EQ(a1.index_slot, 2);
 
   ASSERT_EQ(plan.head.terms.size(), 2u);
   EXPECT_EQ(plan.head.terms[0].op, PlanTerm::Op::kCheck);
-  EXPECT_EQ(plan.head.terms[0].slot, 0);
-  EXPECT_EQ(plan.head.terms[1].slot, 2);
+  EXPECT_EQ(plan.head.terms[0].slot, 1);
+  EXPECT_EQ(plan.head.terms[1].slot, 3);
+  EXPECT_EQ(plan.head.peer.slot, 0);
   EXPECT_FALSE(plan.head.dead);
   EXPECT_TRUE(plan.head.relation.is_const);
   EXPECT_EQ(plan.head.relation.sym, Symbol::Intern("h"));
@@ -63,10 +70,55 @@ TEST(CompileRuleTest, SlotsAreNumberedDenselyInFirstOccurrenceOrder) {
 
 TEST(CompileRuleTest, ConstantArgumentDrivesIndexColumn) {
   RulePlan plan = CompileRule(R("h@p($x) :- e@p(3, $x)"));
+  EXPECT_EQ(ShapeParams(R("h@p($x) :- e@p(3, $x)")),
+            (std::vector<Value>{S("p"), I(3)}));
   const PlanAtom& a = plan.atoms[0];
+  EXPECT_EQ(a.terms[0].op, PlanTerm::Op::kCheck);
   EXPECT_EQ(a.index_column, 0);
-  EXPECT_TRUE(a.index_key_is_const);
-  EXPECT_EQ(a.index_const, I(3));
+  EXPECT_EQ(a.index_slot, 1);  // parameter 1: the constant 3
+}
+
+TEST(CompileRuleTest, ParametersTakeTheIndexTheirConstantsWould) {
+  // Constants in argument, head and peer positions: the argument
+  // parameter keys atom 0's probe, and the head's constant shares it.
+  const Rule rule = R("h@q(7, $y) :- e@p($x, 7), f@p($x, $y)");
+  EXPECT_EQ(ShapeParams(rule), (std::vector<Value>{S("p"), I(7), S("q")}));
+  RulePlan plan = CompileRule(rule);
+  ASSERT_EQ(plan.num_params, 3u);
+  EXPECT_EQ(plan.atoms[0].index_column, 1);
+  EXPECT_EQ(plan.atoms[0].index_slot, 1);
+  EXPECT_EQ(plan.atoms[1].index_column, 0);  // $x, as before
+  EXPECT_EQ(plan.head.peer.slot, 2);
+  EXPECT_EQ(plan.head.terms[0].slot, 1);
+
+  // Evaluated with each rule's own parameters, one plan probes exactly
+  // the tuples its constant selects.
+  Catalog catalog("p");
+  for (int64_t i = 0; i < 10; ++i) {
+    (void)catalog.InsertFact(Fact("e", "p", {I(i), I(i % 2 == 0 ? 7 : 8)}));
+    (void)catalog.InsertFact(Fact("f", "p", {I(i), I(i * 10)}));
+  }
+  RuleEvaluator evaluator(&catalog, "p", EvalOptions{});
+  for (int64_t k : {7, 8}) {
+    const std::string text = std::to_string(k);
+    ConcreteRule bound =
+        BindRule(R("h@q(" + text + ", $y) :- e@p($x, " + text +
+                   "), f@p($x, $y)"));
+    std::vector<Fact> out;
+    RuleEvaluator::Sinks sinks;
+    sinks.on_remote_fact = [&](const Fact& f) { out.push_back(f); };
+    evaluator.ResetCounters();
+    evaluator.Evaluate(bound, nullptr, -1, sinks);
+    ASSERT_EQ(out.size(), 5u) << k;
+    for (const Fact& f : out) {
+      EXPECT_EQ(f.peer, "q");
+      EXPECT_EQ(f.args[0], I(k));
+    }
+    // One probe of e for the constant, one of f per match; no scan.
+    EXPECT_EQ(evaluator.counters().full_scans, 0u);
+    EXPECT_EQ(evaluator.counters().index_lookups, 6u);
+    EXPECT_EQ(evaluator.counters().tuples_examined, 10u);
+  }
 }
 
 TEST(CompileRuleTest, RepeatedVariableWithinAtomChecksButCannotKey) {
@@ -84,7 +136,9 @@ TEST(CompileRuleTest, RelationAndPeerVariablesCompileToSlots) {
   EXPECT_TRUE(plan.atoms[0].relation.is_const);
   EXPECT_FALSE(plan.atoms[1].relation.is_const);
   EXPECT_EQ(plan.slot_vars[plan.atoms[1].relation.slot], "r");
-  EXPECT_TRUE(plan.atoms[1].peer.is_const);
+  // A constant peer is a parameter slot.
+  EXPECT_FALSE(plan.atoms[1].peer.is_const);
+  EXPECT_LT(plan.atoms[1].peer.slot, plan.num_params);
 }
 
 TEST(CompileRuleTest, NegatedAtomNeverBindsAndDetectsUnboundStatically) {
@@ -108,9 +162,9 @@ TEST(CompileRuleTest, UnboundHeadVariableMarksHeadDead) {
 TEST(CompileRuleTest, DebugStringDescribesSlotsAndAccessPath) {
   RulePlan plan = CompileRule(R("h@p($x, $z) :- e@p($x, $y), e@p($y, $z)"));
   std::string s = plan.DebugString();
-  EXPECT_NE(s.find("slots: 0=$x 1=$y 2=$z"), std::string::npos) << s;
+  EXPECT_NE(s.find("slots: 0=?0 1=$x 2=$y 3=$z"), std::string::npos) << s;
   EXPECT_NE(s.find("access=scan"), std::string::npos) << s;
-  EXPECT_NE(s.find("access=index col 0 key=s1"), std::string::npos) << s;
+  EXPECT_NE(s.find("access=index col 0 key=s2"), std::string::npos) << s;
 }
 
 // --- Plan cache -------------------------------------------------------
@@ -193,6 +247,110 @@ TEST(PlanCacheTest, EngineEvictsPlansForRemovedRules) {
   EXPECT_EQ(cache.stats().hits, 0u);
 }
 
+// A hub holds one residual per follower. They differ only in the
+// follower's name, so they share one plan, but each derives its own
+// facts: retracting one must retract exactly its contribution, whether
+// it was installed before the last stage or since, and the siblings'
+// contributions stay.
+TEST(PlanCacheTest, ResidualsDifferingInConstantsShareOnePlan) {
+  SharedPlanCache& cache = SharedPlanCache::Instance();
+  cache.ResetStatsForTesting();
+  Engine hub("hub");
+  ASSERT_TRUE(hub.LoadProgram(test::P(R"(
+    collection ext post@hub(id: int);
+    fact post@hub(1);
+    fact post@hub(2);
+  )")).ok());
+  auto residual = [](const std::string& follower) {
+    Delegation d;
+    d.origin_peer = follower;
+    d.target_peer = "hub";
+    d.rule = R("feed@" + follower + "($id, \"hub\") :- post@hub($id)");
+    return d;
+  };
+  for (const char* f : {"f0", "f1", "f2", "f3"}) {
+    ASSERT_TRUE(hub.InstallDelegatedRule(residual(f)).ok());
+  }
+  EXPECT_EQ(cache.stats().compiles, 1u);
+  EXPECT_EQ(cache.stats().hits, 3u);
+  for (const InstalledRule* ir : hub.rules()) {
+    EXPECT_EQ(ir->plan.get(), hub.rules()[0]->plan.get());
+  }
+  StageResult first = hub.RunStage();
+  ASSERT_EQ(first.outbound.size(), 4u);
+  for (const auto& [peer, out] : first.outbound) {
+    ASSERT_EQ(out.derived_deltas.size(), 1u) << peer;
+    EXPECT_EQ(out.derived_deltas[0].inserts.size(), 2u) << peer;
+  }
+
+  hub.RetractDelegatedRule(residual("f2").Key());
+  ASSERT_TRUE(hub.InstallDelegatedRule(residual("f4")).ok());
+  hub.RetractDelegatedRule(residual("f4").Key());
+  EXPECT_EQ(hub.rules().size(), 3u);
+  StageResult second = hub.RunStage();
+  ASSERT_EQ(second.outbound.size(), 1u);
+  ASSERT_EQ(second.outbound["f2"].derived_deltas.size(), 1u);
+  EXPECT_TRUE(second.outbound["f2"].derived_deltas[0].inserts.empty());
+  EXPECT_EQ(second.outbound["f2"].derived_deltas[0].deletes,
+            (std::vector<Tuple>{{I(1), S("hub")}, {I(2), S("hub")}}));
+
+  // The siblings still contribute: a new post reaches exactly them.
+  ASSERT_TRUE(hub.InsertFact(Fact("post", "hub", {I(3)})).ok());
+  StageResult third = hub.RunStage();
+  ASSERT_EQ(third.outbound.size(), 3u);
+  for (const char* f : {"f0", "f1", "f3"}) {
+    ASSERT_EQ(third.outbound[f].derived_deltas.size(), 1u) << f;
+    EXPECT_EQ(third.outbound[f].derived_deltas[0].inserts,
+              (std::vector<Tuple>{{I(3), S("hub")}}))
+        << f;
+  }
+}
+
+// α-variants of one rule stamp one hash, so their residuals ship under
+// one key when they are spelled alike (ground ones always are); a rule
+// that differs in a constant stamps its own. A removal retracts exactly
+// the residuals no remaining rule emits.
+TEST(PlanCacheTest, DelegationKeysFollowTheConcreteRule) {
+  Engine a("a");
+  ASSERT_TRUE(a.LoadProgram(test::P(R"(
+    collection ext sel@a(x: string);
+    fact sel@a("x");
+  )")).ok());
+  Result<uint64_t> one = a.AddRule(R("got@a($v, 1) :- sel@a($v), data@b($v)"));
+  Result<uint64_t> twin =
+      a.AddRule(R("got@a($w, 1) :- sel@a($w), data@b($w)"));
+  Result<uint64_t> two = a.AddRule(R("got@a($v, 2) :- sel@a($v), data@b($v)"));
+  ASSERT_TRUE(one.ok() && twin.ok() && two.ok());
+  std::vector<const InstalledRule*> rules = a.rules();
+  ASSERT_EQ(rules.size(), 3u);
+  EXPECT_EQ(rules[0]->plan.get(), rules[2]->plan.get());
+  EXPECT_TRUE(rules[0]->SameAs(*rules[1]));
+  EXPECT_FALSE(rules[0]->SameAs(*rules[2]));
+  EXPECT_EQ(rules[0]->rule_hash, rules[1]->rule_hash);
+  EXPECT_NE(rules[0]->rule_hash, rules[2]->rule_hash);
+
+  StageResult r = a.RunStage();
+  std::map<std::string, uint64_t> keys;
+  for (const Delegation& d : r.outbound["b"].delegation_installs) {
+    keys[d.rule.ToString()] = d.Key();
+  }
+  ASSERT_EQ(keys.size(), 2u);
+  const uint64_t shared = keys.at("got@a(\"x\", 1) :- data@b(\"x\")");
+  const uint64_t own = keys.at("got@a(\"x\", 2) :- data@b(\"x\")");
+
+  ASSERT_TRUE(a.RemoveRule(*one).ok());  // the twin still emits it
+  EXPECT_TRUE(a.RunStage().outbound.empty());
+  ASSERT_TRUE(a.RemoveRule(*two).ok());
+  r = a.RunStage();
+  EXPECT_TRUE(r.outbound["b"].delegation_installs.empty());
+  EXPECT_EQ(r.outbound["b"].delegation_retracts,
+            (std::vector<uint64_t>{own}));
+  ASSERT_TRUE(a.RemoveRule(*twin).ok());
+  r = a.RunStage();
+  EXPECT_EQ(r.outbound["b"].delegation_retracts,
+            (std::vector<uint64_t>{shared}));
+}
+
 TEST(PlanCacheTest, AccessPathCountersAttributeTheWork) {
   Catalog catalog("p");
   for (int64_t i = 0; i < 10; ++i) {
@@ -201,9 +359,8 @@ TEST(PlanCacheTest, AccessPathCountersAttributeTheWork) {
   RuleEvaluator evaluator(&catalog, "p", EvalOptions{});
   RuleEvaluator::Sinks sinks;
   sinks.on_local_fact = [](const Fact&) {};
-  evaluator.Evaluate(
-      CompileRule(R("h@p($x, $z) :- e@p($x, $y), e@p($y, $z)")), nullptr, -1,
-      sinks);
+  evaluator.Evaluate(BindRule(R("h@p($x, $z) :- e@p($x, $y), e@p($y, $z)")),
+                     nullptr, -1, sinks);
   // Atom 0 scans once; atom 1 probes the index once per outer tuple.
   EXPECT_EQ(evaluator.counters().full_scans, 1u);
   EXPECT_EQ(evaluator.counters().index_lookups, 10u);
@@ -309,9 +466,8 @@ TEST(PlanEquivalenceTest, DelegatedDeletionRulesKeepTheDeletionFlag) {
   sinks.on_delegation = [&](const Delegation& d) {
     delegations.push_back(d);
   };
-  evaluator.Evaluate(
-      CompileRule(R("-pending@p($x) :- sel@p($a), trig@$a($x)")), nullptr,
-      -1, sinks);
+  evaluator.Evaluate(BindRule(R("-pending@p($x) :- sel@p($a), trig@$a($x)")),
+                     nullptr, -1, sinks);
   ASSERT_EQ(delegations.size(), 1u);
   EXPECT_TRUE(delegations[0].rule.head_deletes);
   EXPECT_EQ(delegations[0].target_peer, "q");

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
+#include "base/string_util.h"
 #include "engine/engine.h"
 #include "net/wire.h"
 #include "parser/parser.h"
@@ -34,7 +35,9 @@ class ProgramGenerator {
       case 0: return Value::Int(rng_.NextInRange(-5, 5));
       case 1: return Value::Double(static_cast<double>(
                    rng_.NextInRange(-3, 3)) + 0.5);
-      case 2: return Value::String("s" + std::to_string(rng_.NextBelow(4)));
+      case 2:
+        return Value::String(
+            StrFormat("s%u", static_cast<unsigned>(rng_.NextBelow(4))));
       default: return Value::MakeBlob(std::string(
                    1 + rng_.NextBelow(3), static_cast<char>(
                        'a' + rng_.NextBelow(26))));
@@ -42,7 +45,7 @@ class ProgramGenerator {
   }
 
   std::string RandomRelation() {
-    return "r" + std::to_string(rng_.NextBelow(5));
+    return StrFormat("r%u", static_cast<unsigned>(rng_.NextBelow(5)));
   }
   const std::string& RandomPeer() {
     return peers_[rng_.NextBelow(peers_.size())];
@@ -64,9 +67,9 @@ class ProgramGenerator {
       Atom atom;
       atom.relation = SymTerm::Name(RandomRelation());
       atom.peer = SymTerm::Name(i == 0 ? peer : RandomPeer());
-      std::string fresh = "v" + std::to_string(var_counter_++);
+      std::string fresh = StrFormat("v%d", var_counter_++);
       if (i == 0) {
-        std::string fresh2 = "v" + std::to_string(var_counter_++);
+        std::string fresh2 = StrFormat("v%d", var_counter_++);
         atom.args = {Term::Variable(fresh), Term::Variable(fresh2)};
         bound.push_back(fresh);
         bound.push_back(fresh2);

@@ -1,7 +1,7 @@
 // Million-peer runtime invariants (DESIGN.md §9): idle peers are
 // engine-less slots under a committed byte ceiling, engines materialize
 // exactly on first fact / first rule / first inbound work frame, the
-// process-global plan cache compiles each distinct rule once, and the
+// process-global plan cache compiles each rule shape once, and the
 // lazy runtime converges to the reference evaluator's state under
 // social churn (follow/unfollow storms, hub fan-out, partition + heal).
 
@@ -153,10 +153,10 @@ TEST(ScaleTest, IdenticalRuleSetsAcrossSystemsCompileOnce) {
   SharedPlanCache& cache = SharedPlanCache::Instance();
   cache.ResetStatsForTesting();
   // Two whole systems run the same social moment: u1 follows the hub
-  // u0, the hub posts. Every rule — the feed rule at u1 and the
-  // delegated residual at u0 — exists in both systems, but each
-  // distinct rule compiles exactly once process-wide; the second
-  // system's evaluators get cache hits.
+  // u0, the hub posts. Every rule — the feed rules at u0 and u1 and the
+  // delegated residual at u0 — exists in both systems, but each shape
+  // compiles exactly once process-wide: the second system's rules are
+  // all served by the first system's live plans.
   auto run = [] {
     auto system = std::make_unique<System>();
     SocialDriver driver(system.get());
@@ -166,14 +166,67 @@ TEST(ScaleTest, IdenticalRuleSetsAcrossSystemsCompileOnce) {
     return system;
   };
   std::unique_ptr<System> first = run();
+  const SharedPlanCache::Stats after_first = cache.stats();
   std::unique_ptr<System> second = run();
 
   EXPECT_EQ(GlobalStateFingerprint(*first), GlobalStateFingerprint(*second));
   SharedPlanCache::Stats stats = cache.stats();
-  EXPECT_GT(stats.compiles, 0u);
-  // One hit per compile: each distinct rule was compiled by the first
-  // system and reused by the second.
-  EXPECT_EQ(stats.hits, stats.compiles);
+  EXPECT_GT(after_first.compiles, 0u);
+  EXPECT_EQ(stats.compiles, after_first.compiles);
+  EXPECT_GT(stats.hits, after_first.hits);
+}
+
+TEST(ScaleTest, ThousandSocialPeersCompileTheirRulesOnce) {
+  SharedPlanCache& cache = SharedPlanCache::Instance();
+  cache.ResetStatsForTesting();
+  System system;
+  SocialDriver driver(&system);
+  for (uint32_t i = 0; i < 1000; ++i) ASSERT_TRUE(driver.EnsurePeer(i).ok());
+  // Every peer's feed rule names its own peer; one shape, one plan.
+  EXPECT_LE(cache.stats().compiles, 2u);
+  EXPECT_GE(cache.stats().hits, 998u);
+}
+
+// Follow/unfollow churn over 1,000 distinct follower->hub edges, eight
+// follows live at a time: each edge ships its own residual to the hub,
+// and all of them share one plan. The cache holds one plan per shape —
+// the feed rule, the residual, and the feed rule's head-bound plan that
+// the followers' re-derivation checks use after an unfollow — and
+// compiles nothing once the first follow and unfollow have run.
+TEST(ScaleTest, FollowChurnCompilesOncePerShape) {
+  SharedPlanCache& cache = SharedPlanCache::Instance();
+  cache.ResetStatsForTesting();
+  const size_t live_before = cache.LiveCountForTesting();
+  System system;
+  SocialDriver driver(&system);
+  ASSERT_TRUE(driver.Post(0, 1).ok());
+  constexpr uint32_t kEdges = 1000;
+  constexpr uint32_t kLive = 8;
+  uint64_t settled = 0;
+  for (uint32_t i = 1; i <= kEdges + kLive; ++i) {
+    if (i <= kEdges) {
+      ASSERT_TRUE(driver.Follow(i, 0).ok());
+    }
+    if (i > kLive) {
+      ASSERT_TRUE(driver.Unfollow(i - kLive, 0).ok());
+    }
+    ASSERT_TRUE(system.RunUntilQuiescent().ok());
+    ASSERT_LE(cache.LiveCountForTesting(), live_before + 3) << i;
+    if (i == 1) {
+      EXPECT_EQ(cache.stats().compiles, 2u);
+    } else if (i == kLive + 1) {
+      settled = cache.stats().compiles;
+    } else if (i > kLive + 1) {
+      ASSERT_EQ(cache.stats().compiles, settled) << i;
+    }
+  }
+  EXPECT_EQ(settled, 3u);
+  EXPECT_EQ(system.GetPeer(SocialPeerName(0))->engine().rules().size(), 1u);
+  // The last follower saw the post while it followed, and not after.
+  const Relation* feed =
+      system.GetPeer(SocialPeerName(kEdges))->engine().catalog().Get("feed");
+  ASSERT_NE(feed, nullptr);
+  EXPECT_EQ(feed->size(), 0u);
 }
 
 // --- Lazy runtime against the reference under churn -------------------
